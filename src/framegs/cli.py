@@ -31,6 +31,7 @@ from .generate import EXAMPLE_NAMES, example_frame
 from .ggs import ggs_pass
 from .iteration import (
     classify_limit,
+    coordinate_rows,
     iterate,
     trace_csv_rows,
     trace_to_dict,
@@ -69,8 +70,9 @@ class RunConfig:
             raise InputError(f"--max-iter must be >= 1, got {self.max_iter}")
         if self.snapshot_stride < 1:
             raise InputError(f"--snapshot-stride must be >= 1, got {self.snapshot_stride}")
-        for name, val in (("--dep-tol", self.dep_tol), ("--eps-delta", self.eps_delta),
-                          ("--delta-onb", self.delta_onb)):
+        if not 0.0 <= self.dep_tol < 1.0:
+            raise InputError(f"--dep-tol must lie in [0, 1), got {self.dep_tol}")
+        for name, val in (("--eps-delta", self.eps_delta), ("--delta-onb", self.delta_onb)):
             if val < 0.0:
                 raise InputError(f"{name} must be >= 0, got {val}")
         if self.delta_zero is not None and self.delta_zero <= 0.0:
@@ -176,23 +178,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _frame_csv(frame: FrameSeq):
-    d = frame.dim
-    if frame.field == "complex":
-        cols = [f"coord_{j}_{p}" for j in range(1, d + 1) for p in ("re", "im")]
-        rows = []
-        for i, v in enumerate(frame.vectors):
-            row = [i + 1, float(frame.norms()[i])]
-            for z in v:
-                row.extend([z.real, z.imag])
-            rows.append(row)
-    else:
-        cols = [f"coord_{j}" for j in range(1, d + 1)]
-        norms = frame.norms()
-        rows = [[i + 1, float(norms[i]), *map(float, v)] for i, v in enumerate(frame.vectors)]
-    return ["vector_index", "norm", *cols], rows
-
-
 def cmd_run(cfg: RunConfig) -> int:
     F = load_input_frame(cfg)
     G, traces = ggs_pass(F, cfg.dep_tol, trace=cfg.trace == "steps")
@@ -210,11 +195,9 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit(_json_dumps({"frame": G.to_dict(), "report": report}), cfg.output)
     else:
-        header, rows = _frame_csv(G)
-        _emit(_csv_text(header, rows), cfg.output)
-        print(f"parseval_residual={chk.residual:.3e} ok={chk.ok}")
-    if cfg.output is not None and cfg.fmt == "json":
-        print(f"parseval_residual={chk.residual:.3e} ok={chk.ok}")
+        cols, rows = coordinate_rows(G.vectors, G.norms())
+        _emit(_csv_text(["vector_index", "norm", *cols], rows), cfg.output)
+    print(f"parseval_residual={chk.residual:.3e} ok={chk.ok}", file=sys.stderr)
     return EXIT_OK if chk.ok else EXIT_CHECK_FAILED
 
 
@@ -261,7 +244,8 @@ def cmd_iterate(cfg: RunConfig) -> int:
     print(
         f"{status} after {rep.iterations_run} iterations; "
         f"zero indices {list(rep.zero_indices)}; "
-        f"surviving set near-ONB: {rep.converged} (residual {rep.onb_residual:.3e})"
+        f"surviving set near-ONB: {rep.converged} (residual {rep.onb_residual:.3e})",
+        file=sys.stderr,
     )
     return EXIT_OK
 

@@ -220,20 +220,16 @@ def check_stabilized_last(
     """When the last input vector is independent of its predecessors,
     verify that its iterates never move: g_n^{(m)} equals g_n^{(1)} for
     every recorded m >= 1, and both equal the normalized component of f_n
-    orthogonal to span{f_1, ..., f_{n-1}}."""
-    from .frames import _span_basis
-
+    orthogonal to span{f_1, ..., f_{n-1}}.  That span is taken from an
+    SVD, independently of the Gram-Schmidt steps of the pass."""
     n = len(frame)
     if n in trace.dependent_indices or n in trace.input_zero_indices:
         return StabilizationCheck(applicable=False)
 
+    _, sv, vh = np.linalg.svd(frame.vectors[: n - 1], full_matrices=False)
+    B = vh[sv > 1e-12 * sv.max(initial=0.0)]
     f_n = frame.vectors[n - 1]
-    if n == 1:
-        r = f_n.copy()
-    else:
-        Q, _, _ = _span_basis(frame.vectors[: n - 1], trace.dep_tol)
-        r = f_n - (Q.conj() @ f_n) @ Q
-        r = r - (Q.conj() @ r) @ Q
+    r = f_n - (B.conj() @ f_n) @ B
     expected = r / np.linalg.norm(r)
 
     recorded = sorted(m for m in trace.snapshots if m >= 1)
@@ -412,33 +408,33 @@ def trace_to_dict(trace: IterationTrace) -> dict:
     }
 
 
+def coordinate_rows(vectors: np.ndarray, norms, *lead) -> tuple[list[str], list[list]]:
+    """CSV coordinate columns for ``vectors`` and one row per vector:
+    ``[*lead, vector_index, norm, coordinates...]``.  Real vectors get
+    coord_1..coord_d; complex ones get coord_j_re/coord_j_im pairs."""
+    n, d = vectors.shape
+    if np.iscomplexobj(vectors):
+        cols = [f"coord_{j}_{part}" for j in range(1, d + 1) for part in ("re", "im")]
+        vectors = np.stack([vectors.real, vectors.imag], axis=-1).reshape(n, 2 * d)
+    else:
+        cols = [f"coord_{j}" for j in range(1, d + 1)]
+    norms = np.asarray(norms).tolist()
+    return cols, [[*lead, i + 1, norms[i], *v] for i, v in enumerate(vectors.tolist())]
+
+
 def trace_csv_rows(trace: IterationTrace) -> tuple[list[str], list[list]]:
     """Tabular view of a run: one row per (iteration, vector).
 
-    Columns: iteration, vector_index, norm, then coordinates.  Real
-    frames get coord_1..coord_d; complex frames get coord_j_re/coord_j_im
-    pairs.  Coordinate cells are empty for iterations without a recorded
-    snapshot.
+    Columns: iteration, vector_index, norm, then the coordinates of
+    :func:`coordinate_rows`.  Coordinate cells are empty for iterations
+    without a recorded snapshot.
     """
-    d = trace.initial.dim
-    complex_field = trace.initial.field == "complex"
-    if complex_field:
-        coord_cols = [f"coord_{j}_{part}" for j in range(1, d + 1) for part in ("re", "im")]
-    else:
-        coord_cols = [f"coord_{j}" for j in range(1, d + 1)]
-    header = ["iteration", "vector_index", "norm", *coord_cols]
-    rows: list[list] = []
-    n = trace.initial.n_vectors
-    for m in range(trace.iterations_run + 1):
+    coord_cols, rows = coordinate_rows(trace.snapshots[0].vectors, trace.norms[0], 0)
+    blank = [""] * len(coord_cols)
+    for m in range(1, trace.iterations_run + 1):
         snap = trace.snapshots.get(m)
-        for i in range(n):
-            row: list = [m, i + 1, float(trace.norms[m][i])]
-            if snap is None:
-                row.extend([""] * len(coord_cols))
-            elif complex_field:
-                for z in snap.vectors[i]:
-                    row.extend([z.real, z.imag])
-            else:
-                row.extend(float(x) for x in snap.vectors[i])
-            rows.append(row)
-    return header, rows
+        if snap is None:
+            rows.extend([m, i + 1, x, *blank] for i, x in enumerate(trace.norms[m].tolist()))
+        else:
+            rows.extend(coordinate_rows(snap.vectors, trace.norms[m], m)[1])
+    return ["iteration", "vector_index", "norm", *coord_cols], rows

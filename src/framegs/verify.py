@@ -1,9 +1,13 @@
 """Self-contained verification battery behind the ``verify`` CLI command.
 
-Each check is independent, seeded, and reports the worst measured value
-against its threshold.  The battery exercises the pass, the iteration
-driver, and the validators against each other and against independent
-constructions (classical Gram-Schmidt, the canonical Parseval map,
+Each ``check_*`` function is the one definition of its criterion: it
+takes its inputs (frames, or example names and an iteration count) as
+arguments, holds its thresholds as constants, and reports the worst
+measured value against its threshold.  :func:`run_battery` builds the
+seeded inputs of ``framegs verify``; the acceptance tests call the same
+checks on their own corpora.  The battery exercises the pass, the iteration driver, and
+the validators against each other and against independent constructions
+(classical Gram-Schmidt, the canonical Parseval map, an SVD projection,
 closed-form decay).
 """
 
@@ -13,14 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import (
+    DEP_TOL,
     FrameSeq,
     canonical_parseval,
     dependency_profile,
+    frame_operator,
     is_parseval,
     l2_distance,
+    span_projection,
     zero_indices,
 )
 from .generate import (
+    EXAMPLE_NAMES,
     example_frame,
     random_frame_corpus,
     random_independent_frame,
@@ -64,6 +72,43 @@ def _classical_gram_schmidt(V: np.ndarray) -> np.ndarray:
     return G
 
 
+def _onb_frames(seed, n_frames) -> list[FrameSeq]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_frames):
+        d = int(rng.integers(2, 9))
+        out.append(random_onb_frame(rng, d, n_zeros=int(rng.integers(0, 4)),
+                                    field="complex" if rng.random() < 0.5 else "real"))
+    return out
+
+
+def _stabilization_frames(seed, n_frames) -> list[FrameSeq]:
+    # predecessors live in a proper subspace while the last vector has a
+    # guaranteed component outside it
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_frames):
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 12))
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sub = Q[:, : d - 1]
+        V = rng.standard_normal((n, d - 1)) @ sub.T
+        last = rng.standard_normal(d - 1) @ sub.T + (0.5 + rng.random()) * Q[:, d - 1]
+        out.append(FrameSeq(np.vstack([V, last[None, :]])))
+    return out
+
+
+def _independent_frames(seed, n_frames) -> list[FrameSeq]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_frames):
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(1, d + 1))
+        out.append(random_independent_frame(rng, d, n,
+                                            "complex" if rng.random() < 0.5 else "real"))
+    return out
+
+
 def _near_dependence_frames(seed) -> list[tuple[FrameSeq, tuple[int, ...]]]:
     """Frames with one vector a small but resolvable distance (1e-3 to
     1e-5) outside the span of its predecessors, plus one exactly
@@ -81,77 +126,72 @@ def _near_dependence_frames(seed) -> list[tuple[FrameSeq, tuple[int, ...]]]:
     return out
 
 
-def check_single_pass_parseval(seed, n_frames, dep_tol) -> CheckResult:
+def check_single_pass_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
     worst = 0.0
-    for F in random_frame_corpus(seed, n_frames):
+    for F in frames:
         G, _ = ggs_pass(F, dep_tol)
         worst = max(worst, is_parseval(G, dep_tol=dep_tol).residual)
-    return _result("single_pass_parseval", worst, 1e-10, detail=f"{n_frames} frames")
+    return _result("single_pass_parseval", worst, 1e-10, detail=f"{len(frames)} frames")
 
 
-def check_prefix_parseval(seed, n_frames, dep_tol) -> CheckResult:
+def check_prefix_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
+    # after step k the outputs must be Parseval for the span of the input
+    # prefix F[:k], not merely for their own span
     worst = 0.0
-    for F in random_frame_corpus(seed + 1, n_frames):
+    for F in frames:
         _, traces = ggs_pass(F, dep_tol, trace=True)
         for st in traces:
-            worst = max(worst, is_parseval(st.snapshot, dep_tol=dep_tol).residual)
-    return _result("prefix_parseval", worst, 1e-10, detail=f"{n_frames} frames, all steps")
+            S = frame_operator(st.snapshot)
+            P = span_projection(FrameSeq(F.vectors[: st.step]), dep_tol)
+            worst = max(worst, float(np.linalg.norm(S - P)))
+    return _result("prefix_parseval", worst, 1e-10, detail=f"{len(frames)} frames, all steps")
 
 
-def check_dependent_oracle(seed, n_frames, dep_tol) -> CheckResult:
+def check_dependent_oracle(frames, dep_tol=DEP_TOL) -> CheckResult:
     # every dependent step must equal the canonical Parseval map applied
-    # to (previous outputs + the incoming vector)
+    # to (previous outputs + the incoming vector); a first step is never
+    # dependent, so traces[k - 2] exists
     worst = 0.0
     steps = 0
-    for F in random_frame_corpus(seed + 2, n_frames, dependent_fraction=0.8):
+    for F in frames:
         _, traces = ggs_pass(F, dep_tol, trace=True)
         for st in traces:
             if st.kind != KIND_DEPENDENT:
                 continue
             k = st.step
-            prev = traces[k - 2].snapshot.vectors if k >= 2 else np.zeros((0, F.dim))
-            ext = FrameSeq(np.vstack([prev, F.vectors[k - 1][None, :]]))
+            ext = FrameSeq(np.vstack([traces[k - 2].snapshot.vectors, F.vectors[k - 1][None, :]]))
             oracle = canonical_parseval(ext, dep_tol=dep_tol)
             diff = np.linalg.norm(st.snapshot.vectors - oracle.vectors, axis=1)
             worst = max(worst, float(diff.max()))
             steps += 1
-    return _result("dependent_oracle_match", worst, 1e-10, detail=f"{steps} dependent steps")
+    return _result("dependent_oracle_match", worst, 1e-10, extra_ok=steps > 0,
+                   detail=f"{steps} dependent steps")
 
 
-def check_onb_fixed_points(seed, n_frames, dep_tol) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
+def check_onb_fixed_points(frames, dep_tol=DEP_TOL) -> CheckResult:
     worst = 0.0
-    for _ in range(n_frames):
-        d = int(rng.integers(2, 9))
-        F = random_onb_frame(rng, d, n_zeros=int(rng.integers(0, 4)),
-                             field="complex" if rng.random() < 0.5 else "real")
+    for F in frames:
         G, _ = ggs_pass(F, dep_tol)
         worst = max(worst, l2_distance(G, F))
-    return _result("onb_fixed_points", worst, 1e-12, detail=f"{n_frames} zero-extended ONBs")
+    return _result("onb_fixed_points", worst, 1e-12, detail=f"{len(frames)} zero-extended ONBs")
 
 
-def check_non_onb_movement(seed, n_frames, dep_tol) -> CheckResult:
+def check_non_onb_movement(frames, dep_tol=DEP_TOL) -> CheckResult:
     least = math.inf
-    for F in random_frame_corpus(seed + 4, n_frames):
+    for F in frames:
         G, _ = ggs_pass(F, dep_tol)
         least = min(least, l2_distance(G, F))
-    return _result("non_onb_movement", least, 1e-6, op=">", detail=f"{n_frames} generic frames")
+    return _result("non_onb_movement", least, 1e-6, op=">",
+                   detail=f"{len(frames)} generic frames")
 
 
-def check_last_vector_stabilization(seed, n_frames, dep_tol) -> CheckResult:
-    # frames whose predecessors live in a proper subspace while the last
-    # vector has a guaranteed component outside it
-    rng = np.random.default_rng(seed + 5)
+def check_last_vector_stabilization(frames, dep_tol=DEP_TOL) -> CheckResult:
+    """Each frame's last vector must be nonzero and independent of its
+    predecessors, and :func:`check_stabilized_last` must hold over 20
+    iterations, every iterate recorded."""
     worst = 0.0
     bad = 0
-    for _ in range(n_frames):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(2, 12))
-        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        sub = Q[:, : d - 1]
-        V = rng.standard_normal((n, d - 1)) @ sub.T
-        last = rng.standard_normal(d - 1) @ sub.T + (0.5 + rng.random()) * Q[:, d - 1]
-        F = FrameSeq(np.vstack([V, last[None, :]]))
+    for F in frames:
         tr = iterate(F, max_iter=20, eps_delta=0.0, dep_tol=dep_tol)
         chk = check_stabilized_last(F, tr)
         if not chk.applicable:
@@ -163,82 +203,91 @@ def check_last_vector_stabilization(seed, n_frames, dep_tol) -> CheckResult:
         worst,
         1e-10,
         extra_ok=bad == 0,
-        detail=f"{n_frames} frames, 20 iterations" + (f", {bad} inapplicable" if bad else ""),
+        detail=f"{len(frames)} frames, 20 iterations"
+        + (f", {bad} inapplicable" if bad else ""),
     )
 
 
-def check_closed_form_decay(max_iter=1000) -> CheckResult:
-    tr = iterate(example_frame("fig1"), max_iter=max_iter, eps_delta=0.0, snapshot_stride=max_iter)
-    worst = max(
-        abs(tr.norms[m][2] * math.sqrt(1.0 + m) - 1.0) for m in range(1, tr.iterations_run + 1)
+def check_closed_form_decay() -> CheckResult:
+    # fig1's last vector is dependent with unit norm, so its m-th iterate
+    # has norm exactly 1/sqrt(1 + m)
+    tr = iterate(example_frame("fig1"), max_iter=1000, eps_delta=0.0, snapshot_stride=1000)
+    M = tr.iterations_run
+    ms = np.arange(1, M + 1)
+    worst = float(np.max(np.abs(tr.norms[1:, 2] * np.sqrt(1.0 + ms) - 1.0)))
+    final = float(tr.norms[M, 2])
+    final_err = abs(final - 1.0 / math.sqrt(1.0 + M))
+    return _result(
+        "closed_form_decay", worst, 1e-8, extra_ok=final_err <= 1e-12,
+        detail=f"fig1, {M} iterations, final norm {final:.7f} off by {final_err:.1e} <= 1e-12",
     )
-    return _result("closed_form_decay", worst, 1e-8, detail=f"fig1, {max_iter} iterations")
 
 
 def check_recurrences() -> CheckResult:
     worst = 0.0
     consistent = True
     for name in ("fig1", "fig3"):
-        tr = iterate(example_frame(name), max_iter=50, eps_delta=0.0, trace_steps=True)
+        tr = iterate(example_frame(name), max_iter=50, eps_delta=0.0,
+                     snapshot_stride=50, trace_steps=True)
         rep = validate_recurrences(tr)
         worst = max(worst, rep.max_violation)
-        consistent = consistent and rep.pattern_consistent
+        consistent = (consistent and rep.pattern_consistent
+                      and rep.iterations_checked == 50)
     return _result(
         "recurrence_battery", worst, 1e-12, extra_ok=consistent,
         detail="fig1 + fig3, 50 iterations each",
     )
 
 
-def check_limit_classification(max_iter, delta_onb, dep_tol) -> CheckResult:
+def check_limit_classification(names, max_iter, delta_onb, dep_tol=DEP_TOL) -> CheckResult:
     worst_resid = 0.0
     worst_l2 = 0.0
     mismatches = []
-    for name in ("fig1", "fig2", "fig3"):
+    for name in names:
         tr = iterate(example_frame(name), max_iter=max_iter, eps_delta=0.0,
                      snapshot_stride=max_iter, dep_tol=dep_tol)
         rep = classify_limit(tr, delta_onb=delta_onb)
         if not rep.prediction_match:
             mismatches.append(name)
         worst_resid = max(worst_resid, rep.onb_residual)
+        # every iterate is Parseval for the input's span: energy = its dimension
+        rank = tr.n_vectors - len(tr.dependent_indices) - len(tr.input_zero_indices)
         sums = (tr.norms[1:] ** 2).sum(axis=1)
-        worst_l2 = max(worst_l2, float(np.max(np.abs(sums - 2.0))))
+        worst_l2 = max(worst_l2, float(np.max(np.abs(sums - rank))))
     ok = not mismatches and worst_l2 <= 1e-9
-    detail = f"fig1 fig2 fig3 at M={max_iter}; l2 identity off by {worst_l2:.2e}"
+    detail = f"{' '.join(names)} at M={max_iter}; l2 identity off by {worst_l2:.2e} <= 1e-9"
     if mismatches:
         detail += f"; zero-pattern mismatch: {','.join(mismatches)}"
     return _result("limit_classification", worst_resid, delta_onb, extra_ok=ok, detail=detail)
 
 
-def check_gram_schmidt_degeneration(seed, n_frames, dep_tol) -> CheckResult:
-    rng = np.random.default_rng(seed + 6)
+def check_gram_schmidt_degeneration(frames, dep_tol=DEP_TOL) -> CheckResult:
     worst = 0.0
-    for _ in range(n_frames):
-        d = int(rng.integers(2, 9))
-        n = int(rng.integers(1, d + 1))
-        F = random_independent_frame(rng, d, n, "complex" if rng.random() < 0.5 else "real")
+    for F in frames:
         G, _ = ggs_pass(F, dep_tol)
         worst = max(worst, float(np.linalg.norm(G.vectors - _classical_gram_schmidt(F.vectors))))
     return _result(
-        "gram_schmidt_degeneration", worst, 1e-12, detail=f"{n_frames} independent sequences"
+        "gram_schmidt_degeneration", worst, 1e-12, detail=f"{len(frames)} independent sequences"
     )
 
 
-def check_zero_pattern_prediction(seed, n_frames, max_iter, dep_tol) -> CheckResult:
+def check_zero_pattern_prediction(frames, max_iter, dep_tol=DEP_TOL) -> CheckResult:
     mismatches = 0
-    for F in random_frame_corpus(seed + 7, n_frames, dependent_fraction=1.0):
+    for F in frames:
         tr = iterate(F, max_iter=max_iter, eps_delta=0.0, snapshot_stride=max_iter, dep_tol=dep_tol)
         if not classify_limit(tr).prediction_match:
             mismatches += 1
     return _result(
         "zero_pattern_prediction", float(mismatches), 0.0,
-        detail=f"{n_frames} frames with forced dependencies, M={max_iter}",
+        detail=f"{len(frames)} frames with forced dependencies, M={max_iter}",
     )
 
 
-def check_near_dependence_routing(seed, dep_tol) -> CheckResult:
+def check_near_dependence_routing(cases, dep_tol=DEP_TOL) -> CheckResult:
+    """``cases`` pairs each frame with its designed dependency profile."""
     worst = 0.0
     misrouted = []
-    for F, designed in _near_dependence_frames(seed + 8):
+    for F, designed in cases:
         prof = dependency_profile(F, dep_tol)
         if prof != designed:
             misrouted.append(f"{designed}->{prof}")
@@ -250,35 +299,38 @@ def check_near_dependence_routing(seed, dep_tol) -> CheckResult:
     return _result("near_dependence_routing", worst, 1e-10, extra_ok=not misrouted, detail=detail)
 
 
-def check_l2_identity(seed, n_frames, dep_tol) -> CheckResult:
+def check_l2_identity(frames, dep_tol=DEP_TOL) -> CheckResult:
     # Parseval output must carry total energy equal to the span dimension
     worst = 0.0
-    for F in random_frame_corpus(seed + 9, n_frames):
+    for F in frames:
         rank = F.n_vectors - len(dependency_profile(F, dep_tol)) - len(zero_indices(F))
         G, _ = ggs_pass(F, dep_tol)
         worst = max(worst, abs(float((G.norms() ** 2).sum()) - rank))
-    return _result("l2_energy_identity", worst, 1e-10, detail=f"{n_frames} frames")
+    return _result("l2_energy_identity", worst, 1e-10, detail=f"{len(frames)} frames")
 
 
 def run_battery(
     seed: int = 0,
     n_frames: int = 50,
-    dep_tol: float = 1e-10,
+    dep_tol: float = DEP_TOL,
     max_iter: int = 1000,
     delta_onb: float = 1e-2,
 ) -> list[CheckResult]:
+    def corpus(offset, **kw):
+        return random_frame_corpus(seed + offset, n_frames, **kw)
+
     return [
-        check_single_pass_parseval(seed, n_frames, dep_tol),
-        check_prefix_parseval(seed, n_frames, dep_tol),
-        check_dependent_oracle(seed, n_frames, dep_tol),
-        check_onb_fixed_points(seed, n_frames, dep_tol),
-        check_non_onb_movement(seed, n_frames, dep_tol),
-        check_last_vector_stabilization(seed, n_frames, dep_tol),
+        check_single_pass_parseval(corpus(0), dep_tol),
+        check_prefix_parseval(corpus(1), dep_tol),
+        check_dependent_oracle(corpus(2, dependent_fraction=0.8), dep_tol),
+        check_onb_fixed_points(_onb_frames(seed + 3, n_frames), dep_tol),
+        check_non_onb_movement(corpus(4), dep_tol),
+        check_last_vector_stabilization(_stabilization_frames(seed + 5, n_frames), dep_tol),
         check_closed_form_decay(),
         check_recurrences(),
-        check_limit_classification(max_iter, delta_onb, dep_tol),
-        check_gram_schmidt_degeneration(seed, n_frames, dep_tol),
-        check_zero_pattern_prediction(seed, n_frames, max_iter, dep_tol),
-        check_near_dependence_routing(seed, dep_tol),
-        check_l2_identity(seed, n_frames, dep_tol),
+        check_limit_classification(EXAMPLE_NAMES, max_iter, delta_onb, dep_tol),
+        check_gram_schmidt_degeneration(_independent_frames(seed + 6, n_frames), dep_tol),
+        check_zero_pattern_prediction(corpus(7, dependent_fraction=1.0), max_iter, dep_tol),
+        check_near_dependence_routing(_near_dependence_frames(seed + 8), dep_tol),
+        check_l2_identity(corpus(9), dep_tol),
     ]

@@ -1,42 +1,53 @@
 """End-to-end acceptance battery.
 
-Ten checks, one per contract-level property of the Parseval pass and
-its iteration limit.  Each test prints a single PASS/FAIL line so the
-battery reads as a checklist in the test log; tolerances and runtime
-bounds are pinned in the assertions.
+Ten criteria, one per contract-level property of the Parseval pass and
+its iteration limit.  Each test builds its own seeded inputs and hands
+them to the matching check of :mod:`framegs.verify`, the one definition
+of the criterion that ``framegs verify`` runs too.  Each prints a
+PASS/FAIL line per check so the battery reads as a checklist in the test
+log; corpus sizes, tolerances and runtime bounds are pinned here.
 """
 
-import math
 import time
 
 import numpy as np
 
 from framegs import (
     FrameSeq,
-    canonical_parseval,
-    classify_limit,
-    dependency_profile,
-    example_frame,
-    frame_operator,
-    ggs_pass,
-    is_parseval,
-    iterate,
-    l2_distance,
     random_frame,
     random_frame_corpus,
     random_independent_frame,
     random_onb_frame,
-    span_projection,
-    validate_recurrences,
+)
+from framegs.verify import (
+    check_closed_form_decay,
+    check_dependent_oracle,
+    check_gram_schmidt_degeneration,
+    check_last_vector_stabilization,
+    check_limit_classification,
+    check_non_onb_movement,
+    check_onb_fixed_points,
+    check_prefix_parseval,
+    check_recurrences,
+    check_single_pass_parseval,
+    check_zero_pattern_prediction,
 )
 
 CORPUS_SEED = 1101
 
 
-def _emit(num, name, ok, detail=""):
-    tag = "PASS" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"[criterion {num:02d}] {tag} {name}{suffix}")
+def _verdict(num, result, threshold, elapsed=None, gate=None):
+    """Print the criterion's PASS/FAIL line, then assert the check, that
+    it ran against ``threshold``, and, when ``gate`` is given, that
+    ``elapsed`` stayed under it."""
+    in_time = gate is None or elapsed < gate
+    tag = "PASS" if result.ok and in_time else "FAIL"
+    timing = "" if gate is None else f", {elapsed:.2f}s of {gate:g}s"
+    print(f"[criterion {num:02d}] {tag} {result.name}  "
+          f"({result.value:.3e} {result.op} {result.threshold:g}; {result.detail}{timing})")
+    assert result.threshold == threshold, result
+    assert result.ok, result
+    assert in_time, f"{result.name} took {elapsed:.2f}s, gate {gate:g}s"
 
 
 def _corpus200():
@@ -46,76 +57,33 @@ def _corpus200():
 
 def test_criterion_01_single_pass_parseval():
     t0 = time.perf_counter()
-    worst = 0.0
-    for F in _corpus200():
-        out, _ = ggs_pass(F)
-        chk = is_parseval(out)
-        worst = max(worst, chk.residual)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 5.0
-    _emit(1, "single_pass_parseval", ok,
-          f"200 frames, max residual {worst:.3e}, {elapsed:.2f}s")
-    assert worst <= 1e-10
-    assert elapsed < 5.0
+    result = check_single_pass_parseval(_corpus200())
+    _verdict(1, result, 1e-10, time.perf_counter() - t0, gate=5.0)
 
 
 def test_criterion_02_prefix_parseval():
-    worst = 0.0
-    for F in random_frame_corpus(CORPUS_SEED + 1, 50):
-        _, traces = ggs_pass(F, trace=True)
-        for st in traces:
-            S = frame_operator(st.snapshot)
-            P = span_projection(FrameSeq(F.vectors[: st.step]))
-            worst = max(worst, float(np.linalg.norm(S - P)))
-    ok = worst <= 1e-10
-    _emit(2, "prefix_parseval", ok, f"50 frames, max residual {worst:.3e}")
-    assert worst <= 1e-10
+    _verdict(2, check_prefix_parseval(random_frame_corpus(CORPUS_SEED + 1, 50)), 1e-10)
 
 
 def test_criterion_03_dependent_step_oracle():
-    worst = 0.0
-    n_dep = 0
-    for F in _corpus200():
-        _, traces = ggs_pass(F, trace=True)
-        for st in traces:
-            if st.kind != "dependent":
-                continue
-            n_dep += 1
-            k = st.step
-            prev = traces[k - 2].snapshot.vectors if k >= 2 else np.zeros((0, F.dim),
-                                                                          dtype=F.vectors.dtype)
-            extended = np.vstack([prev, F.vectors[k - 1][None, :]])
-            oracle = canonical_parseval(FrameSeq(extended))
-            diff = float(np.max(np.abs(oracle.vectors - st.snapshot.vectors)))
-            worst = max(worst, diff)
-    ok = worst <= 1e-10 and n_dep > 0
-    _emit(3, "dependent_step_oracle", ok,
-          f"{n_dep} dependent steps, max deviation {worst:.3e}")
-    assert n_dep > 0
-    assert worst <= 1e-10
+    _verdict(3, check_dependent_oracle(_corpus200()), 1e-10)
 
 
 def test_criterion_04_fixed_point_characterization():
     rng = np.random.default_rng(CORPUS_SEED + 2)
-    worst_fixed = 0.0
-    least_moved = math.inf
+    onbs, others = [], []
     for t in range(50):
         d = int(rng.integers(2, 9))
         field = "complex" if t % 2 else "real"
-        onb = random_onb_frame(rng, d, n_zeros=int(rng.integers(0, 4)), field=field)
-        worst_fixed = max(worst_fixed, l2_distance(ggs_pass(onb)[0], onb))
-        other = random_frame(rng, d, int(rng.integers(d, 13)), field=field)
-        least_moved = min(least_moved, l2_distance(ggs_pass(other)[0], other))
-    ok = worst_fixed <= 1e-12 and least_moved > 1e-6
-    _emit(4, "fixed_point_characterization", ok,
-          f"fixed within {worst_fixed:.3e}, others moved >= {least_moved:.3e}")
-    assert worst_fixed <= 1e-12
-    assert least_moved > 1e-6
+        onbs.append(random_onb_frame(rng, d, n_zeros=int(rng.integers(0, 4)), field=field))
+        others.append(random_frame(rng, d, int(rng.integers(d, 13)), field=field))
+    _verdict(4, check_onb_fixed_points(onbs), 1e-12)
+    _verdict(4, check_non_onb_movement(others), 1e-6)
 
 
 def test_criterion_05_last_vector_stabilization():
     rng = np.random.default_rng(CORPUS_SEED + 3)
-    worst = 0.0
+    frames = []
     for t in range(50):
         d = int(rng.integers(3, 9))
         field = "complex" if t % 2 else "real"
@@ -127,132 +95,53 @@ def test_criterion_05_last_vector_stabilization():
                  @ sub)
         last = (rng.standard_normal(d - 1) @ sub
                 + (0.5 + rng.random()) * base[d - 1])
-        V = np.vstack([preds, last[None, :]])
-
-        # independent oracle for (I - P) f_n / ||.||, P over the predecessors
-        _, sv, vh = np.linalg.svd(preds, full_matrices=False)
-        rank = int((sv > sv[0] * 1e-12).sum()) if sv.size else 0
-        B = vh[:rank]
-        resid = last - (B.conj() @ last) @ B
-        expected = resid / np.linalg.norm(resid)
-
-        tr = iterate(FrameSeq(V), max_iter=20, eps_delta=0.0)
-        # a run can hit a bitwise-exact fixed point before m = 20; the
-        # remaining iterates are then identical, so the recorded ones cover all
-        for m in range(1, tr.iterations_run + 1):
-            g_last = tr.snapshots[m].vectors[-1]
-            worst = max(worst, float(np.max(np.abs(g_last - expected))))
-    ok = worst <= 1e-10
-    _emit(5, "last_vector_stabilization", ok,
-          f"50 frames x 20 iterations, max deviation {worst:.3e}")
-    assert worst <= 1e-10
+        frames.append(FrameSeq(np.vstack([preds, last[None, :]])))
+    result = check_last_vector_stabilization(frames)
+    _verdict(5, result, 1e-10)
+    assert "20 iterations" in result.detail
 
 
 def test_criterion_06_closed_form_decay():
     t0 = time.perf_counter()
-    tr = iterate(example_frame("fig1"), max_iter=1000, eps_delta=0.0,
-                 snapshot_stride=1000)
-    elapsed = time.perf_counter() - t0
-    ms = np.arange(1, 1001)
-    worst = float(np.max(np.abs(tr.norms[1:, 2] * np.sqrt(1.0 + ms) - 1.0)))
-    final = float(tr.norms[1000, 2])
-    ok = (worst <= 1e-8
-          and abs(final - 0.0316069) <= 1e-6
-          and abs(final - 1.0 / math.sqrt(1001.0)) <= 1e-12
-          and elapsed < 1.0)
-    _emit(6, "closed_form_decay", ok,
-          f"max |norm*sqrt(1+m) - 1| = {worst:.3e}, final norm {final:.7f}, {elapsed:.2f}s")
-    assert worst <= 1e-8
-    assert abs(final - 1.0 / math.sqrt(1001.0)) <= 1e-12
-    assert elapsed < 1.0
+    result = check_closed_form_decay()
+    _verdict(6, result, 1e-8, time.perf_counter() - t0, gate=1.0)
+    assert "1000 iterations" in result.detail and "<= 1e-12" in result.detail
 
 
 def test_criterion_07_recurrence_battery():
-    worst_eq = 0.0
-    worst_ineq = 0.0
-    for name in ("fig1", "fig3"):
-        tr = iterate(example_frame(name), max_iter=50, eps_delta=0.0,
-                     snapshot_stride=50, trace_steps=True)
-        rep = validate_recurrences(tr)
-        assert rep.pattern_consistent, name
-        assert rep.iterations_checked == 50, name
-        worst_eq = max(worst_eq, rep.update_identity)
-        worst_ineq = max(worst_ineq, rep.single_step_floor, rep.accumulated_floor,
-                         rep.shrink_ceiling, rep.tail_floor)
-    ok = worst_eq <= 1e-12 and worst_ineq <= 1e-12
-    _emit(7, "recurrence_battery", ok,
-          f"identity within {worst_eq:.3e}, bounds violated by at most {worst_ineq:.3e}")
-    assert worst_eq <= 1e-12
-    assert worst_ineq <= 1e-12
+    result = check_recurrences()
+    _verdict(7, result, 1e-12)
+    assert result.detail == "fig1 + fig3, 50 iterations each"
 
 
 def test_criterion_08_limit_classification():
-    worst_resid = 0.0
-    worst_energy = 0.0
-    worst_time = 0.0
     for name in ("fig1", "fig2", "fig3"):
-        F = example_frame(name)
         t0 = time.perf_counter()
-        tr = iterate(F, max_iter=1000, eps_delta=0.0, snapshot_stride=1000)
-        elapsed = time.perf_counter() - t0
-        worst_time = max(worst_time, elapsed)
-        rep = classify_limit(tr)
-        assert rep.zero_indices == dependency_profile(F), name
-        worst_resid = max(worst_resid, rep.onb_residual)
-        energy = np.sum(tr.norms[1:] ** 2, axis=1)
-        worst_energy = max(worst_energy, float(np.max(np.abs(energy - 2.0))))
-    ok = worst_resid <= 1e-2 and worst_energy <= 1e-9 and worst_time < 2.0
-    _emit(8, "limit_classification", ok,
-          f"onb residual {worst_resid:.3e}, energy drift {worst_energy:.3e}, "
-          f"slowest example {worst_time:.2f}s")
-    assert worst_resid <= 1e-2
-    assert worst_energy <= 1e-9
-    assert worst_time < 2.0
+        result = check_limit_classification((name,), max_iter=1000, delta_onb=1e-2)
+        _verdict(8, result, 1e-2, time.perf_counter() - t0, gate=2.0)
+        assert "<= 1e-9" in result.detail
 
 
 def test_criterion_09_gram_schmidt_degeneration():
-    def classical_gs(V):
-        Q = np.array(V, copy=True)
-        for k in range(V.shape[0]):
-            f = np.array(V[k], copy=True)
-            for i in range(k):
-                f -= (f @ Q[i].conj()) * Q[i]
-            Q[k] = f / np.linalg.norm(f)
-        return Q
-
     rng = np.random.default_rng(CORPUS_SEED + 4)
-    worst = 0.0
+    frames = []
     for t in range(100):
         d = int(rng.integers(2, 9))
         n = int(rng.integers(1, d + 1))
         field = "complex" if t % 2 else "real"
-        F = random_independent_frame(rng, d, n, field=field)
-        diff = float(np.max(np.abs(ggs_pass(F)[0].vectors - classical_gs(F.vectors))))
-        worst = max(worst, diff)
-    ok = worst <= 1e-12
-    _emit(9, "gram_schmidt_degeneration", ok,
-          f"100 independent sequences, max deviation {worst:.3e}")
-    assert worst <= 1e-12
+        frames.append(random_independent_frame(rng, d, n, field=field))
+    _verdict(9, check_gram_schmidt_degeneration(frames), 1e-12)
 
 
 def test_criterion_10_zero_pattern_prediction_at_scale():
     rng = np.random.default_rng(CORPUS_SEED + 5)
-    M = 2000
     t0 = time.perf_counter()
-    mismatches = []
+    frames = []
     for t in range(100):
         d = int(rng.integers(2, 9))
         n = int(rng.integers(d + 1, 21))
         n_dep = int(rng.integers(1, min(4, n - d) + 1))
         field = "complex" if t % 2 else "real"
-        F = random_frame(rng, d, n, field=field, n_dependent=n_dep)
-        tr = iterate(F, max_iter=M, eps_delta=0.0, snapshot_stride=M)
-        rep = classify_limit(tr, delta_zero=2.0 / math.sqrt(M))
-        if not rep.prediction_match:
-            mismatches.append(t)
-    elapsed = time.perf_counter() - t0
-    ok = not mismatches and elapsed < 60.0
-    _emit(10, "zero_pattern_prediction_at_scale", ok,
-          f"100 frames at {M} iterations, {len(mismatches)} mismatches, {elapsed:.1f}s")
-    assert mismatches == []
-    assert elapsed < 60.0
+        frames.append(random_frame(rng, d, n, field=field, n_dependent=n_dep))
+    result = check_zero_pattern_prediction(frames, max_iter=2000)
+    _verdict(10, result, 0.0, time.perf_counter() - t0, gate=60.0)

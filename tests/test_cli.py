@@ -53,6 +53,22 @@ class TestRun:
         assert len(rows) == 4
         assert float(rows[3][2]) == pytest.approx(0.5, abs=1e-15)
 
+        vecs = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]
+        inp = write_frame(tmp_path / "c.json", 2, "complex", vecs)
+        assert main(["run", "--input", inp, "--format", "csv", "--output", str(out)]) == EXIT_OK
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == ["vector_index", "norm", "coord_1_re", "coord_1_im",
+                           "coord_2_re", "coord_2_im"]
+        assert rows[2] == ["2", "1.0", "0.0", "0.0", "0.0", "1.0"]
+
+    def test_csv_to_stdout_is_only_csv(self, capsys):
+        assert main(["run", "--example", "fig3", "--format", "csv"]) == EXIT_OK
+        captured = capsys.readouterr()
+        rows = list(csv.reader(captured.out.splitlines()))
+        assert len(rows) == 10 + 1
+        assert all(len(r) == 4 for r in rows)
+        assert "parseval_residual=" in captured.err
+
     def test_round_trip_of_exported_frame(self, tmp_path):
         out = tmp_path / "out.json"
         main(["run", "--example", "fig1", "--output", str(out)])
@@ -110,6 +126,13 @@ class TestRunInputErrors:
             main(["run", "--example", "fig1", "--input", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dep_tol", ["1.5", "1", "nan"])
+    def test_dep_tol_out_of_range(self, dep_tol, capsys):
+        assert main(["run", "--example", "fig1", "--dep-tol", dep_tol]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "--dep-tol must lie in [0, 1)" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_max_iter(self, capsys):
         assert main(["iterate", "--example", "fig1", "--max-iter", "0"]) == EXIT_INPUT_ERROR
         assert "--max-iter" in capsys.readouterr().err
@@ -128,8 +151,8 @@ class TestIterate:
         assert rep["onb_residual"] <= 1e-2
         assert rep["prediction_match"] is True
         assert doc["iterations_run"] == 1000
-        # stdout summary uses stationarity language, no convergence claim
-        msg = capsys.readouterr().out
+        # stderr summary uses stationarity language, no convergence claim
+        msg = capsys.readouterr().err
         assert "stopped at max-iter" in msg
 
     def test_fig2_eight_iterates_for_replot(self, tmp_path):
@@ -171,7 +194,7 @@ class TestIterate:
         inp = write_frame(tmp_path / "onb.json", 2, "real", [[1.0, 0.0], [0.0, 1.0]])
         rc = main(["iterate", "--input", inp, "--output", str(tmp_path / "t.json")])
         assert rc == EXIT_OK
-        assert "empirically stationary after 1 iterations" in capsys.readouterr().out
+        assert "empirically stationary after 1 iterations" in capsys.readouterr().err
 
 
 class TestDeterminism:
