@@ -223,8 +223,10 @@ def cmd_iterate(cfg: RunConfig) -> int:
         "delta_zero": rep.delta_zero,
         "delta_onb": rep.delta_onb,
     }
+    checks_ok = rep.prediction_match
     if cfg.trace == "steps":
         rr = validate_recurrences(tr)
+        checks_ok = checks_ok and rr.pattern_consistent
         summary["recurrences"] = {
             "update_identity": rr.update_identity,
             "single_step_floor": rr.single_step_floor,
@@ -247,7 +249,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
         f"surviving set near-ONB: {rep.converged} (residual {rep.onb_residual:.3e})",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -277,11 +279,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if cfg.command == "run":
-            return cmd_run(cfg)
-        if cfg.command == "iterate":
-            return cmd_iterate(cfg)
-        return cmd_verify(cfg)
+        if cfg.command == "verify":
+            return cmd_verify(cfg)
+        try:
+            return cmd_run(cfg) if cfg.command == "run" else cmd_iterate(cfg)
+        except FrameError as exc:  # the pass cannot process the input, e.g. its norms overflow
+            raise InputError(f"cannot process {cfg.input or cfg.example}: {exc}") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -86,7 +86,14 @@ class FrameSeq:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"frame dict missing or malformed key: {exc}") from exc
         if field == "complex":
-            rows = [[complex(entry[0], entry[1]) for entry in row] for row in raw]
+            rows = []
+            try:
+                for row in raw:
+                    rows.append([complex(re, im) for re, im in row])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"vectors row {len(rows) + 1}: complex entries must be [re, im] pairs"
+                ) from exc
             arr = np.asarray(rows, dtype=np.complex128)
         elif field == "real":
             arr = np.asarray(raw, dtype=np.float64)

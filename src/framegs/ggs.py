@@ -56,42 +56,49 @@ class StepTrace:
     updates: tuple[DependentUpdateRecord, ...] = field(default_factory=tuple)
 
 
-def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float):
+def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: np.ndarray):
     """In-place dependent-branch update of rows G[:k] followed by the
-    assignment of row k.  Returns the coefficients <g_i, f>."""
+    assignment of row k.  ``w[i] = <g_i, f>`` are the coefficients of the
+    rows before the update; the caller has them from routing f."""
     nf2 = nf * nf
     shrink = 1.0 / math.sqrt(1.0 + nf2)
     cfac = (shrink - 1.0) / nf2
-    w = (G[:k].conj() @ f).conj()          # w[i] = <g_i, f>
     G[:k] += (cfac * w)[:, None] * f[None, :]
     G[k] = shrink * f
-    return w
 
 
 def _pass_array(V: np.ndarray, dep_tol: float, on_step=None) -> np.ndarray:
     """Array-level pass kernel.  ``on_step(k0, kind, G, w, before)`` is
     called after each step when given; ``w``/``before`` are set only on
-    dependent steps."""
+    dependent steps.
+
+    The residual norm is taken with the arithmetic ``np.linalg.norm`` uses
+    for a vector (the square root of the dot products of the real and
+    imaginary parts) without its per-call overhead."""
     n, _ = V.shape
     G = np.zeros_like(V)
+    is_complex = V.dtype.kind == "c"
     with np.errstate(over="ignore"):  # overflow is caught explicitly below
         in_norms = np.linalg.norm(V, axis=1)
-    scale = in_norms.max()
+    scale = float(in_norms.max())
     if not math.isfinite(scale):
         bad = int(np.flatnonzero(~np.isfinite(in_norms))[0]) + 1
         raise NonFiniteError(f"step {bad}: input vector norm is not finite")
     zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
-    for k in range(n):
-        f = V[k]
-        nf = in_norms[k]
+    for k, nf in enumerate(in_norms.tolist()):
         if nf <= zthresh:
             if on_step is not None:
                 on_step(k, KIND_ZERO, G, None, None)
             continue
+        f = V[k]
         prefix = G[:k]
-        coeffs = prefix.conj() @ f          # coeffs[j] = <f, g_j>
+        coeffs = (prefix.conj() if is_complex else prefix) @ f   # coeffs[j] = <f, g_j>
         g = f - coeffs @ prefix
-        rn = np.linalg.norm(g)
+        if is_complex:
+            gr, gi = g.real, g.imag
+            rn = math.sqrt(gr.dot(gr) + gi.dot(gi))
+        else:
+            rn = math.sqrt(g.dot(g))
         if not math.isfinite(rn):
             raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
         if rn > dep_tol * max(1.0, nf):
@@ -102,7 +109,8 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None) -> np.ndarray:
             if not math.isfinite(nf * nf):
                 raise NonFiniteError(f"step {k + 1}: squared norm overflows")
             before = np.linalg.norm(prefix, axis=1) if on_step is not None else None
-            w = _apply_dependent_update(G, k, f, nf)
+            w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
+            _apply_dependent_update(G, k, f, nf, w)
             if on_step is not None:
                 on_step(k, KIND_DEPENDENT, G, w, before)
     return G
@@ -181,7 +189,8 @@ def dependent_update(prefix: FrameSeq, f) -> FrameSeq:
     k = len(prefix)
     G = np.zeros((k + 1, prefix.dim), dtype=np.promote_types(prefix.vectors.dtype, arr.dtype))
     G[:k] = prefix.vectors
-    _apply_dependent_update(G, k, arr.astype(G.dtype, copy=False), nf)
+    f = arr.astype(G.dtype, copy=False)
+    _apply_dependent_update(G, k, f, nf, (G[:k].conj() @ f).conj())
     return FrameSeq(G)
 
 

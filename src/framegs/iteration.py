@@ -363,11 +363,14 @@ def classify_limit(
         Gs = final.vectors[[k - 1 for k in surviving]]
         gram = Gs @ Gs.conj().T
         onb_residual = float(np.max(np.abs(gram - np.eye(len(surviving)))))
+        converged = onb_residual <= delta_onb
     else:
         onb_residual = 0.0
+        # the empty set is a basis only of the zero span
+        converged = len(trace.input_zero_indices) == final_norms.shape[0]
     predicted = tuple(sorted(set(trace.dependent_indices) | set(trace.input_zero_indices)))
     return LimitReport(
-        converged=onb_residual <= delta_onb,
+        converged=converged,
         iterations_run=M,
         zero_indices=zero_idx,
         surviving_indices=surviving,

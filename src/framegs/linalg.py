@@ -2,9 +2,11 @@
 
 Vectors and matrices are plain numpy arrays.  The scalar field is carried
 by the dtype (float64 for real, complex128 for complex) and both fields go
-through the same code paths: ``conj`` on a float64 array is a no-op, so no
-branching is needed.  All inputs are validated to be finite; NaN or Inf
-raises :class:`~framegs.errors.NonFiniteError` instead of propagating.
+through the same code paths: ``conj`` of a float64 array returns the same
+values, so the results need no branching.  It does return a copy, which is
+why the per-step pass kernel in ``ggs`` skips it for real frames.  All
+inputs are validated to be finite; NaN or Inf raises
+:class:`~framegs.errors.NonFiniteError` instead of propagating.
 
 The eigensolver is a cyclic Jacobi iteration.  Problem sizes here are tiny
 (dimension a few dozen at most), where Jacobi is simple, accurate and

@@ -137,6 +137,20 @@ class TestRunInputErrors:
         assert main(["iterate", "--example", "fig1", "--max-iter", "0"]) == EXIT_INPUT_ERROR
         assert "--max-iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, vectors",
+        [
+            ("real", [[1e200, 0.0], [0.0, 1e200]]),   # norms overflow inside the pass
+            ("complex", [[[1, 0], [0]]]),               # short [re, im] entry
+            ("complex", [[1, 0], [0]]),                 # rows of numbers, not of pairs
+        ],
+    )
+    def test_input_failing_in_parse_or_pass(self, tmp_path, capsys, field, vectors):
+        inp = write_frame(tmp_path / "bad.json", 2, field, vectors)
+        assert main(["run", "--input", inp]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bad.json" in err[0]
+
 
 class TestIterate:
     def test_fig1_limit_report(self, tmp_path, capsys):
@@ -189,6 +203,32 @@ class TestIterate:
         rr = json.loads(out.read_text())["limit_report"]["recurrences"]
         assert rr["pattern_consistent"] is True
         assert rr["update_identity"] <= 1e-12
+
+    @pytest.mark.parametrize("trace", ["none", "steps"])
+    def test_failed_check_exits_nonzero(self, tmp_path, trace):
+        out = tmp_path / "trace.json"
+        rc = main(["iterate", "--example", "fig1", "--dep-tol", "0.99", "--max-iter", "50",
+                   "--trace", trace, "--output", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        rep = json.loads(out.read_text())["limit_report"]
+        assert rep["prediction_match"] is False
+        assert rep["surviving_indices"] == [] and rep["near_onb"] is False
+        if trace == "steps":
+            assert rep["recurrences"]["pattern_consistent"] is False
+
+    def test_pattern_drift_alone_exits_nonzero(self, tmp_path):
+        # vector 5 takes the dependent branch in pass 1 and the independent
+        # one from pass 2 on, while the zero set still matches the prediction
+        inp = write_frame(tmp_path / "drift.json", 3, "real", [
+            [-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
+            [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]])
+        out = tmp_path / "trace.json"
+        rc = main(["iterate", "--input", inp, "--dep-tol", "0.6", "--max-iter", "10",
+                   "--eps-delta", "0", "--trace", "steps", "--output", str(out)])
+        rep = json.loads(out.read_text())["limit_report"]
+        assert rep["prediction_match"] is True
+        assert rep["recurrences"]["pattern_consistent"] is False
+        assert rc == EXIT_CHECK_FAILED
 
     def test_onb_stops_early(self, tmp_path, capsys):
         inp = write_frame(tmp_path / "onb.json", 2, "real", [[1.0, 0.0], [0.0, 1.0]])

@@ -5,6 +5,8 @@ import pytest
 
 from framegs.errors import DimensionMismatchError, NonFiniteError
 from framegs.frames import (
+    DEP_TOL,
+    ZERO_REL_TOL,
     FrameSeq,
     canonical_parseval,
     dependency_profile,
@@ -17,6 +19,7 @@ from framegs.ggs import (
     KIND_DEPENDENT,
     KIND_INDEPENDENT,
     KIND_ZERO,
+    _pass_array,
     dependent_update,
     ggs_pass,
     norm_drop,
@@ -259,3 +262,77 @@ def test_onb_frames_fixed_within_1e12():
                              field="complex" if rng.random() < 0.5 else "real")
         G, _ = ggs_pass(F)
         assert l2_distance(G, F) <= 1e-12
+
+
+def _reference_pass(V, dep_tol):
+    """The pass kernel's step arithmetic as first written: the product with
+    the conjugated prefix, ``np.linalg.norm`` of the residual, and a
+    dependent update that computes <g_i, f> a second time."""
+    G = np.zeros_like(V)
+    in_norms = np.linalg.norm(V, axis=1)
+    scale = in_norms.max()
+    zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
+    for k in range(V.shape[0]):
+        f = V[k]
+        nf = in_norms[k]
+        if nf <= zthresh:
+            continue
+        prefix = G[:k]
+        coeffs = prefix.conj() @ f
+        g = f - coeffs @ prefix
+        rn = np.linalg.norm(g)
+        if rn > dep_tol * max(1.0, nf):
+            G[k] = g / rn
+        else:
+            nf2 = nf * nf
+            shrink = 1.0 / math.sqrt(1.0 + nf2)
+            cfac = (shrink - 1.0) / nf2
+            w = (G[:k].conj() @ f).conj()
+            G[:k] += (cfac * w)[:, None] * f[None, :]
+            G[k] = shrink * f
+    return G
+
+
+def _equivalence_corpus():
+    """(V, dep_tol) cases: real and complex frames for every d in 1..64
+    with zero vectors and forced dependents, plus vectors exactly at and
+    just above the dependence threshold."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for d in range(1, 65):
+        for field in ("real", "complex"):
+            n = d + int(rng.integers(1, 6))
+            V = rng.normal(size=(n, d))
+            if field == "complex":
+                V = V + 1j * rng.normal(size=(n, d))
+            V[int(rng.integers(0, n))] = 0.0
+            for k in rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False):
+                V[k] = rng.normal(size=k) @ V[:k]   # in the span of the earlier vectors
+            V *= 10.0 ** rng.uniform(-3, 3)
+            cases.append((V, DEP_TOL))
+    # residual 0.5 against dep_tol * max(1, ||f||) = 0.5: dependent
+    cases.append((np.array([[1.0, 0.0], [0.5, 0.5]]), 0.5))
+    cases.append((np.array([[1.0, 0.0], [0.5, 0.5j]]), 0.5))
+    cases.append((np.array([[1.0, 0.0], [0.5, 0.5 + 1e-9]]), 0.5))
+    cases.append((np.zeros((3, 2)), DEP_TOL))
+    return cases
+
+
+def test_kernel_matches_reference_arithmetic():
+    n_dependent = 0
+    for V, tol in _equivalence_corpus():
+        expected = _reference_pass(V, tol)
+        assert np.array_equal(_pass_array(V, tol), expected), (V.shape, V.dtype)
+
+        prev = np.zeros_like(V)
+
+        def on_step(k, kind, G, w, before):
+            nonlocal prev, n_dependent
+            if kind == KIND_DEPENDENT:
+                n_dependent += 1
+                assert np.array_equal(w, (prev[:k].conj() @ V[k]).conj())
+                assert np.array_equal(before, np.linalg.norm(prev[:k], axis=1))
+            prev = G.copy()
+
+        assert np.array_equal(_pass_array(V, tol, on_step), expected)
+    assert n_dependent > 3 * 64

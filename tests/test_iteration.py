@@ -250,6 +250,18 @@ class TestClassifyLimit:
         assert rep.zero_indices == ()
         assert not rep.prediction_match
 
+    def test_no_survivor_is_not_a_basis_of_a_nonzero_span(self):
+        tr = iterate(FIG1, max_iter=50, eps_delta=0.0, dep_tol=0.99)
+        rep = classify_limit(tr)
+        assert rep.surviving_indices == ()
+        assert not rep.converged
+
+    def test_all_zero_frame_has_the_empty_basis(self):
+        tr = iterate(FrameSeq(np.zeros((3, 2))), max_iter=5)
+        rep = classify_limit(tr)
+        assert rep.surviving_indices == ()
+        assert rep.converged and rep.prediction_match
+
 
 class TestIsFixedPoint:
     def test_zero_extended_onb_true(self):
