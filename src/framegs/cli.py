@@ -14,9 +14,12 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FrameError
 from .frames import (
@@ -30,11 +33,11 @@ from .frames import (
 from .generate import EXAMPLE_NAMES, example_frame
 from .ggs import ggs_pass
 from .iteration import (
+    _trace_document,
     classify_limit,
     coordinate_rows,
     iterate,
     trace_csv_rows,
-    trace_to_dict,
     validate_recurrences,
 )
 from .verify import run_battery
@@ -164,8 +167,40 @@ def _emit(text: str, path: str | None):
             fh.write(text)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _json_dumps(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` with each
+    numpy array replaced by its ``.tolist()``, written at nesting depth
+    ``level``.  Dicts (with string keys) are walked here; a finite
+    float64 array fills the ``%r`` template of its shape, whose text is
+    what ``json`` writes for a float; every other value, and an array
+    holding NaN or Infinity, is written by ``json`` itself."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        nl = "\n" + "  " * (level + 1)
+        items = (
+            json.encoder.encode_basestring_ascii(key) + ": " + _json_dumps(obj[key], level + 1)
+            for key in sorted(obj)
+        )
+        return "{" + nl + ("," + nl).join(items) + "\n" + "  " * level + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and np.isfinite(obj).all():
+            return _array_template(obj.shape, level) % tuple(obj.ravel().tolist())
+        obj = obj.tolist()
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+@functools.lru_cache(maxsize=256)
+def _array_template(shape: tuple, level: int) -> str:
+    """The indented JSON list of an array of ``shape`` at depth
+    ``level``, with ``%r`` in place of each element."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    nl = "\n" + "  " * (level + 1)
+    inner = _array_template(shape[1:], level + 1)
+    return "[" + nl + ("," + nl).join([inner] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def _csv_text(header, rows) -> str:
@@ -236,7 +271,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
             "pattern_consistent": rr.pattern_consistent,
         }
     if cfg.fmt == "json":
-        doc = trace_to_dict(tr)
+        doc = _trace_document(tr)
         doc["limit_report"] = summary
         _emit(_json_dumps(doc), cfg.output)
     else:

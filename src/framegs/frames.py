@@ -69,12 +69,9 @@ class FrameSeq:
             return np.linalg.norm(self.vectors, axis=1)
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; complex entries become [re, im] pairs."""
-        if self.field == "complex":
-            vecs = [[[z.real, z.imag] for z in row] for row in self.vectors]
-        else:
-            vecs = [[float(x) for x in row] for row in self.vectors]
-        return {"dim": self.dim, "field": self.field, "vectors": vecs}
+        """JSON-ready dict of Python floats; complex entries become
+        [re, im] pairs."""
+        return {"dim": self.dim, "field": self.field, "vectors": _coordinates(self.vectors).tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameSeq":
@@ -104,6 +101,14 @@ class FrameSeq:
                 f"vectors shape {arr.shape} inconsistent with dim={dim}"
             )
         return cls(arr)
+
+
+def _coordinates(vectors: np.ndarray) -> np.ndarray:
+    """The rows as a float64 array: ``vectors`` itself when real, with a
+    last axis of [re, im] pairs when complex."""
+    if np.iscomplexobj(vectors):
+        return np.stack([vectors.real, vectors.imag], axis=-1)
+    return vectors
 
 
 class FrameBounds(NamedTuple):

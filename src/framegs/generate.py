@@ -31,7 +31,9 @@ def example_frame(name: str) -> FrameSeq:
     raise ValueError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
 
 
-def _rng(seed) -> np.random.Generator:
+def _rng(seed) -> "np.random.Generator":
+    # quoted: evaluating np.random at import would load numpy.random
+    # (tens of ms) in every process, used or not
     return np.random.default_rng(seed)
 
 

@@ -16,7 +16,7 @@ the second.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,29 +31,30 @@ KIND_DEPENDENT = "dependent"
 
 @dataclass(frozen=True)
 class DependentUpdateRecord:
-    """Effect of one dependent-vector correction on one earlier output
-    vector: its norm before and after, the magnitude of its inner product
-    with the dependent vector f, and ||f|| itself."""
+    """Effect of one dependent step, driven by the vector f, on the k
+    output vectors before it.  Each array has shape (k,) and its row i
+    belongs to output vector i+1: the norm before and after the update,
+    and the magnitude of the inner product with f before it."""
 
-    index: int          # 1-based position of the updated vector
-    norm_before: float
-    norm_after: float
-    inner_abs: float    # |<g_i, f>| prior to the update
-    carrier_norm: float  # ||f|| for the dependent vector driving the update
+    norm_before: np.ndarray
+    norm_after: np.ndarray
+    inner_abs: np.ndarray   # |<g_i, f>| prior to the update
+    carrier_norm: float     # ||f|| for the dependent vector driving the update
 
 
 @dataclass(frozen=True)
 class StepTrace:
     """State after processing one input vector.
 
-    ``snapshot`` holds the first ``step`` output vectors; ``updates`` is
-    nonempty only for dependent steps.
+    ``snapshot`` holds the first ``step`` output vectors when the trace
+    keeps them (``ggs_pass``), and is None in the step traces of
+    ``iterate``; ``updates`` is set only on dependent steps.
     """
 
     step: int           # 1-based
     kind: str           # KIND_ZERO | KIND_INDEPENDENT | KIND_DEPENDENT
-    snapshot: FrameSeq
-    updates: tuple[DependentUpdateRecord, ...] = field(default_factory=tuple)
+    snapshot: FrameSeq | None
+    updates: DependentUpdateRecord | None = None
 
 
 def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: np.ndarray):
@@ -116,6 +117,29 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None) -> np.ndarray:
     return G
 
 
+def _step_recorder(V: np.ndarray, traces: list, snapshots: bool):
+    """``on_step`` hook for ``_pass_array(V, ...)`` that appends one
+    :class:`StepTrace` per step to ``traces``.  A dependent step records
+    its updates as arrays, with no object per updated row; ``snapshots``
+    also keeps a copy of the output prefix at every step."""
+
+    def on_step(k, kind, G, w, before):
+        updates = None
+        if kind == KIND_DEPENDENT:
+            updates = DependentUpdateRecord(
+                norm_before=before,
+                norm_after=np.linalg.norm(G[:k], axis=1),
+                # hypot is the scalar abs() of each entry, which np.abs of a
+                # complex array can miss in the last bit
+                inner_abs=np.hypot(w.real, w.imag),
+                carrier_norm=float(np.linalg.norm(V[k])),
+            )
+        snapshot = FrameSeq(G[: k + 1]) if snapshots else None
+        traces.append(StepTrace(k + 1, kind, snapshot, updates))
+
+    return on_step
+
+
 def ggs_pass(
     frame: FrameSeq, dep_tol: float = DEP_TOL, trace: bool = False
 ) -> tuple[FrameSeq, tuple[StepTrace, ...]]:
@@ -131,8 +155,9 @@ def ggs_pass(
         dependent branch.  At exactly the threshold the branch is
         dependent.
     trace : bool
-        When true, record a :class:`StepTrace` per input vector; the cost
-        is one prefix copy per step.
+        When true, record a :class:`StepTrace` per input vector, with a
+        snapshot of the output prefix; the cost is one prefix copy per
+        step.
 
     Returns
     -------
@@ -145,27 +170,7 @@ def ggs_pass(
     if not (0.0 <= dep_tol < 1.0):
         raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
     traces: list[StepTrace] = []
-    on_step = None
-    if trace:
-        def on_step(k, kind, G, w, before):
-            updates = ()
-            if kind == KIND_DEPENDENT:
-                after = np.linalg.norm(G[:k], axis=1)
-                nf = float(np.linalg.norm(frame.vectors[k]))
-                updates = tuple(
-                    DependentUpdateRecord(
-                        index=j + 1,
-                        norm_before=float(before[j]),
-                        norm_after=float(after[j]),
-                        inner_abs=float(abs(w[j])),
-                        carrier_norm=nf,
-                    )
-                    for j in range(k)
-                )
-            traces.append(
-                StepTrace(step=k + 1, kind=kind, snapshot=FrameSeq(G[: k + 1]), updates=updates)
-            )
-
+    on_step = _step_recorder(frame.vectors, traces, snapshots=True) if trace else None
     G = _pass_array(frame.vectors, dep_tol, on_step)
     return FrameSeq(G), tuple(traces)
 

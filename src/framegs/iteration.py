@@ -21,11 +21,12 @@ from .errors import NonFiniteError
 from .frames import (
     DEP_TOL,
     FrameSeq,
+    _coordinates,
     dependency_profile,
     l2_distance,
     zero_indices,
 )
-from .ggs import KIND_DEPENDENT, KIND_ZERO, StepTrace, _pass_array, ggs_pass
+from .ggs import KIND_DEPENDENT, KIND_ZERO, StepTrace, _pass_array, _step_recorder, ggs_pass
 from .linalg import as_field_array
 
 
@@ -38,7 +39,8 @@ class IterationTrace:
     0 and M are always present, intermediate iterations appear on the
     snapshot stride.  ``step_traces`` (present only when requested) maps
     iteration number m >= 1 to the per-step traces of the pass that
-    produced G_m.
+    produced G_m: branch kinds and dependent-update arrays, with no
+    per-step snapshot (``StepTrace.snapshot`` is None).
     """
 
     initial: FrameSeq
@@ -137,7 +139,8 @@ def iterate(
     Norms are recorded every iteration; full snapshots every
     ``snapshot_stride`` iterations (plus iteration 0 and the final one).
     ``trace_steps`` additionally stores per-step traces for every
-    iteration, as required by :func:`validate_recurrences`.
+    iteration, as required by :func:`validate_recurrences`; they hold
+    kinds and update norms, not snapshots.
     """
     if not isinstance(frame, FrameSeq):
         frame = FrameSeq(frame)
@@ -147,6 +150,8 @@ def iterate(
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if eps_delta < 0.0:
         raise ValueError(f"eps_delta must be >= 0, got {eps_delta}")
+    if not 0.0 <= dep_tol < 1.0:
+        raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
 
     try:
         deps = dependency_profile(frame, dep_tol)
@@ -162,15 +167,16 @@ def iterate(
     m = 0
     stationary = False
     for m in range(1, max_iter + 1):
+        on_step = None
         if trace_steps:
-            cur_frame, traces = ggs_pass(FrameSeq(prev), dep_tol, trace=True)
-            step_traces[m] = traces
-            cur = cur_frame.vectors
-        else:
-            try:
-                cur = _pass_array(prev, dep_tol)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"iteration {m}: {exc}") from exc
+            traces: list[StepTrace] = []
+            on_step = _step_recorder(prev, traces, snapshots=False)
+        try:
+            cur = _pass_array(prev, dep_tol, on_step)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"iteration {m}: {exc}") from exc
+        if trace_steps:
+            step_traces[m] = tuple(traces)
         delta = float(np.linalg.norm(cur - prev))
         if not math.isfinite(delta):
             raise NonFiniteError(f"iteration {m}: non-finite state")
@@ -247,12 +253,6 @@ def check_stabilized_last(
     return StabilizationCheck(applicable=True, ok=residual <= tol, residual=residual)
 
 
-def _record_for(step: StepTrace, index: int):
-    # updates cover every earlier row in order, so row `index` sits at
-    # position index - 1
-    return step.updates[index - 1]
-
-
 def validate_recurrences(trace: IterationTrace) -> RecurrenceReport:
     """Check the norm evolution laws on a per-step traced run.
 
@@ -275,9 +275,14 @@ def validate_recurrences(trace: IterationTrace) -> RecurrenceReport:
     if trace.step_traces is None or not trace.step_traces:
         raise ValueError("validate_recurrences requires a trace with per-step data")
 
+    # The laws are evaluated on Python floats: ``x ** 2`` there (and on a
+    # numpy scalar) is libm's pow, which can differ in the last bit from
+    # the x * x of an array's ``** 2``, and the report is kept exact.
     deps = trace.dependent_indices
+    expected_dep = set(deps)
     zeros = set(trace.input_zero_indices)
     s = len(deps)
+    norms = trace.norms.tolist()
     upd_err: list[float] = []
     single: list[float] = []
     accum: list[float] = []
@@ -286,23 +291,23 @@ def validate_recurrences(trace: IterationTrace) -> RecurrenceReport:
     pattern_consistent = True
 
     for m, steps in sorted(trace.step_traces.items()):
-        prev = trace.norms[m - 1]
-        cur = trace.norms[m]
-        kinds = {st.step: st.kind for st in steps}
-        expected_dep = set(deps)
-        actual_dep = {k for k, kd in kinds.items() if kd == KIND_DEPENDENT}
-        actual_zero = {k for k, kd in kinds.items() if kd == KIND_ZERO}
+        prev = norms[m - 1]
+        cur = norms[m]
+        actual_dep = {st.step for st in steps if st.kind == KIND_DEPENDENT}
+        actual_zero = {st.step for st in steps if st.kind == KIND_ZERO}
         if actual_dep != expected_dep or actual_zero != zeros:
             pattern_consistent = False
             continue
 
-        for st in steps:
-            if st.kind != KIND_DEPENDENT:
-                continue
-            nf2 = prev[st.step - 1] ** 2
-            for rec in st.updates:
-                predicted = rec.norm_before**2 - rec.inner_abs**2 / (1.0 + nf2)
-                upd_err.append(abs(rec.norm_after**2 - predicted))
+        after = {}   # dependent step -> norms after its update, row i for vector i+1
+        for k in deps:
+            rec = steps[k - 1].updates
+            nf2 = prev[k - 1] ** 2
+            after[k] = rec.norm_after.tolist()
+            upd_err.extend(
+                abs(na**2 - (nb**2 - ia**2 / (1.0 + nf2)))
+                for nb, na, ia in zip(rec.norm_before.tolist(), after[k], rec.inner_abs.tolist())
+            )
 
         x = [prev[k - 1] ** 2 for k in deps]
         for l in range(s):
@@ -314,8 +319,7 @@ def validate_recurrences(trace: IterationTrace) -> RecurrenceReport:
                 bound /= 1.0 + x[r]
             accum.append(bound - measured_end)
             if l + 1 < s:
-                st_next = steps[deps[l + 1] - 1]
-                after_next = _record_for(st_next, deps[l]).norm_after ** 2
+                after_next = after[deps[l + 1]][deps[l] - 1] ** 2
                 single.append(floor_l / (1.0 + x[l + 1]) - after_next)
             if l == s - 2:
                 eps_val = x[s - 1]
@@ -388,9 +392,10 @@ def is_fixed_point(frame: FrameSeq, tol: float = 1e-10, dep_tol: float = DEP_TOL
     return l2_distance(out, frame) <= tol
 
 
-def trace_to_dict(trace: IterationTrace) -> dict:
-    """JSON-ready summary of a run: metadata, per-iteration norms and
-    deltas, and the recorded snapshots keyed by iteration number."""
+def _trace_document(trace: IterationTrace) -> dict:
+    """The export of a run, with its norms, deltas and snapshots as
+    float64 arrays (complex snapshots with a last axis of [re, im]
+    pairs); :func:`trace_to_dict` is this with every array as a list."""
     initial = trace.initial
     return {
         "n_vectors": initial.n_vectors,
@@ -402,13 +407,22 @@ def trace_to_dict(trace: IterationTrace) -> dict:
         "dep_tol": trace.dep_tol,
         "dependent_indices": list(trace.dependent_indices),
         "input_zero_indices": list(trace.input_zero_indices),
-        "deltas": [float(d) for d in trace.deltas],
-        "norms": [[float(x) for x in row] for row in trace.norms],
+        "deltas": trace.deltas,
+        "norms": trace.norms,
         "snapshots": {
-            str(m): trace.snapshots[m].to_dict()["vectors"]
-            for m in sorted(trace.snapshots)
+            str(m): _coordinates(trace.snapshots[m].vectors) for m in sorted(trace.snapshots)
         },
     }
+
+
+def trace_to_dict(trace: IterationTrace) -> dict:
+    """JSON-ready summary of a run: metadata, per-iteration norms and
+    deltas, and the recorded snapshots keyed by iteration number."""
+    doc = _trace_document(trace)
+    doc["deltas"] = doc["deltas"].tolist()
+    doc["norms"] = doc["norms"].tolist()
+    doc["snapshots"] = {m: v.tolist() for m, v in doc["snapshots"].items()}
+    return doc
 
 
 def coordinate_rows(vectors: np.ndarray, norms, *lead) -> tuple[list[str], list[list]]:
@@ -418,11 +432,11 @@ def coordinate_rows(vectors: np.ndarray, norms, *lead) -> tuple[list[str], list[
     n, d = vectors.shape
     if np.iscomplexobj(vectors):
         cols = [f"coord_{j}_{part}" for j in range(1, d + 1) for part in ("re", "im")]
-        vectors = np.stack([vectors.real, vectors.imag], axis=-1).reshape(n, 2 * d)
     else:
         cols = [f"coord_{j}" for j in range(1, d + 1)]
+    coords = _coordinates(vectors).reshape(n, len(cols)).tolist()
     norms = np.asarray(norms).tolist()
-    return cols, [[*lead, i + 1, norms[i], *v] for i, v in enumerate(vectors.tolist())]
+    return cols, [[*lead, i + 1, norms[i], *v] for i, v in enumerate(coords)]
 
 
 def trace_csv_rows(trace: IterationTrace) -> tuple[list[str], list[list]]:

@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+import framegs
+from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _json_dumps, main
+from framegs.generate import random_frame
+from framegs.iteration import _trace_document, iterate, trace_to_dict
 
 RT2 = math.sqrt(2.0)
 
@@ -253,6 +259,78 @@ class TestDeterminism:
         main([*args, "--output", str(a)])
         main([*args, "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def _lists(doc):
+    if isinstance(doc, dict):
+        return {k: _lists(v) for k, v in doc.items()}
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _reference_dumps(doc):
+    return json.dumps(_lists(doc), indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    """The array-native writer against ``json.dumps`` of the list form."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_trace_documents(self, field, trace):
+        F = random_frame(3, 3, 7, field, 2)
+        tr = iterate(F, max_iter=12, eps_delta=0.0, snapshot_stride=5, trace_steps=trace)
+        doc = _trace_document(tr)
+        doc["limit_report"] = {"zero_indices": [3, 5], "near_onb": True, "delta_zero": 0.5}
+        assert isinstance(doc["snapshots"]["0"], np.ndarray)
+        assert _json_dumps(doc) == _reference_dumps(doc)
+        plain = trace_to_dict(tr)
+        plain["limit_report"] = doc["limit_report"]
+        assert _json_dumps(doc) == json.dumps(plain, indent=2, sort_keys=True)
+
+    def test_edge_values(self):
+        doc = {
+            "floats": np.array([-0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1, 1.0 / 3.0]),
+            "grid": np.array([[1e16, -0.0], [5e-324, 2.5]]),
+            "cube": np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7.0,
+            "one_by_one": np.array([[0.5]]),
+            "scalar": np.array(2.0),
+            "empty": np.zeros(0),
+            "empty_rows": np.zeros((2, 0)),
+            "empty_cols": np.zeros((0, 3)),
+            "non_finite": np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+            "ints": [1, -2, 3],
+            "int_array": np.arange(4),
+            "bool_array": np.array([True, False]),
+            "bools": [True, False],
+            "none": None,
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": {"b": {"inner": np.array([1.5, -2.5])}, "a": [[1, 2], []], "c": {}},
+            "strings": ["tab\tquote\"slash\\", "caf\u00e9 \u96ea \U0001f600", "line\nbreak"],
+            "tab\tkey \u00e9": 1.0,
+            "float": 1e-7,
+            "nan": float("nan"),
+        }
+        assert _json_dumps(doc) == _reference_dumps(doc)
+        for value in doc.values():
+            assert _json_dumps(value) == _reference_dumps(value)
+
+
+def test_import_loads_no_numpy_random():
+    """``import framegs, framegs.cli`` leaves numpy.random unloaded (it is
+    only needed by the random generators), and those still work after."""
+    code = (
+        "import sys, framegs, framegs.cli\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random loaded at import'\n"
+        "F = framegs.random_frame(0, 3, 5, 'complex', 1)\n"
+        "assert F.vectors.shape == (5, 3) and 'numpy.random' in sys.modules\n"
+        "sys.exit(framegs.cli.main(['verify', '--seed', '1102', '--random-frames', '2']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(framegs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "RESULT: PASS" in proc.stdout
 
 
 class TestVerify:

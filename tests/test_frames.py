@@ -68,6 +68,10 @@ class TestFrameSeq:
         if field == "complex":
             V = V + 1j * rng.normal(size=(4, 3))
         F = FrameSeq(V)
+        raw = F.to_dict()["vectors"]
+        flat = [x for r in raw for x in r] if field == "real" else [x for r in raw for z in r for x in z]
+        assert all(type(x) is float for x in flat)
+        assert len(flat) == V.size * (2 if field == "complex" else 1)
         doc = json.loads(json.dumps(F.to_dict()))
         G = FrameSeq.from_dict(doc)
         assert G.field == field

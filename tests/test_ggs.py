@@ -80,13 +80,14 @@ class TestTrace:
 
     def test_dependent_update_records(self):
         _, traces = ggs_pass(FIG1, trace=True)
-        recs = traces[2].updates
-        assert [r.index for r in recs] == [1, 2]
-        for r in recs:
-            assert r.carrier_norm == pytest.approx(1.0, abs=1e-15)
-            assert r.norm_before == pytest.approx(1.0, abs=1e-15)
-            assert r.norm_after == pytest.approx(math.sqrt(0.75), abs=1e-15)
-            assert r.inner_abs == pytest.approx(1 / RT2, abs=1e-15)
+        assert traces[0].updates is None and traces[1].updates is None
+        r = traces[2].updates
+        # one row per earlier output vector, row i for vector i+1
+        assert r.norm_before.shape == r.norm_after.shape == r.inner_abs.shape == (2,)
+        assert r.carrier_norm == pytest.approx(1.0, abs=1e-15)
+        assert r.norm_before == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert r.norm_after == pytest.approx([math.sqrt(0.75)] * 2, abs=1e-15)
+        assert r.inner_abs == pytest.approx([1 / RT2] * 2, abs=1e-15)
 
     def test_trace_off_returns_empty(self):
         _, traces = ggs_pass(FIG1)
@@ -105,17 +106,40 @@ class TestNormRecurrence:
         for F in random_frame_corpus(32, 25, dependent_fraction=0.8):
             _, traces = ggs_pass(F, trace=True)
             for st in traces:
-                for r in st.updates:
-                    predicted = r.norm_before**2 - r.inner_abs**2 / (1 + r.carrier_norm**2)
-                    assert r.norm_after**2 == pytest.approx(predicted, abs=1e-12)
+                r = st.updates
+                if r is None:
+                    continue
+                predicted = r.norm_before**2 - r.inner_abs**2 / (1 + r.carrier_norm**2)
+                assert r.norm_after**2 == pytest.approx(predicted, abs=1e-12)
+
+    def test_records_hold_the_per_row_values(self):
+        # each row is exactly what a per-row record held: the row norm of
+        # the prefix, and abs() of the prefix row's inner product with f
+        n_checked = 0
+        for F in random_frame_corpus(34, 12, dependent_fraction=1.0):
+            _, traces = ggs_pass(F, trace=True)
+            for st in traces[1:]:
+                r = st.updates
+                if r is None:
+                    continue
+                prefix = traces[st.step - 2].snapshot.vectors
+                f = F.vectors[st.step - 1]
+                w = (prefix.conj() @ f).conj()
+                assert np.array_equal(r.norm_before, np.linalg.norm(prefix, axis=1))
+                assert r.inner_abs.tolist() == [abs(z) for z in w.tolist()]
+                assert r.carrier_norm == float(np.linalg.norm(f))
+                n_checked += 1
+        assert n_checked >= 10
 
     def test_cauchy_schwarz_floor_per_step(self):
         for F in random_frame_corpus(33, 25, dependent_fraction=0.8):
             _, traces = ggs_pass(F, trace=True)
             for st in traces:
-                for r in st.updates:
-                    floor = r.norm_before**2 / (1 + r.carrier_norm**2)
-                    assert r.norm_after**2 >= floor - 1e-12
+                r = st.updates
+                if r is None:
+                    continue
+                floor = r.norm_before**2 / (1 + r.carrier_norm**2)
+                assert np.all(r.norm_after**2 >= floor - 1e-12)
 
 
 class TestDependentUpdate:

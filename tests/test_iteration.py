@@ -5,6 +5,7 @@ import pytest
 
 from framegs.errors import NonFiniteError
 from framegs.frames import FrameSeq, is_parseval, l2_distance, zero_indices
+from framegs.ggs import KIND_DEPENDENT, KIND_ZERO, ggs_pass
 from framegs.generate import (
     example_frame,
     random_frame,
@@ -12,6 +13,7 @@ from framegs.generate import (
     random_onb_frame,
 )
 from framegs.iteration import (
+    RecurrenceReport,
     check_stabilized_last,
     classify_limit,
     closed_form_last_dependent,
@@ -208,6 +210,103 @@ class TestValidateRecurrences:
         with pytest.raises(ValueError):
             validate_recurrences(tr)
 
+    @pytest.mark.parametrize("case", ["fig1", "fig3", "corpus", "drift"])
+    def test_matches_per_row_reference(self, case):
+        if case == "corpus":
+            frames = random_frame_corpus(52, 10, dependent_fraction=0.8)
+        else:
+            frames = [FIG3 if case == "fig3" else FIG1]
+        dep_tol = 0.99 if case == "drift" else 1e-10
+        for F in frames:
+            tr = iterate(F, max_iter=40, eps_delta=0.0, dep_tol=dep_tol, trace_steps=True)
+            rep = validate_recurrences(tr)
+            assert rep == _per_row_validate_recurrences(tr)
+            assert rep.pattern_consistent == (case != "drift")
+
+
+def _per_row_validate_recurrences(trace):
+    """Frozen reference: ``validate_recurrences`` as written when each
+    dependent step kept one record per updated row, reading the arrays
+    of each record one row at a time."""
+    deps = trace.dependent_indices
+    zeros = set(trace.input_zero_indices)
+    s = len(deps)
+    upd_err, single, accum, ceil, tail = [], [], [], [], []
+    pattern_consistent = True
+    for m, steps in sorted(trace.step_traces.items()):
+        prev = trace.norms[m - 1]
+        cur = trace.norms[m]
+        kinds = {st.step: st.kind for st in steps}
+        actual_dep = {k for k, kd in kinds.items() if kd == KIND_DEPENDENT}
+        actual_zero = {k for k, kd in kinds.items() if kd == KIND_ZERO}
+        if actual_dep != set(deps) or actual_zero != zeros:
+            pattern_consistent = False
+            continue
+        for st in steps:
+            if st.kind != KIND_DEPENDENT:
+                continue
+            nf2 = prev[st.step - 1] ** 2
+            rec = st.updates
+            for j in range(st.step - 1):
+                before = float(rec.norm_before[j])
+                after = float(rec.norm_after[j])
+                inner_abs = float(rec.inner_abs[j])
+                predicted = before**2 - inner_abs**2 / (1.0 + nf2)
+                upd_err.append(abs(after**2 - predicted))
+        x = [prev[k - 1] ** 2 for k in deps]
+        for l in range(s):
+            floor_l = x[l] / (1.0 + x[l])
+            measured_end = cur[deps[l] - 1] ** 2
+            ceil.append(measured_end - floor_l)
+            bound = floor_l
+            for r in range(l + 1, s):
+                bound /= 1.0 + x[r]
+            accum.append(bound - measured_end)
+            if l + 1 < s:
+                st_next = steps[deps[l + 1] - 1]
+                after_next = float(st_next.updates.norm_after[deps[l] - 1]) ** 2
+                single.append(floor_l / (1.0 + x[l + 1]) - after_next)
+            if l == s - 2:
+                tail.append(floor_l / (1.0 + x[s - 1]) - measured_end)
+
+    def top(vals):
+        return max(vals) if vals else 0.0
+
+    return RecurrenceReport(
+        update_identity=top(upd_err),
+        single_step_floor=top(single),
+        accumulated_floor=top(accum),
+        shrink_ceiling=top(ceil),
+        tail_floor=top(tail),
+        iterations_checked=len(trace.step_traces),
+        pattern_consistent=pattern_consistent,
+    )
+
+
+class TestStepTraces:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_iterate_records_equal_those_of_ggs_pass(self, field):
+        F = random_frame(53, 3, 8, field, n_dependent=3)
+        tr = iterate(F, max_iter=6, eps_delta=0.0, trace_steps=True)
+        for m in range(1, 7):
+            _, ref = ggs_pass(tr.snapshots[m - 1], trace=True)
+            got = tr.step_traces[m]
+            assert [st.kind for st in got] == [st.kind for st in ref]
+            assert all(st.snapshot is None for st in got)
+            for a, b in zip(got, ref):
+                assert (a.updates is None) == (b.updates is None) == (a.kind != KIND_DEPENDENT)
+                if a.updates is not None:
+                    assert a.updates.carrier_norm == b.updates.carrier_norm
+                    for name in ("norm_before", "norm_after", "inner_abs"):
+                        np.testing.assert_array_equal(getattr(a.updates, name),
+                                                      getattr(b.updates, name))
+
+    def test_out_of_range_dep_tol_rejected(self):
+        for dep_tol in (1.0, -1e-3):
+            for trace_steps in (False, True):
+                with pytest.raises(ValueError):
+                    iterate(FIG1, max_iter=2, dep_tol=dep_tol, trace_steps=trace_steps)
+
 
 class TestClassifyLimit:
     def test_fig1(self):
@@ -307,6 +406,15 @@ class TestExports:
         assert set(doc["snapshots"]) == {str(m) for m in range(9)}
         first = doc["snapshots"]["0"]
         np.testing.assert_allclose(first, FIG2.vectors)
+
+    def test_dict_holds_python_floats(self):
+        F = FrameSeq(FIG3.vectors * (1 + 0.5j))
+        doc = trace_to_dict(iterate(F, max_iter=3, eps_delta=0.0))
+        values = [*doc["deltas"], *(x for row in doc["norms"] for x in row)]
+        for snap in doc["snapshots"].values():
+            assert len(snap) == 10 and all(len(row) == 2 for row in snap)
+            values += [x for row in snap for pair in row for x in pair]
+        assert values and all(type(x) is float for x in values)
 
     def test_csv_layout_real(self):
         tr = iterate(FIG1, max_iter=4, eps_delta=0.0, snapshot_stride=2)
