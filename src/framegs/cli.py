@@ -31,7 +31,7 @@ from .frames import (
     zero_indices,
 )
 from .generate import EXAMPLE_NAMES, example_frame
-from .ggs import ggs_pass
+from .ggs import _pass_array
 from .iteration import (
     _trace_document,
     classify_limit,
@@ -215,7 +215,11 @@ def _csv_text(header, rows) -> str:
 
 def cmd_run(cfg: RunConfig) -> int:
     F = load_input_frame(cfg)
-    G, traces = ggs_pass(F, cfg.dep_tol, trace=cfg.trace == "steps")
+    kinds: list[str] = []
+    on_step = None
+    if cfg.trace == "steps":   # the report reads the step kinds only
+        on_step = lambda k, kind, G, w, before: kinds.append(kind)  # noqa: E731
+    G = FrameSeq(_pass_array(F.vectors, cfg.dep_tol, on_step))
     chk = is_parseval(G, dep_tol=cfg.dep_tol)
     report = {
         "parseval_residual": chk.residual,
@@ -225,8 +229,8 @@ def cmd_run(cfg: RunConfig) -> int:
         "dependent_indices": list(dependency_profile(F, cfg.dep_tol)),
         "input_zero_indices": list(zero_indices(F)),
     }
-    if traces:
-        report["step_kinds"] = [st.kind for st in traces]
+    if kinds:
+        report["step_kinds"] = kinds
     if cfg.fmt == "json":
         _emit(_json_dumps({"frame": G.to_dict(), "report": report}), cfg.output)
     else:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .linalg import as_field_array
+from .linalg import _l2_norm, _row_norms, as_field_array
 
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
@@ -66,7 +66,7 @@ class FrameSeq:
 
     def norms(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # huge rows report inf, callers check
-            return np.linalg.norm(self.vectors, axis=1)
+            return _row_norms(self.vectors)
 
     def to_dict(self) -> dict:
         """JSON-ready dict of Python floats; complex entries become
@@ -175,35 +175,41 @@ def _span_basis(V: np.ndarray, dep_tol: float):
     indices of nonzero rows falling within relative distance ``dep_tol``
     of the span of their predecessors, and ``zeros`` lists the (near-)zero
     rows.  One re-orthogonalization pass keeps Q orthonormal to roundoff.
+    Once the rank reaches d, every later nonzero row is dependent without
+    a test: its residual could only be roundoff, which at ``dep_tol = 0``
+    would otherwise ask for a (d+1)-th basis vector.
     """
     n, d = V.shape
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(V, axis=1)
+        norms = _row_norms(V)
     scale = norms.max()
     if not np.isfinite(scale):
         raise NonFiniteError("vector norm overflows")
     zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
-    Q = np.zeros((min(n, d), d), dtype=V.dtype)
+    full = min(n, d)
+    Q = np.zeros((full, d), dtype=V.dtype)
+    is_complex = V.dtype.kind == "c"
     rank = 0
     dependent = []
     zeros = []
-    for k in range(n):
-        nf = norms[k]
+    for k, nf in enumerate(norms.tolist()):
         if nf <= zthresh:
             zeros.append(k + 1)
             continue
-        f = V[k]
+        if rank == full:   # Q spans the whole space: every nonzero row lies in it
+            dependent.append(k + 1)
+            continue
+        r = V[k]
         if rank:
             B = Q[:rank]
-            r = f - (B.conj() @ f) @ B
-            r = r - (B.conj() @ r) @ B
-        else:
-            r = f.copy()
-        rn = np.linalg.norm(r)
+            Bc = B.conj()   # B itself when real
+            for _ in range(2):   # project out span(Q) twice
+                r = r - ((Bc @ r) @ B if is_complex else Bc.dot(r).dot(B))
+        rn = _l2_norm(r)
         if rn <= dep_tol * max(1.0, nf):
             dependent.append(k + 1)
         else:
-            Q[rank] = r / rn
+            np.divide(r, rn, out=Q[rank])
             rank += 1
     return Q[:rank], dependent, zeros
 

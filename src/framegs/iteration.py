@@ -27,7 +27,7 @@ from .frames import (
     zero_indices,
 )
 from .ggs import KIND_DEPENDENT, KIND_ZERO, StepTrace, _pass_array, _step_recorder, ggs_pass
-from .linalg import as_field_array
+from .linalg import _l2_norm, _row_norms, as_field_array
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def iterate(
     except NonFiniteError as exc:
         raise NonFiniteError(f"input frame: {exc}") from exc
     zeros = zero_indices(frame)
-    norms = [frame.norms()]
+    norms = [frame.norms()]   # norms[-1] is also the next pass's input norms
     deltas: list[float] = []
     snapshots: dict[int, FrameSeq] = {0: frame}
     step_traces: dict[int, tuple[StepTrace, ...]] | None = {} if trace_steps else None
@@ -172,15 +172,15 @@ def iterate(
             traces: list[StepTrace] = []
             on_step = _step_recorder(prev, traces, snapshots=False)
         try:
-            cur = _pass_array(prev, dep_tol, on_step)
+            cur = _pass_array(prev, dep_tol, on_step, norms[-1])
         except NonFiniteError as exc:
             raise NonFiniteError(f"iteration {m}: {exc}") from exc
         if trace_steps:
             step_traces[m] = tuple(traces)
-        delta = float(np.linalg.norm(cur - prev))
+        delta = _l2_norm(cur - prev)
         if not math.isfinite(delta):
             raise NonFiniteError(f"iteration {m}: non-finite state")
-        norms.append(np.linalg.norm(cur, axis=1))
+        norms.append(_row_norms(cur))
         deltas.append(delta)
         if m % snapshot_stride == 0:
             snapshots[m] = FrameSeq(cur)

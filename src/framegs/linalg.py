@@ -2,16 +2,17 @@
 
 Vectors and matrices are plain numpy arrays.  The scalar field is carried
 by the dtype (float64 for real, complex128 for complex) and both fields go
-through the same code paths: ``conj`` of a float64 array returns the same
-values, so the results need no branching.  It does return a copy, which is
-why the per-step pass kernel in ``ggs`` skips it for real frames.  All
-inputs are validated to be finite; NaN or Inf raises
+through the same code paths: ``conj`` of a float64 array returns the
+array itself, so the results need no branching.  All inputs are
+validated to be finite; NaN or Inf raises
 :class:`~framegs.errors.NonFiniteError` instead of propagating.
 
 The eigensolver is a cyclic Jacobi iteration.  Problem sizes here are tiny
 (dimension a few dozen at most), where Jacobi is simple, accurate and
 backward stable.
 """
+
+import math
 
 import numpy as np
 
@@ -41,6 +42,24 @@ def as_field_array(x, name="array"):
     if arr.size and not np.isfinite(arr).all():
         raise NonFiniteError(f"{name}: contains NaN or Inf")
     return arr
+
+
+def _row_norms(x):
+    """``np.linalg.norm(x, axis=1)`` of a 2-d float64 or complex128 array:
+    numpy's own expression, without the wrapper's argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+
+
+def _l2_norm(x) -> float:
+    """``float(np.linalg.norm(x))`` of a float64 or complex128 array: the
+    square root of the dot products of its flattened real and imaginary
+    parts, which is the arithmetic ``np.linalg.norm`` uses, without its
+    per-call overhead."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        xr, xi = x.real, x.imag
+        return math.sqrt(xr.dot(xr) + xi.dot(xi))
+    return math.sqrt(x.dot(x))
 
 
 def _as_vector(x, name="vector"):

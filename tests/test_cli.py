@@ -157,6 +157,19 @@ class TestRunInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "bad.json" in err[0]
 
+    @pytest.mark.parametrize("command", ["run", "iterate"])
+    def test_zero_dep_tol_on_overcomplete_frame(self, tmp_path, capsys, command):
+        # dep_tol 0 routes the last two of five vectors in R^3 as independent, so the
+        # pass output is not Parseval: a failed check, not an input error or a crash
+        vectors = np.random.default_rng(43).normal(size=(5, 3)).tolist()
+        inp = write_frame(tmp_path / "f.json", 3, "real", vectors)
+        argv = [command, "--input", inp, "--dep-tol", "0", "--output", str(tmp_path / "out")]
+        if command == "iterate":
+            argv += ["--max-iter", "5"]
+        assert main(argv) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and not err[0].startswith("error:")
+
 
 class TestIterate:
     def test_fig1_limit_report(self, tmp_path, capsys):

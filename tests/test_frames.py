@@ -6,6 +6,7 @@ import pytest
 
 from framegs.errors import DimensionMismatchError, NonFiniteError, RankDeficientError
 from framegs.frames import (
+    ZERO_REL_TOL,
     FrameBounds,
     FrameSeq,
     canonical_parseval,
@@ -15,6 +16,7 @@ from framegs.frames import (
     is_parseval,
     l2_distance,
     reconstruct,
+    _span_basis,
     span_projection,
     zero_indices,
 )
@@ -255,6 +257,17 @@ class TestDependencyProfile:
             G = FrameSeq(F.vectors * scales[:, None])
             assert dependency_profile(G) == dependency_profile(F)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_zero_tolerance_on_overcomplete_frame(self, field):
+        rng = np.random.default_rng(42)
+        V = rng.normal(size=(5, 3))
+        if field == "complex":
+            V = V + 1j * rng.normal(size=(5, 3))
+        F = FrameSeq(V)
+        # the first three span the space, so the last two lie in it at any tolerance
+        assert dependency_profile(F, 0.0) == (4, 5)
+        np.testing.assert_allclose(span_projection(F, 0.0), np.eye(3), atol=1e-14)
+
 
 class TestZeroIndices:
     def test_exact_zeros(self):
@@ -297,3 +310,64 @@ def test_span_projection_is_projection():
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
         np.testing.assert_allclose(P, P.conj().T, atol=1e-13)
         assert np.trace(P).real == pytest.approx(np.linalg.matrix_rank(V), abs=1e-10)
+
+
+def _frozen_span_basis(V, dep_tol):
+    """``_span_basis`` as first written, with the plain products and norms
+    and no stop at full rank; its results are the reference wherever it
+    returns (at ``dep_tol = 0`` it raises IndexError once n > d)."""
+    n, d = V.shape
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(V, axis=1)
+    scale = norms.max()
+    zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
+    Q = np.zeros((min(n, d), d), dtype=V.dtype)
+    rank = 0
+    dependent = []
+    zeros = []
+    for k in range(n):
+        nf = norms[k]
+        if nf <= zthresh:
+            zeros.append(k + 1)
+            continue
+        f = V[k]
+        if rank:
+            B = Q[:rank]
+            r = f - (B.conj() @ f) @ B
+            r = r - (B.conj() @ r) @ B
+        else:
+            r = f.copy()
+        rn = np.linalg.norm(r)
+        if rn <= dep_tol * max(1.0, nf):
+            dependent.append(k + 1)
+        else:
+            Q[rank] = r / rn
+            rank += 1
+    return Q[:rank], dependent, zeros
+
+
+def _tall_frames():
+    """Frames with n >> d for d = 1..8: Gaussian real and complex ones
+    scaled over six decades, and integer-valued ones with -0.0 entries and
+    a zero row, as real, real-entried complex and complex frames."""
+    rng = np.random.default_rng(41)
+    frames = []
+    for d in range(1, 9):
+        n = int(rng.integers(4 * d + 2, 6 * d + 3))
+        G = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        frames += [G, G + 1j * rng.normal(size=(n, d)) * np.abs(G).max()]
+        M = rng.integers(-2, 3, size=(n, d)).astype(float)
+        M[rng.random((n, d)) < 0.2] = -0.0
+        M[int(rng.integers(0, n))] = 0.0
+        frames += [M, M.astype(complex), M + 1j * rng.integers(-1, 2, size=(n, d))]
+    return frames
+
+
+@pytest.mark.parametrize("dep_tol", [1e-10, 1e-6, 1e-2, 0.5])
+def test_span_basis_matches_frozen_loop(dep_tol):
+    for V in _tall_frames():
+        Q, dependent, zeros = _span_basis(V, dep_tol)
+        Q0, dependent0, zeros0 = _frozen_span_basis(V, dep_tol)
+        assert Q.dtype == Q0.dtype and Q.shape == Q0.shape
+        assert Q.tobytes() == Q0.tobytes(), (V.shape, V.dtype)   # signed zeros too
+        assert dependent == dependent0 and zeros == zeros0

@@ -360,3 +360,44 @@ def test_kernel_matches_reference_arithmetic():
 
         assert np.array_equal(_pass_array(V, tol, on_step), expected)
     assert n_dependent > 3 * 64
+
+
+def _signed_zero_corpus():
+    """(V, dep_tol) cases whose arithmetic meets exact zeros: integer-valued
+    rows (some scaled) with -0.0 entries and zero rows, as real frames,
+    complex frames with real entries, purely imaginary frames and complex
+    frames with -0.0 imaginary parts; plus complex frames of dimension 1,
+    whose products have shape (1, 1)."""
+    rng = np.random.default_rng(44)
+    cases = []
+    for t in range(400):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(2, 2 * d + 4))
+        V = rng.integers(-2, 3, size=(n, d)).astype(float)
+        if rng.random() < 0.5:
+            V = V * rng.normal(size=(n, d))
+        V[rng.random((n, d)) < 0.2] = -0.0
+        imag = np.where(rng.random((n, d)) < 0.5, -0.0, rng.integers(-2, 3, size=(n, d)))
+        V = (V, V.astype(complex), V * 1j, V + 1j * imag)[t % 4]
+        cases.append((V, DEP_TOL))
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        V = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+        V[int(rng.integers(0, n))] = 0.0
+        cases.append((V, DEP_TOL))
+    return cases
+
+
+def test_kernel_keeps_reference_bits_including_signed_zeros():
+    """Exports print -0.0, so the kernel must match the reference
+    arithmetic in every bit, which ``np.array_equal`` does not check."""
+    n_cases = 0
+    for V, tol in _signed_zero_corpus() + _equivalence_corpus():
+        expected = _reference_pass(V, tol).tobytes()
+        assert _pass_array(V, tol).tobytes() == expected, (V.shape, V.dtype)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(V, axis=1)
+        hooked = _pass_array(V, tol, lambda *step: None, norms)
+        assert hooked.tobytes() == expected, (V.shape, V.dtype)
+        n_cases += 1
+    assert n_cases > 600

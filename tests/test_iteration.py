@@ -454,3 +454,19 @@ def test_independent_indices_return_to_unit_norm_each_pass():
             assert final[k - 1] <= 1 / math.sqrt(2000) + 1e-12
         else:
             assert final[k - 1] == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_norms_and_deltas_are_numpy_norms_bit_for_bit(field):
+    rng = np.random.default_rng(45)
+    for _ in range(6):
+        d = int(rng.integers(2, 7))
+        V = random_frame(rng, d, d + 4, field=field, n_dependent=2).vectors.copy()
+        V[int(rng.integers(0, d + 4))] = 0.0
+        tr = iterate(FrameSeq(V), max_iter=25, eps_delta=0.0, snapshot_stride=1)
+        G = [tr.snapshots[m].vectors for m in range(tr.iterations_run + 1)]
+        for m, Gm in enumerate(G):
+            assert tr.norms[m].tobytes() == np.linalg.norm(Gm, axis=1).tobytes()
+            if m:
+                assert tr.deltas[m - 1] == float(np.linalg.norm(Gm - G[m - 1]))
+        assert (tr.norms[:, zero_indices(tr.initial)[0] - 1] == 0.0).all()
