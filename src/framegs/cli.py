@@ -17,7 +17,6 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,39 +48,6 @@ EXIT_INPUT_ERROR = 2
 
 class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    example: str | None = None
-    max_iter: int = 1000
-    snapshot_stride: int = 1
-    trace: str = "none"
-    dep_tol: float = DEP_TOL
-    eps_delta: float = 1e-12
-    delta_zero: float | None = None
-    delta_onb: float = 1e-2
-    output: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    random_frames: int = 50
-
-    def validate(self):
-        if self.max_iter < 1:
-            raise InputError(f"--max-iter must be >= 1, got {self.max_iter}")
-        if self.snapshot_stride < 1:
-            raise InputError(f"--snapshot-stride must be >= 1, got {self.snapshot_stride}")
-        if not 0.0 <= self.dep_tol < 1.0:
-            raise InputError(f"--dep-tol must lie in [0, 1), got {self.dep_tol}")
-        for name, val in (("--eps-delta", self.eps_delta), ("--delta-onb", self.delta_onb)):
-            if val < 0.0:
-                raise InputError(f"{name} must be >= 0, got {val}")
-        if self.delta_zero is not None and self.delta_zero <= 0.0:
-            raise InputError(f"--delta-zero must be > 0, got {self.delta_zero}")
-        if self.random_frames < 1:
-            raise InputError(f"--random-frames must be >= 1, got {self.random_frames}")
 
 
 def _add_input_args(sub):
@@ -130,31 +96,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for fld in vars(cfg):
-        if fld != "command" and hasattr(args, fld):
-            setattr(cfg, fld, getattr(args, fld))
-    cfg.validate()
-    return cfg
+def _check_ranges(args: argparse.Namespace):
+    """Reject out-of-range option values of the parsed subcommand with an
+    :class:`InputError`; options it lacks are not checked."""
+    for name in ("max_iter", "snapshot_stride"):
+        if getattr(args, name, 1) < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
+    if not 0.0 <= args.dep_tol < 1.0:
+        raise InputError(f"--dep-tol must lie in [0, 1), got {args.dep_tol}")
+    for name in ("eps_delta", "delta_onb"):
+        if getattr(args, name, 0.0) < 0.0:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {getattr(args, name)}")
+    if getattr(args, "delta_zero", None) is not None and args.delta_zero <= 0.0:
+        raise InputError(f"--delta-zero must be > 0, got {args.delta_zero}")
+    if getattr(args, "random_frames", 1) < 1:
+        raise InputError(f"--random-frames must be >= 1, got {args.random_frames}")
 
 
-def load_input_frame(cfg: RunConfig) -> FrameSeq:
-    if cfg.example is not None:
-        return example_frame(cfg.example)
+def load_input_frame(args: argparse.Namespace) -> FrameSeq:
+    if args.example is not None:
+        return example_frame(args.example)
     try:
-        with open(cfg.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {cfg.input}: {exc}") from exc
+        raise InputError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
-            f"malformed JSON in {cfg.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"malformed JSON in {args.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     try:
         return FrameSeq.from_dict(data)
     except (ValueError, FrameError) as exc:
-        raise InputError(f"invalid frame in {cfg.input}: {exc}") from exc
+        raise InputError(f"invalid frame in {args.input}: {exc}") from exc
 
 
 def _emit(text: str, path: str | None):
@@ -213,44 +187,44 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    F = load_input_frame(cfg)
+def cmd_run(args: argparse.Namespace) -> int:
+    F = load_input_frame(args)
     kinds: list[str] = []
     on_step = None
-    if cfg.trace == "steps":   # the report reads the step kinds only
+    if args.trace == "steps":   # the report reads the step kinds only
         on_step = lambda k, kind, G, w, before: kinds.append(kind)  # noqa: E731
-    G = FrameSeq(_pass_array(F.vectors, cfg.dep_tol, on_step))
-    chk = is_parseval(G, dep_tol=cfg.dep_tol)
+    G = FrameSeq(_pass_array(F.vectors, args.dep_tol, on_step))
+    chk = is_parseval(G, dep_tol=args.dep_tol)
     report = {
         "parseval_residual": chk.residual,
         "parseval_ok": chk.ok,
         "output_bounds": list(frame_bounds(G)),
         "input_bounds": list(frame_bounds(F)),
-        "dependent_indices": list(dependency_profile(F, cfg.dep_tol)),
+        "dependent_indices": list(dependency_profile(F, args.dep_tol)),
         "input_zero_indices": list(zero_indices(F)),
     }
     if kinds:
         report["step_kinds"] = kinds
-    if cfg.fmt == "json":
-        _emit(_json_dumps({"frame": G.to_dict(), "report": report}), cfg.output)
+    if args.fmt == "json":
+        _emit(_json_dumps({"frame": G.to_dict(), "report": report}), args.output)
     else:
         cols, rows = coordinate_rows(G.vectors, G.norms())
-        _emit(_csv_text(["vector_index", "norm", *cols], rows), cfg.output)
+        _emit(_csv_text(["vector_index", "norm", *cols], rows), args.output)
     print(f"parseval_residual={chk.residual:.3e} ok={chk.ok}", file=sys.stderr)
     return EXIT_OK if chk.ok else EXIT_CHECK_FAILED
 
 
-def cmd_iterate(cfg: RunConfig) -> int:
-    F = load_input_frame(cfg)
+def cmd_iterate(args: argparse.Namespace) -> int:
+    F = load_input_frame(args)
     tr = iterate(
         F,
-        max_iter=cfg.max_iter,
-        eps_delta=cfg.eps_delta,
-        snapshot_stride=cfg.snapshot_stride,
-        dep_tol=cfg.dep_tol,
-        trace_steps=cfg.trace == "steps",
+        max_iter=args.max_iter,
+        eps_delta=args.eps_delta,
+        snapshot_stride=args.snapshot_stride,
+        dep_tol=args.dep_tol,
+        trace_steps=args.trace == "steps",
     )
-    rep = classify_limit(tr, delta_zero=cfg.delta_zero, delta_onb=cfg.delta_onb)
+    rep = classify_limit(tr, delta_zero=args.delta_zero, delta_onb=args.delta_onb)
     summary = {
         "iterations_run": rep.iterations_run,
         "stationary": tr.stationary,
@@ -263,7 +237,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
         "delta_onb": rep.delta_onb,
     }
     checks_ok = rep.prediction_match
-    if cfg.trace == "steps":
+    if args.trace == "steps":
         rr = validate_recurrences(tr)
         checks_ok = checks_ok and rr.pattern_consistent
         summary["recurrences"] = {
@@ -274,13 +248,13 @@ def cmd_iterate(cfg: RunConfig) -> int:
             "tail_floor": rr.tail_floor,
             "pattern_consistent": rr.pattern_consistent,
         }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = _trace_document(tr)
         doc["limit_report"] = summary
-        _emit(_json_dumps(doc), cfg.output)
+        _emit(_json_dumps(doc), args.output)
     else:
         header, rows = trace_csv_rows(tr)
-        _emit(_csv_text(header, rows), cfg.output)
+        _emit(_csv_text(header, rows), args.output)
     status = "empirically stationary" if tr.stationary else "stopped at max-iter"
     print(
         f"{status} after {rep.iterations_run} iterations; "
@@ -291,15 +265,15 @@ def cmd_iterate(cfg: RunConfig) -> int:
     return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_battery(
-        seed=cfg.seed,
-        n_frames=cfg.random_frames,
-        dep_tol=cfg.dep_tol,
-        max_iter=cfg.max_iter,
-        delta_onb=cfg.delta_onb,
+        seed=args.seed,
+        n_frames=args.random_frames,
+        dep_tol=args.dep_tol,
+        max_iter=args.max_iter,
+        delta_onb=args.delta_onb,
     )
-    print(f"seed={cfg.seed} random-frames={cfg.random_frames} dep-tol={cfg.dep_tol:g}")
+    print(f"seed={args.seed} random-frames={args.random_frames} dep-tol={args.dep_tol:g}")
     name_w = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -317,13 +291,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
+        _check_ranges(args)
+        if args.command == "verify":
+            return cmd_verify(args)
         try:
-            return cmd_run(cfg) if cfg.command == "run" else cmd_iterate(cfg)
+            return cmd_run(args) if args.command == "run" else cmd_iterate(args)
         except FrameError as exc:  # the pass cannot process the input, e.g. its norms overflow
-            raise InputError(f"cannot process {cfg.input or cfg.example}: {exc}") from exc
+            raise InputError(f"cannot process {args.input or args.example}: {exc}") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
 from .frames import DEP_TOL, ZERO_REL_TOL, FrameSeq, _check_member
-from .linalg import _l2_norm, _row_norms, as_field_array
+from .linalg import _row_norms, as_field_array
 
 KIND_ZERO = "zero"
 KIND_INDEPENDENT = "independent"
@@ -39,21 +39,16 @@ class DependentUpdateRecord:
     norm_before: np.ndarray
     norm_after: np.ndarray
     inner_abs: np.ndarray   # |<g_i, f>| prior to the update
-    carrier_norm: float     # ||f|| for the dependent vector driving the update
 
 
 @dataclass(frozen=True)
 class StepTrace:
-    """State after processing one input vector.
-
-    ``snapshot`` holds the first ``step`` output vectors when the trace
-    keeps them (``ggs_pass``), and is None in the step traces of
-    ``iterate``; ``updates`` is set only on dependent steps.
-    """
+    """The branch one input vector took.  ``updates`` is set only on
+    dependent steps; no output vectors are kept.  To read the outputs as
+    the pass runs, give ``_pass_array`` an ``on_step`` hook."""
 
     step: int           # 1-based
     kind: str           # KIND_ZERO | KIND_INDEPENDENT | KIND_DEPENDENT
-    snapshot: FrameSeq | None
     updates: DependentUpdateRecord | None = None
 
 
@@ -75,6 +70,9 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
     dependent steps.  ``norms``, when given, must be the row norms of
     ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a caller that
     has them already saves the kernel recomputing them.
+
+    After min(n, d) independent routes every later nonzero vector is
+    dependent: its residual could only be roundoff.
 
     Each step makes as few numpy calls as its field allows, and keeps the
     bits, signed zeros included, of the plain expressions
@@ -98,7 +96,7 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
       real and imaginary parts, the arithmetic ``np.linalg.norm`` uses
       for a vector, without its per-call overhead.
     """
-    n, _ = V.shape
+    n, d = V.shape
     G = np.zeros(V.shape, V.dtype)
     is_complex = V.dtype.kind == "c"
     if norms is None:
@@ -109,6 +107,7 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
         bad = int(np.flatnonzero(~np.isfinite(norms))[0]) + 1
         raise NonFiniteError(f"step {bad}: input vector norm is not finite")
     zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
+    free = min(n, d)   # independent routes left
     for k, nf in enumerate(norms.tolist()):
         if nf <= zthresh:
             if on_step is not None:
@@ -127,7 +126,8 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
             rn = math.sqrt(g.dot(g))
         if not math.isfinite(rn):
             raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
-        if rn > dep_tol * max(1.0, nf):
+        if free and rn > dep_tol * max(1.0, nf):
+            free -= 1
             np.divide(g, rn, out=G[k])
             if on_step is not None:
                 on_step(k, KIND_INDEPENDENT, G, None, None)
@@ -142,11 +142,10 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
     return G
 
 
-def _step_recorder(V: np.ndarray, traces: list, snapshots: bool):
-    """``on_step`` hook for ``_pass_array(V, ...)`` that appends one
+def _step_recorder(traces: list):
+    """``on_step`` hook for ``_pass_array`` that appends one
     :class:`StepTrace` per step to ``traces``.  A dependent step records
-    its updates as arrays, with no object per updated row; ``snapshots``
-    also keeps a copy of the output prefix at every step."""
+    its updates as arrays, with no object per updated row."""
 
     def on_step(k, kind, G, w, before):
         updates = None
@@ -157,10 +156,8 @@ def _step_recorder(V: np.ndarray, traces: list, snapshots: bool):
                 # hypot is the scalar abs() of each entry, which np.abs of a
                 # complex array can miss in the last bit
                 inner_abs=np.hypot(w.real, w.imag),
-                carrier_norm=_l2_norm(V[k]),
             )
-        snapshot = FrameSeq(G[: k + 1]) if snapshots else None
-        traces.append(StepTrace(k + 1, kind, snapshot, updates))
+        traces.append(StepTrace(k + 1, kind, updates))
 
     return on_step
 
@@ -180,9 +177,10 @@ def ggs_pass(
         dependent branch.  At exactly the threshold the branch is
         dependent.
     trace : bool
-        When true, record a :class:`StepTrace` per input vector, with a
-        snapshot of the output prefix; the cost is one prefix copy per
-        step.
+        When true, record a :class:`StepTrace` per input vector: its
+        branch and, on a dependent step, the norms of the update.  These
+        are the records ``iterate(..., trace_steps=True)`` keeps for each
+        pass; no output vectors are copied.
 
     Returns
     -------
@@ -195,7 +193,7 @@ def ggs_pass(
     if not (0.0 <= dep_tol < 1.0):
         raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
     traces: list[StepTrace] = []
-    on_step = _step_recorder(frame.vectors, traces, snapshots=True) if trace else None
+    on_step = _step_recorder(traces) if trace else None
     G = _pass_array(frame.vectors, dep_tol, on_step)
     return FrameSeq(G), tuple(traces)
 

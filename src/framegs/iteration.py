@@ -39,8 +39,8 @@ class IterationTrace:
     0 and M are always present, intermediate iterations appear on the
     snapshot stride.  ``step_traces`` (present only when requested) maps
     iteration number m >= 1 to the per-step traces of the pass that
-    produced G_m: branch kinds and dependent-update arrays, with no
-    per-step snapshot (``StepTrace.snapshot`` is None).
+    produced G_m: branch kinds and dependent-update arrays, the records
+    ``ggs_pass(G_{m-1}, trace=True)`` returns.
     """
 
     initial: FrameSeq
@@ -170,7 +170,7 @@ def iterate(
         on_step = None
         if trace_steps:
             traces: list[StepTrace] = []
-            on_step = _step_recorder(prev, traces, snapshots=False)
+            on_step = _step_recorder(traces)
         try:
             cur = _pass_array(prev, dep_tol, on_step, norms[-1])
         except NonFiniteError as exc:

@@ -21,7 +21,6 @@ from .frames import (
     FrameSeq,
     canonical_parseval,
     dependency_profile,
-    frame_operator,
     is_parseval,
     l2_distance,
     span_projection,
@@ -34,7 +33,7 @@ from .generate import (
     random_independent_frame,
     random_onb_frame,
 )
-from .ggs import KIND_DEPENDENT, ggs_pass
+from .ggs import KIND_DEPENDENT, _pass_array, ggs_pass
 from .iteration import (
     check_stabilized_last,
     classify_limit,
@@ -136,34 +135,44 @@ def check_single_pass_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
 
 def check_prefix_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
     # after step k the outputs must be Parseval for the span of the input
-    # prefix F[:k], not merely for their own span
+    # prefix F[:k], not merely for their own span; read from the pass as it runs
     worst = 0.0
     for F in frames:
-        _, traces = ggs_pass(F, dep_tol, trace=True)
-        for st in traces:
-            S = frame_operator(st.snapshot)
-            P = span_projection(FrameSeq(F.vectors[: st.step]), dep_tol)
+        V = F.vectors
+
+        def on_step(k, kind, G, w, before):
+            nonlocal worst
+            out = G[: k + 1]
+            S = out.T @ out.conj()   # the frame operator of the output prefix
+            P = span_projection(FrameSeq(V[: k + 1]), dep_tol)
             worst = max(worst, float(np.linalg.norm(S - P)))
+
+        _pass_array(V, dep_tol, on_step)
     return _result("prefix_parseval", worst, 1e-10, detail=f"{len(frames)} frames, all steps")
 
 
 def check_dependent_oracle(frames, dep_tol=DEP_TOL) -> CheckResult:
     # every dependent step must equal the canonical Parseval map applied
-    # to (previous outputs + the incoming vector); a first step is never
-    # dependent, so traces[k - 2] exists
+    # to (previous outputs + the incoming vector); the step updates the
+    # outputs in place, so ``prev`` keeps them as they stood before it
     worst = 0.0
     steps = 0
     for F in frames:
-        _, traces = ggs_pass(F, dep_tol, trace=True)
-        for st in traces:
-            if st.kind != KIND_DEPENDENT:
-                continue
-            k = st.step
-            ext = FrameSeq(np.vstack([traces[k - 2].snapshot.vectors, F.vectors[k - 1][None, :]]))
-            oracle = canonical_parseval(ext, dep_tol=dep_tol)
-            diff = np.linalg.norm(st.snapshot.vectors - oracle.vectors, axis=1)
-            worst = max(worst, float(diff.max()))
-            steps += 1
+        V = F.vectors
+        prev = np.zeros_like(V)
+
+        def on_step(k, kind, G, w, before):
+            nonlocal worst, steps
+            if kind == KIND_DEPENDENT:
+                oracle = canonical_parseval(FrameSeq(np.vstack([prev[:k], V[k][None, :]])),
+                                            dep_tol=dep_tol)
+                diff = np.linalg.norm(G[: k + 1] - oracle.vectors, axis=1)
+                worst = max(worst, float(diff.max()))
+                steps += 1
+                prev[:k] = G[:k]
+            prev[k] = G[k]
+
+        _pass_array(V, dep_tol, on_step)
     return _result("dependent_oracle_match", worst, 1e-10, extra_ok=steps > 0,
                    detail=f"{steps} dependent steps")
 

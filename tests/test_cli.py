@@ -10,6 +10,7 @@ import pytest
 
 import framegs
 from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _json_dumps, main
+from framegs.frames import FrameSeq, is_parseval
 from framegs.generate import random_frame
 from framegs.iteration import _trace_document, iterate, trace_to_dict
 
@@ -159,16 +160,25 @@ class TestRunInputErrors:
 
     @pytest.mark.parametrize("command", ["run", "iterate"])
     def test_zero_dep_tol_on_overcomplete_frame(self, tmp_path, capsys, command):
-        # dep_tol 0 routes the last two of five vectors in R^3 as independent, so the
-        # pass output is not Parseval: a failed check, not an input error or a crash
+        # at dep_tol 0 the last two of five vectors in R^3 still take the dependent
+        # branch, as every vector after full rank does, so the output is Parseval
         vectors = np.random.default_rng(43).normal(size=(5, 3)).tolist()
         inp = write_frame(tmp_path / "f.json", 3, "real", vectors)
-        argv = [command, "--input", inp, "--dep-tol", "0", "--output", str(tmp_path / "out")]
+        out = tmp_path / "out.json"
+        argv = [command, "--input", inp, "--dep-tol", "0", "--output", str(out)]
         if command == "iterate":
             argv += ["--max-iter", "5"]
-        assert main(argv) == EXIT_CHECK_FAILED
+        assert main(argv) == EXIT_OK
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and not err[0].startswith("error:")
+        doc = json.loads(out.read_text())
+        if command == "run":
+            assert doc["report"]["parseval_ok"] and doc["report"]["dependent_indices"] == [4, 5]
+            final = doc["frame"]["vectors"]
+        else:
+            assert doc["limit_report"]["zero_indices"] == [4, 5]
+            final = doc["snapshots"]["5"]
+        assert is_parseval(FrameSeq(np.array(final)), tol=1e-10)
 
 
 class TestIterate:
@@ -387,11 +397,9 @@ class TestVerify:
 
 
 def test_parseval_failure_exit_code(tmp_path, monkeypatch):
-    # force a verification failure in cmd_run by breaking the tolerance:
+    # force a verification failure in `run` by breaking the tolerance:
     # a pass output is Parseval to ~1e-15, so a run cannot normally fail;
-    # instead feed a frame whose pass output we then re-check at an
-    # impossible tolerance via is_parseval directly
-    from framegs.cli import RunConfig, cmd_run
+    # instead re-check the pass output at an impossible tolerance
     import framegs.cli as cli_mod
 
     calls = {}
@@ -403,6 +411,5 @@ def test_parseval_failure_exit_code(tmp_path, monkeypatch):
         return chk
 
     monkeypatch.setattr(cli_mod, "is_parseval", fake)
-    cfg = RunConfig(command="run", example="fig1", output=str(tmp_path / "o.json"))
-    assert cmd_run(cfg) == EXIT_CHECK_FAILED
+    assert main(["run", "--example", "fig1", "--output", str(tmp_path / "o.json")]) == EXIT_CHECK_FAILED
     assert calls["residual"] > 0.0

@@ -58,6 +58,14 @@ class TestPassOnExamples:
         np.testing.assert_allclose(G.vectors, np.eye(2), atol=1e-15)
 
 
+def _outputs_per_step(F, dep_tol=DEP_TOL):
+    """Copies of the output prefix G[:k] after each step k of the pass,
+    read through the kernel's ``on_step`` hook."""
+    outs = []
+    _pass_array(F.vectors, dep_tol, lambda k, kind, G, w, before: outs.append(G[: k + 1].copy()))
+    return outs
+
+
 class TestTrace:
     def test_kinds_and_steps(self):
         _, traces = ggs_pass(FIG1, trace=True)
@@ -72,11 +80,8 @@ class TestTrace:
         F = FrameSeq(np.array([[0.0, 0.0], [1.0, 0.0]]))
         _, traces = ggs_pass(F, trace=True)
         assert traces[0].kind == KIND_ZERO
-        np.testing.assert_array_equal(traces[0].snapshot.vectors, [[0.0, 0.0]])
-
-    def test_snapshot_prefix_lengths(self):
-        _, traces = ggs_pass(FIG1, trace=True)
-        assert [t.snapshot.n_vectors for t in traces] == [1, 2, 3]
+        outs = _outputs_per_step(F)
+        np.testing.assert_array_equal(outs[0], [[0.0, 0.0]])
 
     def test_dependent_update_records(self):
         _, traces = ggs_pass(FIG1, trace=True)
@@ -84,7 +89,6 @@ class TestTrace:
         r = traces[2].updates
         # one row per earlier output vector, row i for vector i+1
         assert r.norm_before.shape == r.norm_after.shape == r.inner_abs.shape == (2,)
-        assert r.carrier_norm == pytest.approx(1.0, abs=1e-15)
         assert r.norm_before == pytest.approx([1.0, 1.0], abs=1e-15)
         assert r.norm_after == pytest.approx([math.sqrt(0.75)] * 2, abs=1e-15)
         assert r.inner_abs == pytest.approx([1 / RT2] * 2, abs=1e-15)
@@ -95,21 +99,20 @@ class TestTrace:
 
     def test_prefix_parseval_every_step(self):
         for F in random_frame_corpus(31, 30):
-            _, traces = ggs_pass(F, trace=True)
-            for st in traces:
-                assert is_parseval(st.snapshot, tol=1e-10), (F, st.step)
+            for k, out in enumerate(_outputs_per_step(F)):
+                assert is_parseval(FrameSeq(out), tol=1e-10), (F, k + 1)
 
 
 class TestNormRecurrence:
     def test_record_matches_prediction(self):
-        # Eq-style identity: after^2 = before^2 - inner^2/(1+carrier^2)
+        # Eq-style identity: after^2 = before^2 - inner^2/(1+||f||^2)
         for F in random_frame_corpus(32, 25, dependent_fraction=0.8):
             _, traces = ggs_pass(F, trace=True)
-            for st in traces:
+            for st, nf in zip(traces, F.norms()):
                 r = st.updates
                 if r is None:
                     continue
-                predicted = r.norm_before**2 - r.inner_abs**2 / (1 + r.carrier_norm**2)
+                predicted = r.norm_before**2 - r.inner_abs**2 / (1 + nf**2)
                 assert r.norm_after**2 == pytest.approx(predicted, abs=1e-12)
 
     def test_records_hold_the_per_row_values(self):
@@ -118,27 +121,28 @@ class TestNormRecurrence:
         n_checked = 0
         for F in random_frame_corpus(34, 12, dependent_fraction=1.0):
             _, traces = ggs_pass(F, trace=True)
+            outs = _outputs_per_step(F)
             for st in traces[1:]:
                 r = st.updates
                 if r is None:
                     continue
-                prefix = traces[st.step - 2].snapshot.vectors
+                prefix = outs[st.step - 2]
                 f = F.vectors[st.step - 1]
                 w = (prefix.conj() @ f).conj()
                 assert np.array_equal(r.norm_before, np.linalg.norm(prefix, axis=1))
+                assert np.array_equal(r.norm_after, np.linalg.norm(outs[st.step - 1][:-1], axis=1))
                 assert r.inner_abs.tolist() == [abs(z) for z in w.tolist()]
-                assert r.carrier_norm == float(np.linalg.norm(f))
                 n_checked += 1
         assert n_checked >= 10
 
     def test_cauchy_schwarz_floor_per_step(self):
         for F in random_frame_corpus(33, 25, dependent_fraction=0.8):
             _, traces = ggs_pass(F, trace=True)
-            for st in traces:
+            for st, nf in zip(traces, F.norms()):
                 r = st.updates
                 if r is None:
                     continue
-                floor = r.norm_before**2 / (1 + r.carrier_norm**2)
+                floor = r.norm_before**2 / (1 + nf**2)
                 assert np.all(r.norm_after**2 >= floor - 1e-12)
 
 

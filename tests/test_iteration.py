@@ -291,12 +291,10 @@ class TestStepTraces:
         for m in range(1, 7):
             _, ref = ggs_pass(tr.snapshots[m - 1], trace=True)
             got = tr.step_traces[m]
-            assert [st.kind for st in got] == [st.kind for st in ref]
-            assert all(st.snapshot is None for st in got)
+            assert [(st.step, st.kind) for st in got] == [(st.step, st.kind) for st in ref]
             for a, b in zip(got, ref):
                 assert (a.updates is None) == (b.updates is None) == (a.kind != KIND_DEPENDENT)
                 if a.updates is not None:
-                    assert a.updates.carrier_norm == b.updates.carrier_norm
                     for name in ("norm_before", "norm_after", "inner_abs"):
                         np.testing.assert_array_equal(getattr(a.updates, name),
                                                       getattr(b.updates, name))

@@ -1,0 +1,21 @@
+import framegs.ggs as ggs
+from framegs.generate import random_frame_corpus
+from framegs.verify import check_dependent_oracle, check_prefix_parseval
+
+
+def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
+    # both checks read the outputs from the pass kernel as it runs; a wrong
+    # dependent update must fail them, so neither compares the kernel with itself
+    frames = random_frame_corpus(17, 8, dependent_fraction=0.8)
+    assert check_prefix_parseval(frames).ok and check_dependent_oracle(frames).ok
+
+    exact = ggs._apply_dependent_update
+
+    def perturbed(G, k, f, nf, w):
+        exact(G, k, f, nf, w)
+        G[k, 0] += 1e-6
+
+    monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)
+    assert not check_prefix_parseval(frames).ok
+    oracle = check_dependent_oracle(frames)
+    assert not oracle.ok and oracle.value > 1e-7, oracle
