@@ -177,7 +177,9 @@ def _span_basis(V: np.ndarray, dep_tol: float):
     rows.  One re-orthogonalization pass keeps Q orthonormal to roundoff.
     Once the rank reaches d, every later nonzero row is dependent without
     a test: its residual could only be roundoff, which at ``dep_tol = 0``
-    would otherwise ask for a (d+1)-th basis vector.
+    would otherwise ask for a (d+1)-th basis vector.  The pass kernel,
+    ``ggs._pass_array``, routes by the same rule after min(n, d)
+    independent routes.
     """
     n, d = V.shape
     with np.errstate(over="ignore"):

@@ -71,8 +71,30 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
     ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a caller that
     has them already saves the kernel recomputing them.
 
-    After min(n, d) independent routes every later nonzero vector is
-    dependent: its residual could only be roundoff.
+    Full-rank fast path.  After min(n, d) independent routes the outputs
+    span the whole space, so every later nonzero vector is dependent
+    without a residual test: its residual could only be roundoff.  Such a
+    step computes only the inner products ``coeffs`` its update needs;
+    it forms neither the residual ``g`` nor its norm.  This is the rule
+    ``frames._span_basis`` applies once its rank reaches d.
+
+    The residual-norm finiteness check therefore runs only while
+    independent routes remain.  After full rank it could not fire:
+
+    * Every output row has norm at most 1.  Independent rows are
+      normalized, and the dependent update only shrinks rows (see
+      :func:`norm_drop`, which is never negative).
+    * So, with finite input norms, ``|coeffs[j]| <= ||f||``; the
+      residual, roundoff against ``||f||``, would have a finite norm; and
+      each entry ``cfac * w[i] * f[j]`` of the update, with ``|cfac| <=
+      1/||f||^2``, is bounded by 1.
+    * An input whose squared norm overflows already stops at the
+      input-norm check: entries s of 1e155 or 1e200 on the third vector
+      of ``[[1e150, 0], [0, 1e150], [s, s]]`` raise ``step 3: input
+      vector norm is not finite``, while s = 1e153 passes with that
+      vector routed dependent after full rank.
+
+    The ``nf * nf`` overflow check stays on the dependent branch.
 
     Each step makes as few numpy calls as its field allows, and keeps the
     bits, signed zeros included, of the plain expressions
@@ -115,30 +137,30 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
             continue
         f = V[k]
         prefix = G[:k]
-        if is_complex:
-            coeffs = prefix.conj() @ f         # coeffs[j] = <f, g_j>
-            g = f - coeffs @ prefix
-            gr, gi = g.real, g.imag
-            rn = math.sqrt(gr.dot(gr) + gi.dot(gi))
-        else:
-            coeffs = prefix.dot(f)
-            g = f - coeffs.dot(prefix)
-            rn = math.sqrt(g.dot(g))
-        if not math.isfinite(rn):
-            raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
-        if free and rn > dep_tol * max(1.0, nf):
-            free -= 1
-            np.divide(g, rn, out=G[k])
-            if on_step is not None:
-                on_step(k, KIND_INDEPENDENT, G, None, None)
-        else:
-            if not math.isfinite(nf * nf):
-                raise NonFiniteError(f"step {k + 1}: squared norm overflows")
-            before = _row_norms(prefix) if on_step is not None else None
-            w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
-            _apply_dependent_update(G, k, f, nf, w)
-            if on_step is not None:
-                on_step(k, KIND_DEPENDENT, G, w, before)
+        coeffs = prefix.conj() @ f if is_complex else prefix.dot(f)   # coeffs[j] = <f, g_j>
+        if free:
+            if is_complex:
+                g = f - coeffs @ prefix
+                gr, gi = g.real, g.imag
+                rn = math.sqrt(gr.dot(gr) + gi.dot(gi))
+            else:
+                g = f - coeffs.dot(prefix)
+                rn = math.sqrt(g.dot(g))
+            if not math.isfinite(rn):
+                raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
+            if rn > dep_tol * max(1.0, nf):
+                free -= 1
+                np.divide(g, rn, out=G[k])
+                if on_step is not None:
+                    on_step(k, KIND_INDEPENDENT, G, None, None)
+                continue
+        if not math.isfinite(nf * nf):
+            raise NonFiniteError(f"step {k + 1}: squared norm overflows")
+        before = _row_norms(prefix) if on_step is not None else None
+        w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
+        _apply_dependent_update(G, k, f, nf, w)
+        if on_step is not None:
+            on_step(k, KIND_DEPENDENT, G, w, before)
     return G
 
 

@@ -158,6 +158,19 @@ class TestRunInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "bad.json" in err[0]
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("s", [1e155, 1e200])
+    def test_huge_vector_after_full_rank(self, tmp_path, capsys, field, s):
+        # the third vector's squared norm overflows: the input-norm check
+        # stops it before the pass reaches it, after full rank
+        vectors = [[1e150, 0.0], [0.0, 1e150], [s, s]]
+        if field == "complex":
+            vectors = [[[1e150, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e150, 0.0]], [[s, 0.0], [0.0, s]]]
+        inp = write_frame(tmp_path / "huge.json", 2, field, vectors)
+        assert main(["run", "--input", inp]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("step 3: input vector norm is not finite"), err
+
     @pytest.mark.parametrize("command", ["run", "iterate"])
     def test_zero_dep_tol_on_overcomplete_frame(self, tmp_path, capsys, command):
         # at dep_tol 0 the last two of five vectors in R^3 still take the dependent

@@ -292,10 +292,12 @@ def test_onb_frames_fixed_within_1e12():
         assert l2_distance(G, F) <= 1e-12
 
 
-def _reference_pass(V, dep_tol):
+def _reference_pass(V, dep_tol, on_step=None):
     """The pass kernel's step arithmetic as first written: the product with
-    the conjugated prefix, ``np.linalg.norm`` of the residual, and a
-    dependent update that computes <g_i, f> a second time."""
+    the conjugated prefix, ``np.linalg.norm`` of the residual on every
+    step, and a dependent update that computes <g_i, f> a second time.
+    ``on_step`` is called as the kernel calls it, with ``w`` and ``before``
+    computed here."""
     G = np.zeros_like(V)
     in_norms = np.linalg.norm(V, axis=1)
     scale = in_norms.max()
@@ -303,21 +305,26 @@ def _reference_pass(V, dep_tol):
     for k in range(V.shape[0]):
         f = V[k]
         nf = in_norms[k]
-        if nf <= zthresh:
-            continue
-        prefix = G[:k]
-        coeffs = prefix.conj() @ f
-        g = f - coeffs @ prefix
-        rn = np.linalg.norm(g)
-        if rn > dep_tol * max(1.0, nf):
-            G[k] = g / rn
-        else:
-            nf2 = nf * nf
-            shrink = 1.0 / math.sqrt(1.0 + nf2)
-            cfac = (shrink - 1.0) / nf2
-            w = (G[:k].conj() @ f).conj()
-            G[:k] += (cfac * w)[:, None] * f[None, :]
-            G[k] = shrink * f
+        kind, w, before = KIND_ZERO, None, None
+        if nf > zthresh:
+            prefix = G[:k]
+            coeffs = prefix.conj() @ f
+            g = f - coeffs @ prefix
+            rn = np.linalg.norm(g)
+            if rn > dep_tol * max(1.0, nf):
+                kind = KIND_INDEPENDENT
+                G[k] = g / rn
+            else:
+                kind = KIND_DEPENDENT
+                nf2 = nf * nf
+                shrink = 1.0 / math.sqrt(1.0 + nf2)
+                cfac = (shrink - 1.0) / nf2
+                w = (G[:k].conj() @ f).conj()
+                before = np.linalg.norm(G[:k], axis=1)
+                G[:k] += (cfac * w)[:, None] * f[None, :]
+                G[k] = shrink * f
+        if on_step is not None:
+            on_step(k, kind, G, w, before)
     return G
 
 
@@ -405,3 +412,82 @@ def test_kernel_keeps_reference_bits_including_signed_zeros():
         assert hooked.tobytes() == expected, (V.shape, V.dtype)
         n_cases += 1
     assert n_cases > 600
+
+
+def _overcomplete_corpus():
+    """Heavily overcomplete frames, n from 2d to 4d for every d in 1..16,
+    real and complex, with zero rows, -0.0 entries and rows exactly in the
+    span of earlier ones (copies scaled by powers of two), so that most
+    steps come after full rank."""
+    rng = np.random.default_rng(45)
+    cases = []
+    for d in range(1, 17):
+        for field in ("real", "complex"):
+            for n in (2 * d, 3 * d, 4 * d):
+                V = rng.normal(size=(n, d))
+                if field == "complex":
+                    V = V + 1j * rng.normal(size=(n, d))
+                V[rng.random((n, d)) < 0.15] = -0.0
+                if field == "complex":
+                    V.imag[rng.random((n, d)) < 0.15] = -0.0
+                for k in rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False):
+                    V[k] = V[int(rng.integers(0, k))] * float(rng.choice([-2.0, 0.5, 4.0]))
+                V[int(rng.integers(0, n))] = 0.0
+                V[int(rng.integers(0, n))] = -0.0
+                V *= 10.0 ** rng.uniform(-3, 3)
+                cases.append(V)
+    return cases
+
+
+def _steps_seen(run, V):
+    """Output bytes of ``run(V, DEP_TOL, on_step)`` and, per step, the bytes
+    of what its hook saw: kind, ``w``, ``before`` and all of G."""
+    steps = []
+
+    def on_step(k, kind, G, w, before):
+        steps.append((k, kind, None if w is None else w.tobytes(),
+                      None if before is None else before.tobytes(), G.tobytes()))
+
+    return run(V, DEP_TOL, on_step).tobytes(), steps
+
+
+def test_kernel_keeps_reference_bits_after_full_rank():
+    """On these frames most steps skip the residual in the kernel, while
+    the reference still computes it: outputs and every hook call must
+    match in every bit, with and without a hook and given norms."""
+    n_steps = n_after_full_rank = 0
+    for V in _overcomplete_corpus():
+        expected, ref_steps = _steps_seen(_reference_pass, V)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(V, axis=1)
+        assert _pass_array(V, DEP_TOL).tobytes() == expected, (V.shape, V.dtype)
+        assert _pass_array(V, DEP_TOL, None, norms).tobytes() == expected, (V.shape, V.dtype)
+        for given in (None, norms):
+            out, steps = _steps_seen(lambda V, tol, hook: _pass_array(V, tol, hook, given), V)
+            assert out == expected, (V.shape, V.dtype)
+            assert steps == ref_steps, (V.shape, V.dtype)
+        free = min(V.shape)
+        for _, kind, *_ in ref_steps:
+            free -= kind == KIND_INDEPENDENT
+            n_after_full_rank += kind == KIND_DEPENDENT and free == 0
+        n_steps += len(ref_steps)
+    assert n_after_full_rank > n_steps // 2, (n_after_full_rank, n_steps)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("s", [1e153, 1e155, 1e200])
+def test_huge_vector_after_full_rank(field, s):
+    # the third vector comes after full rank, where the pass forms no
+    # residual; one whose squared norm overflows stops at the input-norm check
+    V = np.array([[1e150, 0.0], [0.0, 1e150], [s, s]])
+    if field == "complex":
+        V = V.astype(complex)
+        V[2, 1] *= 1j
+    if s == 1e153:
+        kinds = []
+        G = _pass_array(V, DEP_TOL, lambda k, kind, *_: kinds.append(kind))
+        assert kinds == [KIND_INDEPENDENT, KIND_INDEPENDENT, KIND_DEPENDENT]
+        assert np.all(np.isfinite(G)) and is_parseval(FrameSeq(G), tol=1e-12)
+    else:
+        with pytest.raises(NonFiniteError, match="step 3: input vector norm is not finite"):
+            _pass_array(V, DEP_TOL)
