@@ -30,14 +30,13 @@ from .frames import (
     zero_indices,
 )
 from .generate import EXAMPLE_NAMES, example_frame
-from .ggs import _pass_array
+from .ggs import ggs_pass
 from .iteration import (
     _trace_document,
     classify_limit,
     coordinate_rows,
     iterate,
     trace_csv_rows,
-    validate_recurrences,
 )
 from .verify import run_battery
 
@@ -189,11 +188,7 @@ def _csv_text(header, rows) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     F = load_input_frame(args)
-    kinds: list[str] = []
-    on_step = None
-    if args.trace == "steps":   # the report reads the step kinds only
-        on_step = lambda k, kind, G, w, before: kinds.append(kind)  # noqa: E731
-    G = FrameSeq(_pass_array(F.vectors, args.dep_tol, on_step))
+    G, kinds = ggs_pass(F, args.dep_tol, trace=args.trace == "steps")
     chk = is_parseval(G, dep_tol=args.dep_tol)
     report = {
         "parseval_residual": chk.residual,
@@ -204,7 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "input_zero_indices": list(zero_indices(F)),
     }
     if kinds:
-        report["step_kinds"] = kinds
+        report["step_kinds"] = list(kinds)
     if args.fmt == "json":
         _emit(_json_dumps({"frame": G.to_dict(), "report": report}), args.output)
     else:
@@ -238,7 +233,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     }
     checks_ok = rep.prediction_match
     if args.trace == "steps":
-        rr = validate_recurrences(tr)
+        rr = tr.recurrences
         checks_ok = checks_ok and rr.pattern_consistent
         summary["recurrences"] = {
             "update_identity": rr.update_identity,

@@ -244,32 +244,22 @@ def is_parseval(frame: FrameSeq, tol: float = 1e-10, dep_tol: float = DEP_TOL) -
     return ParsevalCheck(ok=residual <= tol, residual=residual)
 
 
-def canonical_parseval(
-    frame: FrameSeq, dep_tol: float = DEP_TOL, restrict_to_span: bool = True
-) -> FrameSeq:
+def canonical_parseval(frame: FrameSeq, dep_tol: float = DEP_TOL) -> FrameSeq:
     """Map each vector through the inverse square root of the frame
     operator, yielding a Parseval frame with order preserved and zero
-    vectors kept at zero.
-
-    With ``restrict_to_span`` (the default) the operator is inverted on
-    the span of the frame, so non-spanning inputs work; with it disabled,
-    the ambient operator is inverted and a non-spanning input raises
-    :class:`~framegs.errors.RankDeficientError`.
+    vectors kept at zero.  The operator is inverted on the span of the
+    frame, so non-spanning inputs work.
     """
     from .linalg import inv_sqrt
 
     V = frame.vectors
-    if restrict_to_span:
-        Q, _, _ = _span_basis(V, dep_tol)
-        rank = Q.shape[0]
-        if rank == 0:
-            return FrameSeq(V)  # all-zero sequence maps to itself
-        coords = V @ Q.conj().T                  # (n, rank)
-        S = coords.T @ coords.conj()             # operator on span coordinates
-        R = inv_sqrt(S)
-        return FrameSeq((coords @ R.conj()) @ Q)
-    R = inv_sqrt(frame_operator(frame))
-    return FrameSeq(V @ R.conj())
+    Q, _, _ = _span_basis(V, dep_tol)
+    if Q.shape[0] == 0:
+        return FrameSeq(V)  # all-zero sequence maps to itself
+    coords = V @ Q.conj().T                  # (n, rank)
+    S = coords.T @ coords.conj()             # operator on span coordinates
+    R = inv_sqrt(S)
+    return FrameSeq((coords @ R.conj()) @ Q)
 
 
 def reconstruct(frame: FrameSeq, f) -> np.ndarray:

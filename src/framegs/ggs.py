@@ -16,7 +16,6 @@ the second.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,29 +26,6 @@ from .linalg import _row_norms, as_field_array
 KIND_ZERO = "zero"
 KIND_INDEPENDENT = "independent"
 KIND_DEPENDENT = "dependent"
-
-
-@dataclass(frozen=True)
-class DependentUpdateRecord:
-    """Effect of one dependent step, driven by the vector f, on the k
-    output vectors before it.  Each array has shape (k,) and its row i
-    belongs to output vector i+1: the norm before and after the update,
-    and the magnitude of the inner product with f before it."""
-
-    norm_before: np.ndarray
-    norm_after: np.ndarray
-    inner_abs: np.ndarray   # |<g_i, f>| prior to the update
-
-
-@dataclass(frozen=True)
-class StepTrace:
-    """The branch one input vector took.  ``updates`` is set only on
-    dependent steps; no output vectors are kept.  To read the outputs as
-    the pass runs, give ``_pass_array`` an ``on_step`` hook."""
-
-    step: int           # 1-based
-    kind: str           # KIND_ZERO | KIND_INDEPENDENT | KIND_DEPENDENT
-    updates: DependentUpdateRecord | None = None
 
 
 def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: np.ndarray):
@@ -164,29 +140,9 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
     return G
 
 
-def _step_recorder(traces: list):
-    """``on_step`` hook for ``_pass_array`` that appends one
-    :class:`StepTrace` per step to ``traces``.  A dependent step records
-    its updates as arrays, with no object per updated row."""
-
-    def on_step(k, kind, G, w, before):
-        updates = None
-        if kind == KIND_DEPENDENT:
-            updates = DependentUpdateRecord(
-                norm_before=before,
-                norm_after=_row_norms(G[:k]),
-                # hypot is the scalar abs() of each entry, which np.abs of a
-                # complex array can miss in the last bit
-                inner_abs=np.hypot(w.real, w.imag),
-            )
-        traces.append(StepTrace(k + 1, kind, updates))
-
-    return on_step
-
-
 def ggs_pass(
     frame: FrameSeq, dep_tol: float = DEP_TOL, trace: bool = False
-) -> tuple[FrameSeq, tuple[StepTrace, ...]]:
+) -> tuple[FrameSeq, tuple[str, ...]]:
     """Run one full pass over ``frame``.
 
     Parameters
@@ -199,25 +155,24 @@ def ggs_pass(
         dependent branch.  At exactly the threshold the branch is
         dependent.
     trace : bool
-        When true, record a :class:`StepTrace` per input vector: its
-        branch and, on a dependent step, the norms of the update.  These
-        are the records ``iterate(..., trace_steps=True)`` keeps for each
-        pass; no output vectors are copied.
+        When true, record the branch each input vector took: one of
+        ``KIND_ZERO``, ``KIND_INDEPENDENT``, ``KIND_DEPENDENT`` per step,
+        the kinds ``iterate(..., trace_steps=True)`` keeps for each pass.
 
     Returns
     -------
-    (FrameSeq, tuple[StepTrace, ...])
+    (FrameSeq, tuple[str, ...])
         The output frame (same shape and field as the input) and the
-        per-step traces (empty tuple unless ``trace``).
+        branch kind of each step (empty tuple unless ``trace``).
     """
     if not isinstance(frame, FrameSeq):
         frame = FrameSeq(frame)
     if not (0.0 <= dep_tol < 1.0):
         raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
-    traces: list[StepTrace] = []
-    on_step = _step_recorder(traces) if trace else None
+    kinds: list[str] = []
+    on_step = (lambda k, kind, G, w, before: kinds.append(kind)) if trace else None
     G = _pass_array(frame.vectors, dep_tol, on_step)
-    return FrameSeq(G), tuple(traces)
+    return FrameSeq(G), tuple(kinds)
 
 
 def dependent_update(prefix: FrameSeq, f) -> FrameSeq:

@@ -26,46 +26,8 @@ from .frames import (
     l2_distance,
     zero_indices,
 )
-from .ggs import KIND_DEPENDENT, KIND_ZERO, StepTrace, _pass_array, _step_recorder, ggs_pass
+from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass
 from .linalg import _l2_norm, _row_norms, as_field_array
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """Record of a run G_0 -> G_1 -> ... -> G_M.
-
-    ``norms`` has shape (M+1, n): row m holds the vector norms of G_m.
-    ``snapshots`` maps iteration number to the frame at that point;
-    0 and M are always present, intermediate iterations appear on the
-    snapshot stride.  ``step_traces`` (present only when requested) maps
-    iteration number m >= 1 to the per-step traces of the pass that
-    produced G_m: branch kinds and dependent-update arrays, the records
-    ``ggs_pass(G_{m-1}, trace=True)`` returns.
-    """
-
-    initial: FrameSeq
-    norms: np.ndarray
-    deltas: np.ndarray
-    snapshots: dict[int, FrameSeq]
-    step_traces: dict[int, tuple[StepTrace, ...]] | None
-    dependent_indices: tuple[int, ...]
-    input_zero_indices: tuple[int, ...]
-    iterations_run: int
-    stationary: bool
-    eps_delta: float
-    dep_tol: float
-
-    @property
-    def final(self) -> FrameSeq:
-        return self.snapshots[self.iterations_run]
-
-    @property
-    def stopped_early(self) -> bool:
-        return bool(self.deltas.size) and self.deltas[-1] <= self.eps_delta
-
-    @cached_property
-    def n_vectors(self) -> int:
-        return self.initial.n_vectors
 
 
 @dataclass(frozen=True)
@@ -83,10 +45,25 @@ class StabilizationCheck:
 class RecurrenceReport:
     """Maximum violations of the per-step norm laws over a traced run.
 
+    For each pass m with previous-iterate norms x_l = ||g_{k_l}^{(m-1)}||^2
+    at the dependent indices k_1 < ... < k_s:
+
+    * update identity: after the dependent step at k_r updates row i,
+      new_norm^2 == old_norm^2 - |<g_i, f>|^2 / (1 + ||f||^2) exactly;
+    * single-step floor: after step k_{l+1}, row k_l retains at least
+      [x_l/(1+x_l)] / (1+x_{l+1});
+    * accumulated floor: at the end of the pass, row k_l retains at least
+      [x_l/(1+x_l)] * prod_{r>l} 1/(1+x_r);
+    * shrink ceiling: at the end of the pass, row k_l holds at most
+      x_l/(1+x_l) (equality at l = s);
+    * tail floor: the accumulated floor specialized to l = s-1, where the
+      product collapses to the single factor 1/(1+x_s).
+
     Floors and the ceiling report signed violations (positive means the
     bound failed by that much); the update identity reports an absolute
-    error.  Fields are 0.0 when the corresponding check had nothing to
-    measure.
+    error.  A pass whose zero or dependent steps differ from those of the
+    initial frame is not measured and clears ``pattern_consistent``.
+    Fields are 0.0 when the corresponding check had nothing to measure.
     """
 
     update_identity: float
@@ -109,6 +86,46 @@ class RecurrenceReport:
 
 
 @dataclass(frozen=True)
+class IterationTrace:
+    """Record of a run G_0 -> G_1 -> ... -> G_M.
+
+    ``norms`` has shape (M+1, n): row m holds the vector norms of G_m.
+    ``snapshots`` maps iteration number to the frame at that point;
+    0 and M are always present, intermediate iterations appear on the
+    snapshot stride.  ``step_traces`` and ``recurrences`` are present
+    only when step tracing was requested: ``step_traces`` maps iteration
+    number m >= 1 to the branch kind of each step of the pass that
+    produced G_m, the kinds ``ggs_pass(G_{m-1}, trace=True)`` returns,
+    and ``recurrences`` reports the norm laws checked during the passes.
+    """
+
+    initial: FrameSeq
+    norms: np.ndarray
+    deltas: np.ndarray
+    snapshots: dict[int, FrameSeq]
+    step_traces: dict[int, tuple[str, ...]] | None
+    recurrences: RecurrenceReport | None
+    dependent_indices: tuple[int, ...]
+    input_zero_indices: tuple[int, ...]
+    iterations_run: int
+    stationary: bool
+    eps_delta: float
+    dep_tol: float
+
+    @property
+    def final(self) -> FrameSeq:
+        return self.snapshots[self.iterations_run]
+
+    @property
+    def stopped_early(self) -> bool:
+        return bool(self.deltas.size) and self.deltas[-1] <= self.eps_delta
+
+    @cached_property
+    def n_vectors(self) -> int:
+        return self.initial.n_vectors
+
+
+@dataclass(frozen=True)
 class LimitReport:
     """Classification of an iteration endpoint as a zero-extended
     orthonormal basis.  ``converged`` means the surviving vectors are
@@ -125,6 +142,102 @@ class LimitReport:
     delta_onb: float
 
 
+class _RecurrenceCheck:
+    """The laws of :class:`RecurrenceReport`, checked while :func:`iterate`
+    runs.  :meth:`start` gives the ``on_step`` hook of one pass, which
+    records each step's kind and evaluates the update identity at each
+    dependent step from what the kernel hands it: the row norms before
+    the update, the inner products ``w`` and the updated rows.
+    :meth:`end` evaluates the floors and the ceiling from the norms
+    before and after the pass, and keeps the pass's worst values only if
+    its zero and dependent steps are those of the initial frame.  Nothing
+    of a pass outlives its :meth:`end`.
+
+    The laws are evaluated on Python floats: ``x ** 2`` there (and on a
+    numpy scalar) is libm's pow, which can differ in the last bit from
+    the x * x of an array's ``** 2``, and the report is kept exact.
+    """
+
+    def __init__(self, deps: tuple[int, ...], zeros: tuple[int, ...]):
+        self.deps = deps
+        self.pattern = (set(deps), set(zeros))
+        self.pattern_consistent = True
+        self.passes = 0
+        # update identity, single-step floor, accumulated floor, shrink ceiling, tail floor
+        self.worst: list[float | None] = [None] * 5
+
+    def start(self, prev_norms: np.ndarray):
+        """The ``on_step`` hook of the pass whose input has row norms
+        ``prev_norms``."""
+        self.prev = prev = prev_norms.tolist()
+        self.kinds = kinds = []
+        self.upd = upd = []
+        self.after = after = {}   # dependent step -> row norms after its update
+
+        def on_step(k, kind, G, w, before):
+            kinds.append(kind)
+            if kind == KIND_DEPENDENT:
+                nf2 = prev[k] ** 2
+                after[k + 1] = na = _row_norms(G[:k]).tolist()
+                # hypot is the scalar abs() of each entry, which np.abs of a
+                # complex array can miss in the last bit
+                ia = np.hypot(w.real, w.imag).tolist()
+                upd.extend(abs(a**2 - (b**2 - i**2 / (1.0 + nf2)))
+                           for b, a, i in zip(before.tolist(), na, ia))
+
+        return on_step
+
+    def end(self, cur_norms: np.ndarray) -> tuple[str, ...]:
+        """Close the pass whose output has row norms ``cur_norms``;
+        return the kinds of its steps."""
+        self.passes += 1
+        kinds = tuple(self.kinds)
+        dep = {k for k, kind in enumerate(kinds, 1) if kind == KIND_DEPENDENT}
+        zero = {k for k, kind in enumerate(kinds, 1) if kind == KIND_ZERO}
+        if (dep, zero) != self.pattern:
+            self.pattern_consistent = False
+            return kinds
+
+        deps, prev, cur, after = self.deps, self.prev, cur_norms.tolist(), self.after
+        s = len(deps)
+        single: list[float] = []
+        accum: list[float] = []
+        ceil: list[float] = []
+        tail: list[float] = []
+        x = [prev[k - 1] ** 2 for k in deps]
+        for l in range(s):
+            floor_l = x[l] / (1.0 + x[l])
+            measured_end = cur[deps[l] - 1] ** 2
+            ceil.append(measured_end - floor_l)
+            bound = floor_l
+            for r in range(l + 1, s):
+                bound /= 1.0 + x[r]
+            accum.append(bound - measured_end)
+            if l + 1 < s:
+                after_next = after[deps[l + 1]][deps[l] - 1] ** 2
+                single.append(floor_l / (1.0 + x[l + 1]) - after_next)
+            if l == s - 2:
+                tail.append(floor_l / (1.0 + x[s - 1]) - measured_end)
+
+        for i, vals in enumerate((self.upd, single, accum, ceil, tail)):
+            if vals:
+                top = max(vals)
+                self.worst[i] = top if self.worst[i] is None else max(self.worst[i], top)
+        return kinds
+
+    def report(self) -> RecurrenceReport:
+        upd, single, accum, ceil, tail = (0.0 if v is None else v for v in self.worst)
+        return RecurrenceReport(
+            update_identity=upd,
+            single_step_floor=single,
+            accumulated_floor=accum,
+            shrink_ceiling=ceil,
+            tail_floor=tail,
+            iterations_checked=self.passes,
+            pattern_consistent=self.pattern_consistent,
+        )
+
+
 def iterate(
     frame: FrameSeq,
     max_iter: int = 1000,
@@ -138,9 +251,9 @@ def iterate(
 
     Norms are recorded every iteration; full snapshots every
     ``snapshot_stride`` iterations (plus iteration 0 and the final one).
-    ``trace_steps`` additionally stores per-step traces for every
-    iteration, as required by :func:`validate_recurrences`; they hold
-    kinds and update norms, not snapshots.
+    ``trace_steps`` additionally records the branch kinds of every pass
+    and checks the norm laws of :class:`RecurrenceReport` as the passes
+    run, with no per-step record kept.
     """
     if not isinstance(frame, FrameSeq):
         frame = FrameSeq(frame)
@@ -161,26 +274,24 @@ def iterate(
     norms = [frame.norms()]   # norms[-1] is also the next pass's input norms
     deltas: list[float] = []
     snapshots: dict[int, FrameSeq] = {0: frame}
-    step_traces: dict[int, tuple[StepTrace, ...]] | None = {} if trace_steps else None
+    check = _RecurrenceCheck(deps, zeros) if trace_steps else None
+    step_traces: dict[int, tuple[str, ...]] | None = {} if trace_steps else None
 
     prev = frame.vectors
     m = 0
     stationary = False
     for m in range(1, max_iter + 1):
-        on_step = None
-        if trace_steps:
-            traces: list[StepTrace] = []
-            on_step = _step_recorder(traces)
+        on_step = check.start(norms[-1]) if check is not None else None
         try:
             cur = _pass_array(prev, dep_tol, on_step, norms[-1])
         except NonFiniteError as exc:
             raise NonFiniteError(f"iteration {m}: {exc}") from exc
-        if trace_steps:
-            step_traces[m] = tuple(traces)
         delta = _l2_norm(cur - prev)
         if not math.isfinite(delta):
             raise NonFiniteError(f"iteration {m}: non-finite state")
         norms.append(_row_norms(cur))
+        if check is not None:
+            step_traces[m] = check.end(norms[-1])
         deltas.append(delta)
         if m % snapshot_stride == 0:
             snapshots[m] = FrameSeq(cur)
@@ -197,6 +308,7 @@ def iterate(
         deltas=np.asarray(deltas),
         snapshots=snapshots,
         step_traces=step_traces,
+        recurrences=check.report() if check is not None else None,
         dependent_indices=deps,
         input_zero_indices=zeros,
         iterations_run=m,
@@ -251,92 +363,6 @@ def check_stabilized_last(
             float(np.linalg.norm(g - baseline)),
         )
     return StabilizationCheck(applicable=True, ok=residual <= tol, residual=residual)
-
-
-def validate_recurrences(trace: IterationTrace) -> RecurrenceReport:
-    """Check the norm evolution laws on a per-step traced run.
-
-    For each iteration m with previous-iterate norms x_l = ||g_{k_l}^{(m-1)}||^2
-    at the dependent indices k_1 < ... < k_s:
-
-    * update identity: after the dependent step at k_r updates row i,
-      new_norm^2 == old_norm^2 - |<g_i, f>|^2 / (1 + ||f||^2) exactly;
-    * single-step floor: after step k_{l+1}, row k_l retains at least
-      [x_l/(1+x_l)] / (1+x_{l+1});
-    * accumulated floor: at the end of the pass, row k_l retains at least
-      [x_l/(1+x_l)] * prod_{r>l} 1/(1+x_r);
-    * shrink ceiling: at the end of the pass, row k_l holds at most
-      x_l/(1+x_l) (equality at l = s);
-    * tail floor: the accumulated floor specialized to l = s-1, where the
-      product collapses to the single factor 1/(1+x_s).
-
-    Returns the maximum violation seen for each law.
-    """
-    if trace.step_traces is None or not trace.step_traces:
-        raise ValueError("validate_recurrences requires a trace with per-step data")
-
-    # The laws are evaluated on Python floats: ``x ** 2`` there (and on a
-    # numpy scalar) is libm's pow, which can differ in the last bit from
-    # the x * x of an array's ``** 2``, and the report is kept exact.
-    deps = trace.dependent_indices
-    expected_dep = set(deps)
-    zeros = set(trace.input_zero_indices)
-    s = len(deps)
-    norms = trace.norms.tolist()
-    upd_err: list[float] = []
-    single: list[float] = []
-    accum: list[float] = []
-    ceil: list[float] = []
-    tail: list[float] = []
-    pattern_consistent = True
-
-    for m, steps in sorted(trace.step_traces.items()):
-        prev = norms[m - 1]
-        cur = norms[m]
-        actual_dep = {st.step for st in steps if st.kind == KIND_DEPENDENT}
-        actual_zero = {st.step for st in steps if st.kind == KIND_ZERO}
-        if actual_dep != expected_dep or actual_zero != zeros:
-            pattern_consistent = False
-            continue
-
-        after = {}   # dependent step -> norms after its update, row i for vector i+1
-        for k in deps:
-            rec = steps[k - 1].updates
-            nf2 = prev[k - 1] ** 2
-            after[k] = rec.norm_after.tolist()
-            upd_err.extend(
-                abs(na**2 - (nb**2 - ia**2 / (1.0 + nf2)))
-                for nb, na, ia in zip(rec.norm_before.tolist(), after[k], rec.inner_abs.tolist())
-            )
-
-        x = [prev[k - 1] ** 2 for k in deps]
-        for l in range(s):
-            floor_l = x[l] / (1.0 + x[l])
-            measured_end = cur[deps[l] - 1] ** 2
-            ceil.append(measured_end - floor_l)
-            bound = floor_l
-            for r in range(l + 1, s):
-                bound /= 1.0 + x[r]
-            accum.append(bound - measured_end)
-            if l + 1 < s:
-                after_next = after[deps[l + 1]][deps[l] - 1] ** 2
-                single.append(floor_l / (1.0 + x[l + 1]) - after_next)
-            if l == s - 2:
-                eps_val = x[s - 1]
-                tail.append(floor_l / (1.0 + eps_val) - measured_end)
-
-    def top(vals: list[float]) -> float:
-        return max(vals) if vals else 0.0
-
-    return RecurrenceReport(
-        update_identity=top(upd_err),
-        single_step_floor=top(single),
-        accumulated_floor=top(accum),
-        shrink_ceiling=top(ceil),
-        tail_floor=top(tail),
-        iterations_checked=len(trace.step_traces),
-        pattern_consistent=pattern_consistent,
-    )
 
 
 def classify_limit(

@@ -116,13 +116,18 @@ def hermitian_eigen(matrix, sweep_tol=JACOBI_SWEEP_TOL, max_sweeps=JACOBI_MAX_SW
     Sweeps stop once the off-diagonal Frobenius mass falls below
     ``sweep_tol`` times the Frobenius norm of the input, or after
     ``max_sweeps`` full sweeps (which raises, but is unreachable for the
-    matrix sizes this package handles).
+    matrix sizes this package handles).  A matrix whose Frobenius norm
+    overflows raises :class:`NonFiniteError`.
     """
     a = check_hermitian(matrix)
     d = a.shape[0]
-    A = 0.5 * (a + a.conj().T)  # exact-Hermitian working copy
+    with np.errstate(over="ignore"):  # overflow is caught explicitly below
+        A = 0.5 * (a + a.conj().T)  # exact-Hermitian working copy
+        fro = np.linalg.norm(A)
+    if not math.isfinite(fro):
+        # every off-diagonal norm is at most fro, so no later norm overflows
+        raise NonFiniteError("matrix Frobenius norm overflows")
     V = np.eye(d, dtype=A.dtype)
-    fro = np.linalg.norm(A)
     if d == 1 or fro == 0.0:
         w = np.diag(A).real.copy()
         order = np.argsort(w, kind="stable")

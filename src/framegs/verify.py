@@ -34,12 +34,7 @@ from .generate import (
     random_onb_frame,
 )
 from .ggs import KIND_DEPENDENT, _pass_array, ggs_pass
-from .iteration import (
-    check_stabilized_last,
-    classify_limit,
-    iterate,
-    validate_recurrences,
-)
+from .iteration import check_stabilized_last, classify_limit, iterate
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ def check_recurrences() -> CheckResult:
     for name in ("fig1", "fig3"):
         tr = iterate(example_frame(name), max_iter=50, eps_delta=0.0,
                      snapshot_stride=50, trace_steps=True)
-        rep = validate_recurrences(tr)
+        rep = tr.recurrences
         worst = max(worst, rep.max_violation)
         consistent = (consistent and rep.pattern_consistent
                       and rep.iterations_checked == 50)

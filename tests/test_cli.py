@@ -171,6 +171,19 @@ class TestRunInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].endswith("step 3: input vector norm is not finite"), err
 
+    def test_frame_operator_overflow_is_an_input_error(self, tmp_path):
+        # the frame operator's entries are finite but its Frobenius norm
+        # overflows; run exits 2 with one line and no numpy warning
+        inp = write_frame(tmp_path / "huge.json", 2, "real", [[1, 0], [0, 1], [1e153, 1e153]])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framegs.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "framegs.cli", "run", "--input", inp],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert err[0].endswith("matrix Frobenius norm overflows"), err
+
     @pytest.mark.parametrize("command", ["run", "iterate"])
     def test_zero_dep_tol_on_overcomplete_frame(self, tmp_path, capsys, command):
         # at dep_tol 0 the last two of five vectors in R^3 still take the dependent

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from framegs.errors import DimensionMismatchError, NonFiniteError, RankDeficientError
+from framegs.errors import DimensionMismatchError, NonFiniteError
 from framegs.frames import (
     ZERO_REL_TOL,
     FrameBounds,
@@ -177,11 +177,6 @@ class TestCanonicalParseval:
         F = FrameSeq(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         G = canonical_parseval(F)
         assert is_parseval(G, tol=1e-10)
-
-    def test_ambient_path_raises_on_rank_deficiency(self):
-        F = FrameSeq(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        with pytest.raises(RankDeficientError):
-            canonical_parseval(F, restrict_to_span=False)
 
     def test_bounds_become_unit(self):
         for F in random_frame_corpus(23, 25):

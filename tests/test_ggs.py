@@ -66,32 +66,41 @@ def _outputs_per_step(F, dep_tol=DEP_TOL):
     return outs
 
 
+def _dependent_updates(F, dep_tol=DEP_TOL):
+    """For each dependent step (1-based), the norms of the rows it
+    updates before and after the update and ``|<g_i, f>|``, read through
+    the kernel's ``on_step`` hook."""
+    updates = {}
+
+    def hook(k, kind, G, w, before):
+        if kind == KIND_DEPENDENT:
+            updates[k + 1] = (before, np.linalg.norm(G[:k], axis=1), np.hypot(w.real, w.imag))
+
+    _pass_array(F.vectors, dep_tol, hook)
+    return updates
+
+
 class TestTrace:
     def test_kinds_and_steps(self):
-        _, traces = ggs_pass(FIG1, trace=True)
-        assert [t.step for t in traces] == [1, 2, 3]
-        assert [t.kind for t in traces] == [
-            KIND_INDEPENDENT,
-            KIND_INDEPENDENT,
-            KIND_DEPENDENT,
-        ]
+        _, kinds = ggs_pass(FIG1, trace=True)
+        assert kinds == (KIND_INDEPENDENT, KIND_INDEPENDENT, KIND_DEPENDENT)
 
     def test_zero_step_kind(self):
         F = FrameSeq(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        _, traces = ggs_pass(F, trace=True)
-        assert traces[0].kind == KIND_ZERO
+        _, kinds = ggs_pass(F, trace=True)
+        assert kinds[0] == KIND_ZERO
         outs = _outputs_per_step(F)
         np.testing.assert_array_equal(outs[0], [[0.0, 0.0]])
 
     def test_dependent_update_records(self):
-        _, traces = ggs_pass(FIG1, trace=True)
-        assert traces[0].updates is None and traces[1].updates is None
-        r = traces[2].updates
+        updates = _dependent_updates(FIG1)
+        assert list(updates) == [3]
+        before, after, inner_abs = updates[3]
         # one row per earlier output vector, row i for vector i+1
-        assert r.norm_before.shape == r.norm_after.shape == r.inner_abs.shape == (2,)
-        assert r.norm_before == pytest.approx([1.0, 1.0], abs=1e-15)
-        assert r.norm_after == pytest.approx([math.sqrt(0.75)] * 2, abs=1e-15)
-        assert r.inner_abs == pytest.approx([1 / RT2] * 2, abs=1e-15)
+        assert before.shape == after.shape == inner_abs.shape == (2,)
+        assert before == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert after == pytest.approx([math.sqrt(0.75)] * 2, abs=1e-15)
+        assert inner_abs == pytest.approx([1 / RT2] * 2, abs=1e-15)
 
     def test_trace_off_returns_empty(self):
         _, traces = ggs_pass(FIG1)
@@ -107,43 +116,36 @@ class TestNormRecurrence:
     def test_record_matches_prediction(self):
         # Eq-style identity: after^2 = before^2 - inner^2/(1+||f||^2)
         for F in random_frame_corpus(32, 25, dependent_fraction=0.8):
-            _, traces = ggs_pass(F, trace=True)
-            for st, nf in zip(traces, F.norms()):
-                r = st.updates
-                if r is None:
-                    continue
-                predicted = r.norm_before**2 - r.inner_abs**2 / (1 + nf**2)
-                assert r.norm_after**2 == pytest.approx(predicted, abs=1e-12)
+            nfs = F.norms()
+            for step, (before, after, inner_abs) in _dependent_updates(F).items():
+                predicted = before**2 - inner_abs**2 / (1 + nfs[step - 1] ** 2)
+                assert after**2 == pytest.approx(predicted, abs=1e-12)
 
     def test_records_hold_the_per_row_values(self):
-        # each row is exactly what a per-row record held: the row norm of
-        # the prefix, and abs() of the prefix row's inner product with f
+        # what the hook hands a dependent step is exactly the per-row
+        # values: the row norm of the prefix before the step, and abs()
+        # of the prefix row's inner product with f
         n_checked = 0
         for F in random_frame_corpus(34, 12, dependent_fraction=1.0):
-            _, traces = ggs_pass(F, trace=True)
             outs = _outputs_per_step(F)
-            for st in traces[1:]:
-                r = st.updates
-                if r is None:
+            for step, (before, after, inner_abs) in _dependent_updates(F).items():
+                if step == 1:
                     continue
-                prefix = outs[st.step - 2]
-                f = F.vectors[st.step - 1]
+                prefix = outs[step - 2]
+                f = F.vectors[step - 1]
                 w = (prefix.conj() @ f).conj()
-                assert np.array_equal(r.norm_before, np.linalg.norm(prefix, axis=1))
-                assert np.array_equal(r.norm_after, np.linalg.norm(outs[st.step - 1][:-1], axis=1))
-                assert r.inner_abs.tolist() == [abs(z) for z in w.tolist()]
+                assert np.array_equal(before, np.linalg.norm(prefix, axis=1))
+                assert np.array_equal(after, np.linalg.norm(outs[step - 1][:-1], axis=1))
+                assert inner_abs.tolist() == [abs(z) for z in w.tolist()]
                 n_checked += 1
         assert n_checked >= 10
 
     def test_cauchy_schwarz_floor_per_step(self):
         for F in random_frame_corpus(33, 25, dependent_fraction=0.8):
-            _, traces = ggs_pass(F, trace=True)
-            for st, nf in zip(traces, F.norms()):
-                r = st.updates
-                if r is None:
-                    continue
-                floor = r.norm_before**2 / (1 + nf**2)
-                assert np.all(r.norm_after**2 >= floor - 1e-12)
+            nfs = F.norms()
+            for step, (before, after, _) in _dependent_updates(F).items():
+                floor = before**2 / (1 + nfs[step - 1] ** 2)
+                assert np.all(after**2 >= floor - 1e-12)
 
 
 class TestDependentUpdate:
@@ -220,14 +222,14 @@ class TestBranchRouting:
         # residual of the second vector sits exactly at dep_tol * max(1, norm)
         tol = 1e-6
         F = FrameSeq(np.array([[1.0, 0.0], [1.0, tol]]))
-        _, traces = ggs_pass(F, dep_tol=tol, trace=True)
-        assert traces[1].kind == KIND_DEPENDENT
+        _, kinds = ggs_pass(F, dep_tol=tol, trace=True)
+        assert kinds[1] == KIND_DEPENDENT
 
     def test_just_above_threshold_is_independent(self):
         tol = 1e-6
         F = FrameSeq(np.array([[1.0, 0.0], [1.0, 2 * tol]]))
-        _, traces = ggs_pass(F, dep_tol=tol, trace=True)
-        assert traces[1].kind == KIND_INDEPENDENT
+        _, kinds = ggs_pass(F, dep_tol=tol, trace=True)
+        assert kinds[1] == KIND_INDEPENDENT
 
     def test_dep_tol_validation(self):
         with pytest.raises(ValueError):
@@ -260,8 +262,8 @@ class TestFieldsAndScales:
         rng = np.random.default_rng(36)
         V = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         V[4] = (0.3 + 0.2j) * V[0] - 1.1 * V[2]
-        G, traces = ggs_pass(FrameSeq(V), trace=True)
-        assert traces[4].kind == KIND_DEPENDENT
+        G, kinds = ggs_pass(FrameSeq(V), trace=True)
+        assert kinds[4] == KIND_DEPENDENT
         assert is_parseval(G, tol=1e-12)
 
     def test_scale_invariance_of_routing(self):
@@ -269,7 +271,7 @@ class TestFieldsAndScales:
         for F in random_frame_corpus(37, 15, dependent_fraction=0.7):
             _, t1 = ggs_pass(F, trace=True)
             _, t2 = ggs_pass(FrameSeq(F.vectors * 1e6), trace=True)
-            assert [s.kind for s in t1] == [s.kind for s in t2]
+            assert t1 == t2
 
     def test_huge_norm_dependent_vector_overflow_raises(self):
         F = FrameSeq(np.array([[1e200, 0.0], [1e200, 0.0]]))
@@ -278,8 +280,8 @@ class TestFieldsAndScales:
 
     def test_profile_agrees_with_trace_kinds(self):
         for F in random_frame_corpus(38, 25, dependent_fraction=0.7):
-            _, traces = ggs_pass(F, trace=True)
-            dep_from_trace = tuple(t.step for t in traces if t.kind == KIND_DEPENDENT)
+            _, kinds = ggs_pass(F, trace=True)
+            dep_from_trace = tuple(k for k, kind in enumerate(kinds, 1) if kind == KIND_DEPENDENT)
             assert dep_from_trace == dependency_profile(F)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from framegs.errors import NonFiniteError
 from framegs.frames import FrameSeq, is_parseval, l2_distance, zero_indices
-from framegs.ggs import KIND_DEPENDENT, KIND_ZERO, ggs_pass
+from framegs.ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass
 from framegs.generate import (
     example_frame,
     random_frame,
@@ -21,7 +21,6 @@ from framegs.iteration import (
     iterate,
     trace_csv_rows,
     trace_to_dict,
-    validate_recurrences,
 )
 
 RT2 = math.sqrt(2.0)
@@ -181,7 +180,7 @@ class TestValidateRecurrences:
     @pytest.mark.parametrize("name", ["fig1", "fig3"])
     def test_examples_pass(self, name):
         tr = iterate(example_frame(name), max_iter=50, eps_delta=0.0, trace_steps=True)
-        rep = validate_recurrences(tr)
+        rep = tr.recurrences
         assert rep.pattern_consistent
         assert rep.iterations_checked == 50
         assert rep.update_identity <= 1e-12
@@ -193,7 +192,7 @@ class TestValidateRecurrences:
     def test_single_dependent_index_vacuous_pairs(self):
         # fig1 has s = 1: no k_l < k_r pairs, floors measured only at l = s
         tr = iterate(FIG1, max_iter=10, eps_delta=0.0, trace_steps=True)
-        rep = validate_recurrences(tr)
+        rep = tr.recurrences
         assert rep.single_step_floor == 0.0
         assert rep.tail_floor == 0.0
         assert rep.max_violation <= 1e-12
@@ -201,14 +200,9 @@ class TestValidateRecurrences:
     def test_random_frames(self):
         for F in random_frame_corpus(46, 8, dependent_fraction=1.0):
             tr = iterate(F, max_iter=30, eps_delta=0.0, trace_steps=True)
-            rep = validate_recurrences(tr)
+            rep = tr.recurrences
             assert rep.pattern_consistent
             assert rep.max_violation <= 1e-12
-
-    def test_requires_step_traces(self):
-        tr = iterate(FIG1, max_iter=5, eps_delta=0.0)
-        with pytest.raises(ValueError):
-            validate_recurrences(tr)
 
     @pytest.mark.parametrize("case", ["fig1", "fig3", "corpus", "drift"])
     def test_matches_per_row_reference(self, case):
@@ -218,41 +212,59 @@ class TestValidateRecurrences:
             frames = [FIG3 if case == "fig3" else FIG1]
         dep_tol = 0.99 if case == "drift" else 1e-10
         for F in frames:
-            tr = iterate(F, max_iter=40, eps_delta=0.0, dep_tol=dep_tol, trace_steps=True)
-            rep = validate_recurrences(tr)
-            assert rep == _per_row_validate_recurrences(tr)
-            assert rep.pattern_consistent == (case != "drift")
+            tr = iterate(F, max_iter=40, eps_delta=0.0, dep_tol=dep_tol, snapshot_stride=1,
+                         trace_steps=True)
+            assert tr.recurrences == _per_row_validate_recurrences(tr)
+            assert tr.recurrences.pattern_consistent == (case != "drift")
+
+
+def _steps_of_pass(V, dep_tol):
+    """The kind of each step of one pass over ``V`` and, for each
+    dependent step (1-based), copies of what the kernel hands its hook:
+    the row norms before the update, the inner products ``w`` and the
+    updated rows G[:k]."""
+    kinds, dependent = [], {}
+
+    def hook(k, kind, G, w, before):
+        kinds.append(kind)
+        if kind == KIND_DEPENDENT:
+            dependent[k + 1] = (before.copy(), w.copy(), G[:k].copy())
+
+    _pass_array(V, dep_tol, hook)
+    return kinds, dependent
 
 
 def _per_row_validate_recurrences(trace):
-    """Frozen reference: ``validate_recurrences`` as written when each
-    dependent step kept one record per updated row, reading the arrays
-    of each record one row at a time."""
+    """Frozen reference: the recurrence validator as written when each
+    dependent step kept one record per updated row, reading the values
+    one row at a time.  Each pass is run again from the stored snapshot
+    of its input (``snapshot_stride=1``)."""
     deps = trace.dependent_indices
     zeros = set(trace.input_zero_indices)
     s = len(deps)
     upd_err, single, accum, ceil, tail = [], [], [], [], []
     pattern_consistent = True
-    for m, steps in sorted(trace.step_traces.items()):
+    for m in range(1, trace.iterations_run + 1):
         prev = trace.norms[m - 1]
         cur = trace.norms[m]
-        kinds = {st.step: st.kind for st in steps}
-        actual_dep = {k for k, kd in kinds.items() if kd == KIND_DEPENDENT}
-        actual_zero = {k for k, kd in kinds.items() if kd == KIND_ZERO}
+        kinds, dependent = _steps_of_pass(trace.snapshots[m - 1].vectors, trace.dep_tol)
+        assert tuple(kinds) == trace.step_traces[m]
+        actual_dep = {k for k, kd in enumerate(kinds, 1) if kd == KIND_DEPENDENT}
+        actual_zero = {k for k, kd in enumerate(kinds, 1) if kd == KIND_ZERO}
         if actual_dep != set(deps) or actual_zero != zeros:
             pattern_consistent = False
             continue
-        for st in steps:
-            if st.kind != KIND_DEPENDENT:
-                continue
-            nf2 = prev[st.step - 1] ** 2
-            rec = st.updates
-            for j in range(st.step - 1):
-                before = float(rec.norm_before[j])
-                after = float(rec.norm_after[j])
-                inner_abs = float(rec.inner_abs[j])
-                predicted = before**2 - inner_abs**2 / (1.0 + nf2)
-                upd_err.append(abs(after**2 - predicted))
+        norm_after = {}
+        for step, (before, w, updated) in dependent.items():
+            nf2 = prev[step - 1] ** 2
+            norm_after[step] = np.linalg.norm(updated, axis=1)
+            w = w.tolist()
+            for j in range(step - 1):
+                nb = float(before[j])
+                na = float(norm_after[step][j])
+                inner_abs = abs(w[j])
+                predicted = nb**2 - inner_abs**2 / (1.0 + nf2)
+                upd_err.append(abs(na**2 - predicted))
         x = [prev[k - 1] ** 2 for k in deps]
         for l in range(s):
             floor_l = x[l] / (1.0 + x[l])
@@ -263,8 +275,7 @@ def _per_row_validate_recurrences(trace):
                 bound /= 1.0 + x[r]
             accum.append(bound - measured_end)
             if l + 1 < s:
-                st_next = steps[deps[l + 1] - 1]
-                after_next = float(st_next.updates.norm_after[deps[l] - 1]) ** 2
+                after_next = float(norm_after[deps[l + 1]][deps[l] - 1]) ** 2
                 single.append(floor_l / (1.0 + x[l + 1]) - after_next)
             if l == s - 2:
                 tail.append(floor_l / (1.0 + x[s - 1]) - measured_end)
@@ -278,7 +289,7 @@ def _per_row_validate_recurrences(trace):
         accumulated_floor=top(accum),
         shrink_ceiling=top(ceil),
         tail_floor=top(tail),
-        iterations_checked=len(trace.step_traces),
+        iterations_checked=trace.iterations_run,
         pattern_consistent=pattern_consistent,
     )
 
@@ -288,22 +299,20 @@ class TestStepTraces:
     def test_iterate_records_equal_those_of_ggs_pass(self, field):
         F = random_frame(53, 3, 8, field, n_dependent=3)
         tr = iterate(F, max_iter=6, eps_delta=0.0, trace_steps=True)
+        assert sorted(tr.step_traces) == list(range(1, 7))
         for m in range(1, 7):
             _, ref = ggs_pass(tr.snapshots[m - 1], trace=True)
-            got = tr.step_traces[m]
-            assert [(st.step, st.kind) for st in got] == [(st.step, st.kind) for st in ref]
-            for a, b in zip(got, ref):
-                assert (a.updates is None) == (b.updates is None) == (a.kind != KIND_DEPENDENT)
-                if a.updates is not None:
-                    for name in ("norm_before", "norm_after", "inner_abs"):
-                        np.testing.assert_array_equal(getattr(a.updates, name),
-                                                      getattr(b.updates, name))
+            assert tr.step_traces[m] == ref
 
     def test_out_of_range_dep_tol_rejected(self):
         for dep_tol in (1.0, -1e-3):
             for trace_steps in (False, True):
                 with pytest.raises(ValueError):
                     iterate(FIG1, max_iter=2, dep_tol=dep_tol, trace_steps=trace_steps)
+
+    def test_untraced_run_has_no_step_data(self):
+        tr = iterate(FIG1, max_iter=5, eps_delta=0.0)
+        assert tr.step_traces is None and tr.recurrences is None
 
 
 class TestClassifyLimit:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             hermitian_eigen(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_frobenius_overflow_raises_without_warning(self, field):
+        # the frame operator of [[1, 0], [0, 1], [1e153, 1e153]]: finite
+        # entries whose squares overflow in the Frobenius norm
+        M = np.array([[1.0 + 1e306, 1e306], [1e306, 1.0 + 1e306]])
+        if field == "complex":
+            M = M.astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="Frobenius norm overflows"):
+                hermitian_eigen(M)
 
 
 class TestInvSqrt:

@@ -1,6 +1,7 @@
 import framegs.ggs as ggs
-from framegs.generate import random_frame_corpus
-from framegs.verify import check_dependent_oracle, check_prefix_parseval
+from framegs.generate import example_frame, random_frame_corpus
+from framegs.iteration import iterate
+from framegs.verify import check_dependent_oracle, check_prefix_parseval, check_recurrences
 
 
 def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
@@ -19,3 +20,22 @@ def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
     assert not check_prefix_parseval(frames).ok
     oracle = check_dependent_oracle(frames)
     assert not oracle.ok and oracle.value > 1e-7, oracle
+
+
+def test_recurrence_check_fails_on_perturbed_updated_rows(monkeypatch):
+    # the update identity is evaluated on the rows the kernel wrote, against
+    # the norms and inner products from before the update; rows updated
+    # wrongly must show, so the check does not compare the kernel with itself
+    fig3 = example_frame("fig3")
+    assert check_recurrences().ok
+
+    exact = ggs._apply_dependent_update
+
+    def perturbed(G, k, f, nf, w):
+        exact(G, k, f, nf, w)
+        G[:k] *= 1.0 + 1e-6
+
+    monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)
+    assert not check_recurrences().ok
+    tr = iterate(fig3, max_iter=50, eps_delta=0.0, trace_steps=True)
+    assert tr.recurrences.update_identity > 1e-12, tr.recurrences
