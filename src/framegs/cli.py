@@ -79,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--snapshot-stride", type=int, default=1)
     it.add_argument("--eps-delta", type=float, default=1e-12)
     it.add_argument("--dep-tol", type=float, default=DEP_TOL)
-    it.add_argument("--delta-zero", type=float, default=None,
-                    help="zero-classification threshold (default: 2/sqrt(M))")
-    it.add_argument("--delta-onb", type=float, default=1e-2)
     it.add_argument("--trace", choices=("none", "steps"), default="none",
                     help="steps: per-step tracing plus recurrence validation")
     _add_output_args(it)
@@ -89,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the seeded verification battery")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--random-frames", type=int, default=50)
-    ver.add_argument("--dep-tol", type=float, default=DEP_TOL)
     ver.add_argument("--max-iter", type=int, default=1000)
-    ver.add_argument("--delta-onb", type=float, default=1e-2)
     return p
 
 
@@ -101,13 +96,10 @@ def _check_ranges(args: argparse.Namespace):
     for name in ("max_iter", "snapshot_stride"):
         if getattr(args, name, 1) < 1:
             raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
-    if not 0.0 <= args.dep_tol < 1.0:
+    if not 0.0 <= getattr(args, "dep_tol", 0.0) < 1.0:
         raise InputError(f"--dep-tol must lie in [0, 1), got {args.dep_tol}")
-    for name in ("eps_delta", "delta_onb"):
-        if getattr(args, name, 0.0) < 0.0:
-            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {getattr(args, name)}")
-    if getattr(args, "delta_zero", None) is not None and args.delta_zero <= 0.0:
-        raise InputError(f"--delta-zero must be > 0, got {args.delta_zero}")
+    if getattr(args, "eps_delta", 0.0) < 0.0:
+        raise InputError(f"--eps-delta must be >= 0, got {args.eps_delta}")
     if getattr(args, "random_frames", 1) < 1:
         raise InputError(f"--random-frames must be >= 1, got {args.random_frames}")
 
@@ -219,7 +211,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         dep_tol=args.dep_tol,
         trace_steps=args.trace == "steps",
     )
-    rep = classify_limit(tr, delta_zero=args.delta_zero, delta_onb=args.delta_onb)
+    rep = classify_limit(tr)
     summary = {
         "iterations_run": rep.iterations_run,
         "stationary": tr.stationary,
@@ -261,14 +253,8 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_battery(
-        seed=args.seed,
-        n_frames=args.random_frames,
-        dep_tol=args.dep_tol,
-        max_iter=args.max_iter,
-        delta_onb=args.delta_onb,
-    )
-    print(f"seed={args.seed} random-frames={args.random_frames} dep-tol={args.dep_tol:g}")
+    results = run_battery(seed=args.seed, n_frames=args.random_frames, max_iter=args.max_iter)
+    print(f"seed={args.seed} random-frames={args.random_frames} dep-tol={DEP_TOL:g}")
     name_w = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.ok else "FAIL"

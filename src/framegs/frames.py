@@ -12,6 +12,7 @@ against the ambient identity.  Inputs that do not span the ambient space
 are therefore first-class citizens.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,13 +159,25 @@ def frame_bounds(frame: FrameSeq) -> FrameBounds:
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=float(w[-1]))
 
 
-def zero_indices(frame: FrameSeq, rel_tol: float = ZERO_REL_TOL) -> tuple[int, ...]:
-    """1-based indices of vectors with norm at most ``rel_tol`` times the
-    largest vector norm in the sequence (or 1 when all vectors vanish)."""
+def _zero_threshold(norms: np.ndarray) -> float:
+    """The zero rule of the package: a vector whose norm is at most the
+    returned value, ``ZERO_REL_TOL`` times the largest of the row norms
+    ``norms`` (or times 1 when every vector vanishes), counts as zero.
+    A norm that is not finite, as when its square overflows, raises
+    :class:`NonFiniteError` naming the first such vector."""
+    scale = float(norms.max())
+    if not math.isfinite(scale):
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0]) + 1
+        raise NonFiniteError(f"step {bad}: input vector norm is not finite")
+    return ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
+
+
+def zero_indices(frame: FrameSeq) -> tuple[int, ...]:
+    """1-based indices of the vectors that count as zero: norm at most
+    ``ZERO_REL_TOL`` times the largest vector norm in the sequence (or
+    times 1 when all vectors vanish)."""
     norms = frame.norms()
-    scale = norms.max()
-    thresh = rel_tol * (scale if scale > 0.0 else 1.0)
-    return tuple(int(i + 1) for i in np.flatnonzero(norms <= thresh))
+    return tuple(int(i + 1) for i in np.flatnonzero(norms <= _zero_threshold(norms)))
 
 
 def _span_basis(V: np.ndarray, dep_tol: float):
@@ -184,10 +197,7 @@ def _span_basis(V: np.ndarray, dep_tol: float):
     n, d = V.shape
     with np.errstate(over="ignore"):
         norms = _row_norms(V)
-    scale = norms.max()
-    if not np.isfinite(scale):
-        raise NonFiniteError("vector norm overflows")
-    zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
+    zthresh = _zero_threshold(norms)
     full = min(n, d)
     Q = np.zeros((full, d), dtype=V.dtype)
     is_complex = V.dtype.kind == "c"

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .frames import DEP_TOL, ZERO_REL_TOL, FrameSeq, _check_member
+from .frames import DEP_TOL, ZERO_REL_TOL, FrameSeq, _check_member, _zero_threshold
 from .linalg import _row_norms, as_field_array
 
 KIND_ZERO = "zero"
@@ -98,13 +98,9 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
     G = np.zeros(V.shape, V.dtype)
     is_complex = V.dtype.kind == "c"
     if norms is None:
-        with np.errstate(over="ignore"):  # overflow is caught explicitly below
+        with np.errstate(over="ignore"):  # _zero_threshold raises on overflow
             norms = _row_norms(V)
-    scale = float(norms.max())
-    if not math.isfinite(scale):
-        bad = int(np.flatnonzero(~np.isfinite(norms))[0]) + 1
-        raise NonFiniteError(f"step {bad}: input vector norm is not finite")
-    zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
+    zthresh = _zero_threshold(norms)
     free = min(n, d)   # independent routes left
     for k, nf in enumerate(norms.tolist()):
         if nf <= zthresh:

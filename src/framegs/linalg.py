@@ -88,11 +88,6 @@ def inner(u, v):
     return np.dot(u, v.conj()).item()
 
 
-def norm(v):
-    """Euclidean norm, sqrt(inner(v, v))."""
-    return float(np.linalg.norm(_as_vector(v)))
-
-
 def check_hermitian(matrix, tol=HERMITIAN_TOL):
     """Raise unless ``matrix`` equals its conjugate transpose within
     ``tol`` times the largest entry magnitude."""

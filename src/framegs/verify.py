@@ -2,8 +2,9 @@
 
 Each ``check_*`` function is the one definition of its criterion: it
 takes its inputs (frames, or example names and an iteration count) as
-arguments, holds its thresholds as constants, and reports the worst
-measured value against its threshold.  :func:`run_battery` builds the
+arguments, holds its thresholds as constants, routes at the library's
+``DEP_TOL``, and reports the worst measured value against its threshold,
+so each verdict means one fixed thing.  :func:`run_battery` builds the
 seeded inputs of ``framegs verify``; the acceptance tests call the same
 checks on their own corpora.  The battery exercises the pass, the iteration driver, and
 the validators against each other and against independent constructions
@@ -120,15 +121,15 @@ def _near_dependence_frames(seed) -> list[tuple[FrameSeq, tuple[int, ...]]]:
     return out
 
 
-def check_single_pass_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_single_pass_parseval(frames) -> CheckResult:
     worst = 0.0
     for F in frames:
-        G, _ = ggs_pass(F, dep_tol)
-        worst = max(worst, is_parseval(G, dep_tol=dep_tol).residual)
+        G, _ = ggs_pass(F)
+        worst = max(worst, is_parseval(G).residual)
     return _result("single_pass_parseval", worst, 1e-10, detail=f"{len(frames)} frames")
 
 
-def check_prefix_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_prefix_parseval(frames) -> CheckResult:
     # after step k the outputs must be Parseval for the span of the input
     # prefix F[:k], not merely for their own span; read from the pass as it runs
     worst = 0.0
@@ -139,14 +140,14 @@ def check_prefix_parseval(frames, dep_tol=DEP_TOL) -> CheckResult:
             nonlocal worst
             out = G[: k + 1]
             S = out.T @ out.conj()   # the frame operator of the output prefix
-            P = span_projection(FrameSeq(V[: k + 1]), dep_tol)
+            P = span_projection(FrameSeq(V[: k + 1]))
             worst = max(worst, float(np.linalg.norm(S - P)))
 
-        _pass_array(V, dep_tol, on_step)
+        _pass_array(V, DEP_TOL, on_step)
     return _result("prefix_parseval", worst, 1e-10, detail=f"{len(frames)} frames, all steps")
 
 
-def check_dependent_oracle(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_dependent_oracle(frames) -> CheckResult:
     # every dependent step must equal the canonical Parseval map applied
     # to (previous outputs + the incoming vector); the step updates the
     # outputs in place, so ``prev`` keeps them as they stood before it
@@ -159,44 +160,43 @@ def check_dependent_oracle(frames, dep_tol=DEP_TOL) -> CheckResult:
         def on_step(k, kind, G, w, before):
             nonlocal worst, steps
             if kind == KIND_DEPENDENT:
-                oracle = canonical_parseval(FrameSeq(np.vstack([prev[:k], V[k][None, :]])),
-                                            dep_tol=dep_tol)
+                oracle = canonical_parseval(FrameSeq(np.vstack([prev[:k], V[k][None, :]])))
                 diff = np.linalg.norm(G[: k + 1] - oracle.vectors, axis=1)
                 worst = max(worst, float(diff.max()))
                 steps += 1
                 prev[:k] = G[:k]
             prev[k] = G[k]
 
-        _pass_array(V, dep_tol, on_step)
+        _pass_array(V, DEP_TOL, on_step)
     return _result("dependent_oracle_match", worst, 1e-10, extra_ok=steps > 0,
                    detail=f"{steps} dependent steps")
 
 
-def check_onb_fixed_points(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_onb_fixed_points(frames) -> CheckResult:
     worst = 0.0
     for F in frames:
-        G, _ = ggs_pass(F, dep_tol)
+        G, _ = ggs_pass(F)
         worst = max(worst, l2_distance(G, F))
     return _result("onb_fixed_points", worst, 1e-12, detail=f"{len(frames)} zero-extended ONBs")
 
 
-def check_non_onb_movement(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_non_onb_movement(frames) -> CheckResult:
     least = math.inf
     for F in frames:
-        G, _ = ggs_pass(F, dep_tol)
+        G, _ = ggs_pass(F)
         least = min(least, l2_distance(G, F))
     return _result("non_onb_movement", least, 1e-6, op=">",
                    detail=f"{len(frames)} generic frames")
 
 
-def check_last_vector_stabilization(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_last_vector_stabilization(frames) -> CheckResult:
     """Each frame's last vector must be nonzero and independent of its
     predecessors, and :func:`check_stabilized_last` must hold over 20
     iterations, every iterate recorded."""
     worst = 0.0
     bad = 0
     for F in frames:
-        tr = iterate(F, max_iter=20, eps_delta=0.0, dep_tol=dep_tol)
+        tr = iterate(F, max_iter=20, eps_delta=0.0)
         chk = check_stabilized_last(F, tr)
         if not chk.applicable:
             bad += 1
@@ -243,13 +243,14 @@ def check_recurrences() -> CheckResult:
     )
 
 
-def check_limit_classification(names, max_iter, delta_onb, dep_tol=DEP_TOL) -> CheckResult:
+def check_limit_classification(names, max_iter) -> CheckResult:
+    delta_onb = 1e-2
     worst_resid = 0.0
     worst_l2 = 0.0
     mismatches = []
     for name in names:
         tr = iterate(example_frame(name), max_iter=max_iter, eps_delta=0.0,
-                     snapshot_stride=max_iter, dep_tol=dep_tol)
+                     snapshot_stride=max_iter)
         rep = classify_limit(tr, delta_onb=delta_onb)
         if not rep.prediction_match:
             mismatches.append(name)
@@ -265,20 +266,20 @@ def check_limit_classification(names, max_iter, delta_onb, dep_tol=DEP_TOL) -> C
     return _result("limit_classification", worst_resid, delta_onb, extra_ok=ok, detail=detail)
 
 
-def check_gram_schmidt_degeneration(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_gram_schmidt_degeneration(frames) -> CheckResult:
     worst = 0.0
     for F in frames:
-        G, _ = ggs_pass(F, dep_tol)
+        G, _ = ggs_pass(F)
         worst = max(worst, float(np.linalg.norm(G.vectors - _classical_gram_schmidt(F.vectors))))
     return _result(
         "gram_schmidt_degeneration", worst, 1e-12, detail=f"{len(frames)} independent sequences"
     )
 
 
-def check_zero_pattern_prediction(frames, max_iter, dep_tol=DEP_TOL) -> CheckResult:
+def check_zero_pattern_prediction(frames, max_iter) -> CheckResult:
     mismatches = 0
     for F in frames:
-        tr = iterate(F, max_iter=max_iter, eps_delta=0.0, snapshot_stride=max_iter, dep_tol=dep_tol)
+        tr = iterate(F, max_iter=max_iter, eps_delta=0.0, snapshot_stride=max_iter)
         if not classify_limit(tr).prediction_match:
             mismatches += 1
     return _result(
@@ -287,54 +288,48 @@ def check_zero_pattern_prediction(frames, max_iter, dep_tol=DEP_TOL) -> CheckRes
     )
 
 
-def check_near_dependence_routing(cases, dep_tol=DEP_TOL) -> CheckResult:
+def check_near_dependence_routing(cases) -> CheckResult:
     """``cases`` pairs each frame with its designed dependency profile."""
     worst = 0.0
     misrouted = []
     for F, designed in cases:
-        prof = dependency_profile(F, dep_tol)
+        prof = dependency_profile(F)
         if prof != designed:
             misrouted.append(f"{designed}->{prof}")
-        G, _ = ggs_pass(F, dep_tol)
-        worst = max(worst, is_parseval(G, dep_tol=dep_tol).residual)
+        G, _ = ggs_pass(F)
+        worst = max(worst, is_parseval(G).residual)
     detail = "gap vectors at 1e-3..1e-5"
     if misrouted:
         detail += f"; profile misrouted: {' '.join(misrouted)}"
     return _result("near_dependence_routing", worst, 1e-10, extra_ok=not misrouted, detail=detail)
 
 
-def check_l2_identity(frames, dep_tol=DEP_TOL) -> CheckResult:
+def check_l2_identity(frames) -> CheckResult:
     # Parseval output must carry total energy equal to the span dimension
     worst = 0.0
     for F in frames:
-        rank = F.n_vectors - len(dependency_profile(F, dep_tol)) - len(zero_indices(F))
-        G, _ = ggs_pass(F, dep_tol)
+        rank = F.n_vectors - len(dependency_profile(F)) - len(zero_indices(F))
+        G, _ = ggs_pass(F)
         worst = max(worst, abs(float((G.norms() ** 2).sum()) - rank))
     return _result("l2_energy_identity", worst, 1e-10, detail=f"{len(frames)} frames")
 
 
-def run_battery(
-    seed: int = 0,
-    n_frames: int = 50,
-    dep_tol: float = DEP_TOL,
-    max_iter: int = 1000,
-    delta_onb: float = 1e-2,
-) -> list[CheckResult]:
+def run_battery(seed: int = 0, n_frames: int = 50, max_iter: int = 1000) -> list[CheckResult]:
     def corpus(offset, **kw):
         return random_frame_corpus(seed + offset, n_frames, **kw)
 
     return [
-        check_single_pass_parseval(corpus(0), dep_tol),
-        check_prefix_parseval(corpus(1), dep_tol),
-        check_dependent_oracle(corpus(2, dependent_fraction=0.8), dep_tol),
-        check_onb_fixed_points(_onb_frames(seed + 3, n_frames), dep_tol),
-        check_non_onb_movement(corpus(4), dep_tol),
-        check_last_vector_stabilization(_stabilization_frames(seed + 5, n_frames), dep_tol),
+        check_single_pass_parseval(corpus(0)),
+        check_prefix_parseval(corpus(1)),
+        check_dependent_oracle(corpus(2, dependent_fraction=0.8)),
+        check_onb_fixed_points(_onb_frames(seed + 3, n_frames)),
+        check_non_onb_movement(corpus(4)),
+        check_last_vector_stabilization(_stabilization_frames(seed + 5, n_frames)),
         check_closed_form_decay(),
         check_recurrences(),
-        check_limit_classification(EXAMPLE_NAMES, max_iter, delta_onb, dep_tol),
-        check_gram_schmidt_degeneration(_independent_frames(seed + 6, n_frames), dep_tol),
-        check_zero_pattern_prediction(corpus(7, dependent_fraction=1.0), max_iter, dep_tol),
-        check_near_dependence_routing(_near_dependence_frames(seed + 8), dep_tol),
-        check_l2_identity(corpus(9), dep_tol),
+        check_limit_classification(EXAMPLE_NAMES, max_iter),
+        check_gram_schmidt_degeneration(_independent_frames(seed + 6, n_frames)),
+        check_zero_pattern_prediction(corpus(7, dependent_fraction=1.0), max_iter),
+        check_near_dependence_routing(_near_dependence_frames(seed + 8)),
+        check_l2_identity(corpus(9)),
     ]

@@ -413,13 +413,37 @@ class TestVerify:
         assert rc1 == rc2 == EXIT_OK
         assert out1 == out2
 
-    def test_absurd_dep_tol_fails_with_nonzero_exit(self, capsys):
-        rc = main(["verify", "--random-frames", "4", "--max-iter", "100",
-                   "--dep-tol", "1e-1"])
-        out = capsys.readouterr().out
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        # a wrong dependent update breaks the checks that watch the pass;
+        # verify must then print the failed line and exit 1
+        import framegs.ggs as ggs
+
+        exact = ggs._apply_dependent_update
+
+        def perturbed(G, k, f, nf, w):
+            exact(G, k, f, nf, w)
+            G[k, 0] += 1e-6
+
+        monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)
+        rc = main(["verify", "--random-frames", "4", "--max-iter", "100"])
+        lines = capsys.readouterr().out.splitlines()
         assert rc == EXIT_CHECK_FAILED
-        assert "FAIL" in out
-        assert "near_dependence_routing" in out
+        assert lines[-1].startswith("RESULT: FAIL"), lines
+        failed = [ln.split()[0] for ln in lines[1:-1] if ln.split()[3] == "FAIL"]
+        assert "dependent_oracle_match" in failed, lines
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dep-tol", "0.1"],
+        ["verify", "--delta-onb", "1"],
+        ["iterate", "--example", "fig1", "--delta-zero", "0.5"],
+        ["iterate", "--example", "fig1", "--delta-onb", "1"],
+    ])
+    def test_no_option_moves_a_check_threshold(self, argv, capsys):
+        # a check's threshold is fixed in its definition; these options are gone
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == ""
 
 
 def test_parseval_failure_exit_code(tmp_path, monkeypatch):

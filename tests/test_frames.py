@@ -6,6 +6,7 @@ import pytest
 
 from framegs.errors import DimensionMismatchError, NonFiniteError
 from framegs.frames import (
+    DEP_TOL,
     ZERO_REL_TOL,
     FrameBounds,
     FrameSeq,
@@ -21,6 +22,7 @@ from framegs.frames import (
     zero_indices,
 )
 from framegs.generate import example_frame, random_frame_corpus
+from framegs.ggs import KIND_INDEPENDENT, KIND_ZERO, ggs_pass
 
 RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
@@ -278,6 +280,22 @@ class TestZeroIndices:
     def test_all_zero(self):
         F = FrameSeq(np.zeros((2, 3)))
         assert zero_indices(F) == (1, 2)
+
+    def test_overflowing_norm_raises_like_the_pass(self):
+        # the third norm overflows to inf; zero_indices must not scale the
+        # threshold by it and call every vector zero, but raise as the pass
+        # and dependency_profile do
+        F = FrameSeq(np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]]))
+        for call in (zero_indices, dependency_profile, ggs_pass):
+            with pytest.raises(NonFiniteError, match="^step 3: input vector norm is not finite$"):
+                call(F)
+
+    def test_pass_and_profile_share_the_threshold(self):
+        # a norm exactly at ZERO_REL_TOL times the largest one is zero everywhere
+        F = FrameSeq(np.array([[1.0, 0.0], [ZERO_REL_TOL, 0.0], [0.0, 1.0]]))
+        assert zero_indices(F) == (2,)
+        assert _span_basis(F.vectors, DEP_TOL)[2] == [2]
+        assert ggs_pass(F, trace=True)[1] == (KIND_INDEPENDENT, KIND_ZERO, KIND_INDEPENDENT)
 
 
 class TestL2Distance:

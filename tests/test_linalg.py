@@ -10,7 +10,7 @@ from framegs.errors import (
     NotHermitianError,
     RankDeficientError,
 )
-from framegs.linalg import check_hermitian, hermitian_eigen, inner, inv_sqrt, norm
+from framegs.linalg import check_hermitian, hermitian_eigen, inner, inv_sqrt
 
 RT2 = math.sqrt(2.0)
 
@@ -175,9 +175,3 @@ class TestInvSqrt:
             inv_sqrt(M, floor=1e-6)
         R = inv_sqrt(M, floor=1e-12)
         np.testing.assert_allclose(R @ M @ R, np.eye(2), atol=1e-10)
-
-
-def test_norm_matches_inner():
-    rng = np.random.default_rng(106)
-    v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    assert norm(v) == pytest.approx(math.sqrt(inner(v, v).real), abs=1e-14)
