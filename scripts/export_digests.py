@@ -37,6 +37,10 @@ CALLS = [
     *(["run", "--example", name, "--trace", "steps"] for name in EXAMPLES),
     *(["iterate", "--example", "fig3", "--trace", "steps", "--format", fmt] for fmt in ("json", "csv")),
     ["iterate", "--example", "fig1", "--snapshot-stride", "1", "--max-iter", "200"],
+    # the false branches of the limit report: no survivors and a failed
+    # prediction (exit 1), then a run stopped before the survivors are near-ONB
+    ["iterate", "--example", "fig1", "--dep-tol", "0.99", "--max-iter", "50", "--trace", "steps"],
+    ["iterate", "--example", "fig3", "--max-iter", "3", "--eps-delta", "0", "--trace", "steps"],
     ["verify", "--seed", "0", "--random-frames", "10"],
     *(["run", "--input", name, "--trace", "steps"] for name in INPUTS),
     *(["iterate", "--input", name, "--trace", "steps", "--max-iter", "50"] for name in INPUTS),

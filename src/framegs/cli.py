@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -212,29 +213,12 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         trace_steps=args.trace == "steps",
     )
     rep = classify_limit(tr)
-    summary = {
-        "iterations_run": rep.iterations_run,
-        "stationary": tr.stationary,
-        "zero_indices": list(rep.zero_indices),
-        "surviving_indices": list(rep.surviving_indices),
-        "onb_residual": rep.onb_residual,
-        "near_onb": rep.converged,
-        "prediction_match": rep.prediction_match,
-        "delta_zero": rep.delta_zero,
-        "delta_onb": rep.delta_onb,
-    }
+    summary = dataclasses.asdict(rep)
+    summary["stationary"] = tr.stationary
     checks_ok = rep.prediction_match
     if args.trace == "steps":
-        rr = tr.recurrences
-        checks_ok = checks_ok and rr.pattern_consistent
-        summary["recurrences"] = {
-            "update_identity": rr.update_identity,
-            "single_step_floor": rr.single_step_floor,
-            "accumulated_floor": rr.accumulated_floor,
-            "shrink_ceiling": rr.shrink_ceiling,
-            "tail_floor": rr.tail_floor,
-            "pattern_consistent": rr.pattern_consistent,
-        }
+        checks_ok = checks_ok and tr.recurrences.pattern_consistent
+        summary["recurrences"] = dataclasses.asdict(tr.recurrences)
     if args.fmt == "json":
         doc = _trace_document(tr)
         doc["limit_report"] = summary
@@ -246,7 +230,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     print(
         f"{status} after {rep.iterations_run} iterations; "
         f"zero indices {list(rep.zero_indices)}; "
-        f"surviving set near-ONB: {rep.converged} (residual {rep.onb_residual:.3e})",
+        f"surviving set near-ONB: {rep.near_onb} (residual {rep.onb_residual:.3e})",
         file=sys.stderr,
     )
     return EXIT_OK if checks_ok else EXIT_CHECK_FAILED

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .linalg import _l2_norm, _row_norms, as_field_array
+from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen, inv_sqrt
 
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
@@ -153,9 +153,9 @@ def frame_bounds(frame: FrameSeq) -> FrameBounds:
     """Optimal bounds (A, B): smallest and largest eigenvalue of the frame
     operator.  A == 0 signals a sequence that does not span the ambient
     space."""
-    from .linalg import hermitian_eigen
-
-    w, _ = hermitian_eigen(frame_operator(frame))
+    with np.errstate(over="ignore", invalid="ignore"):  # hermitian_eigen rejects inf and NaN
+        S = frame_operator(frame)
+    w, _ = hermitian_eigen(S)
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=float(w[-1]))
 
 
@@ -260,8 +260,6 @@ def canonical_parseval(frame: FrameSeq, dep_tol: float = DEP_TOL) -> FrameSeq:
     vectors kept at zero.  The operator is inverted on the span of the
     frame, so non-spanning inputs work.
     """
-    from .linalg import inv_sqrt
-
     V = frame.vectors
     Q, _, _ = _span_basis(V, dep_tol)
     if Q.shape[0] == 0:

@@ -72,6 +72,14 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
 
     The ``nf * nf`` overflow check stays on the dependent branch.
 
+    Those checks raise :class:`NonFiniteError` on every overflow the
+    pass can meet, but numpy warns first when a product or sum inside
+    them overflows (a residual before full rank can outgrow ``||f||`` when
+    the prefix is not orthonormal, as at ``dep_tol = 0``).  So
+    :func:`ggs_pass` and :func:`~framegs.iteration.iterate` call the
+    kernel under ``np.errstate(over="ignore", invalid="ignore")``, once
+    per call rather than once per pass.
+
     Each step makes as few numpy calls as its field allows, and keeps the
     bits, signed zeros included, of the plain expressions
     ``prefix.conj() @ f``, ``coeffs @ prefix`` and ``np.linalg.norm(g)``:
@@ -167,7 +175,8 @@ def ggs_pass(
         raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
     kinds: list[str] = []
     on_step = (lambda k, kind, G, w, before: kinds.append(kind)) if trace else None
-    G = _pass_array(frame.vectors, dep_tol, on_step)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _pass_array
+        G = _pass_array(frame.vectors, dep_tol, on_step)
     return FrameSeq(G), tuple(kinds)
 
 
@@ -188,10 +197,9 @@ def dependent_update(prefix: FrameSeq, f) -> FrameSeq:
     if not math.isfinite(nf * nf):
         raise NonFiniteError("dependent_update: squared norm overflows")
     k = len(prefix)
-    G = np.zeros((k + 1, prefix.dim), dtype=np.promote_types(prefix.vectors.dtype, arr.dtype))
+    G = np.zeros((k + 1, prefix.dim), dtype=prefix.vectors.dtype)
     G[:k] = prefix.vectors
-    f = arr.astype(G.dtype, copy=False)
-    _apply_dependent_update(G, k, f, nf, (G[:k].conj() @ f).conj())
+    _apply_dependent_update(G, k, arr, nf, (G[:k].conj() @ arr).conj())
     return FrameSeq(G)
 
 

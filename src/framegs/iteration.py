@@ -13,7 +13,6 @@ convergence of the full sequence, which this machinery does not claim.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,15 +28,9 @@ from .frames import (
 from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass
 from .linalg import _l2_norm, _row_norms, as_field_array
 
-
-@dataclass(frozen=True)
-class StabilizationCheck:
-    """Outcome of the last-vector stabilization test.  ``applicable`` is
-    False when the last input vector is zero or dependent, in which case
-    ``residual`` is None."""
-
-    applicable: bool
-    residual: float | None = None
+# largest entry of |Gram - I| over the surviving vectors at which
+# classify_limit calls them near-ONB
+DELTA_ONB = 1e-2
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,6 @@ class RecurrenceReport:
     accumulated_floor: float
     shrink_ceiling: float
     tail_floor: float
-    iterations_checked: int
     pattern_consistent: bool
 
     @property
@@ -115,19 +107,16 @@ class IterationTrace:
     def final(self) -> FrameSeq:
         return self.snapshots[self.iterations_run]
 
-    @cached_property
-    def n_vectors(self) -> int:
-        return self.initial.n_vectors
-
 
 @dataclass(frozen=True)
 class LimitReport:
     """Classification of an iteration endpoint as a zero-extended
-    orthonormal basis.  ``converged`` means the surviving vectors are
+    orthonormal basis.  ``near_onb`` means the surviving vectors are
     orthonormal within ``delta_onb``; it is an empirical statement about
-    the final iterate only."""
+    the final iterate only.  These fields are the ``limit_report`` of
+    ``framegs iterate``."""
 
-    converged: bool
+    near_onb: bool
     iterations_run: int
     zero_indices: tuple[int, ...]
     surviving_indices: tuple[int, ...]
@@ -157,7 +146,6 @@ class _RecurrenceCheck:
         self.deps = deps
         self.pattern = (set(deps), set(zeros))
         self.pattern_consistent = True
-        self.passes = 0
         # update identity, single-step floor, accumulated floor, shrink ceiling, tail floor
         self.worst: list[float | None] = [None] * 5
 
@@ -185,7 +173,6 @@ class _RecurrenceCheck:
     def end(self, cur_norms: np.ndarray) -> tuple[str, ...]:
         """Close the pass whose output has row norms ``cur_norms``;
         return the kinds of its steps."""
-        self.passes += 1
         kinds = tuple(self.kinds)
         dep = {k for k, kind in enumerate(kinds, 1) if kind == KIND_DEPENDENT}
         zero = {k for k, kind in enumerate(kinds, 1) if kind == KIND_ZERO}
@@ -198,7 +185,6 @@ class _RecurrenceCheck:
         single: list[float] = []
         accum: list[float] = []
         ceil: list[float] = []
-        tail: list[float] = []
         x = [prev[k - 1] ** 2 for k in deps]
         for l in range(s):
             floor_l = x[l] / (1.0 + x[l])
@@ -211,8 +197,7 @@ class _RecurrenceCheck:
             if l + 1 < s:
                 after_next = after[deps[l + 1]][deps[l] - 1] ** 2
                 single.append(floor_l / (1.0 + x[l + 1]) - after_next)
-            if l == s - 2:
-                tail.append(floor_l / (1.0 + x[s - 1]) - measured_end)
+        tail = accum[s - 2:s - 1]   # the accumulated floor of the second-to-last index
 
         for i, vals in enumerate((self.upd, single, accum, ceil, tail)):
             if vals:
@@ -228,7 +213,6 @@ class _RecurrenceCheck:
             accumulated_floor=accum,
             shrink_ceiling=ceil,
             tail_floor=tail,
-            iterations_checked=self.passes,
             pattern_consistent=self.pattern_consistent,
         )
 
@@ -275,25 +259,27 @@ def iterate(
     prev = frame.vectors
     m = 0
     stationary = False
-    for m in range(1, max_iter + 1):
-        on_step = check.start(norms[-1]) if check is not None else None
-        try:
-            cur = _pass_array(prev, dep_tol, on_step, norms[-1])
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"iteration {m}: {exc}") from exc
-        delta = _l2_norm(cur - prev)
-        if not math.isfinite(delta):
-            raise NonFiniteError(f"iteration {m}: non-finite state")
-        norms.append(_row_norms(cur))
-        if check is not None:
-            step_traces[m] = check.end(norms[-1])
-        deltas.append(delta)
-        if m % snapshot_stride == 0:
-            snapshots[m] = FrameSeq(cur)
-        prev = cur
-        if delta <= eps_delta:
-            stationary = True
-            break
+    # the pass and the distance raise on what overflows; see ggs._pass_array
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, max_iter + 1):
+            on_step = check.start(norms[-1]) if check is not None else None
+            try:
+                cur = _pass_array(prev, dep_tol, on_step, norms[-1])
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"iteration {m}: {exc}") from exc
+            delta = _l2_norm(cur - prev)
+            if not math.isfinite(delta):
+                raise NonFiniteError(f"iteration {m}: non-finite state")
+            norms.append(_row_norms(cur))
+            if check is not None:
+                step_traces[m] = check.end(norms[-1])
+            deltas.append(delta)
+            if m % snapshot_stride == 0:
+                snapshots[m] = FrameSeq(cur)
+            prev = cur
+            if delta <= eps_delta:
+                stationary = True
+                break
     if m not in snapshots:
         snapshots[m] = FrameSeq(prev)
 
@@ -327,44 +313,7 @@ def closed_form_last_dependent(f, m: int) -> np.ndarray:
     return arr / math.sqrt(1.0 + m * nf2)
 
 
-def check_stabilized_last(frame: FrameSeq, trace: IterationTrace) -> StabilizationCheck:
-    """When the last input vector is independent of its predecessors,
-    measure how far its iterates move: the residual is the largest
-    distance of any recorded g_n^{(m)}, m >= 1, from g_n^{(1)} and from
-    the normalized component of f_n orthogonal to span{f_1, ..., f_{n-1}}.
-    That span is taken from an SVD, independently of the Gram-Schmidt
-    steps of the pass.  ``verify.check_last_vector_stabilization`` holds
-    the bound the residual is judged against."""
-    n = len(frame)
-    if n in trace.dependent_indices or n in trace.input_zero_indices:
-        return StabilizationCheck(applicable=False)
-
-    _, sv, vh = np.linalg.svd(frame.vectors[: n - 1], full_matrices=False)
-    B = vh[sv > 1e-12 * sv.max(initial=0.0)]
-    f_n = frame.vectors[n - 1]
-    r = f_n - (B.conj() @ f_n) @ B
-    expected = r / np.linalg.norm(r)
-
-    recorded = sorted(m for m in trace.snapshots if m >= 1)
-    residual = 0.0
-    baseline = None
-    for m in recorded:
-        g = trace.snapshots[m].vectors[n - 1]
-        if baseline is None:
-            baseline = g
-        residual = max(
-            residual,
-            float(np.linalg.norm(g - expected)),
-            float(np.linalg.norm(g - baseline)),
-        )
-    return StabilizationCheck(applicable=True, residual=residual)
-
-
-def classify_limit(
-    trace: IterationTrace,
-    delta_zero: float | None = None,
-    delta_onb: float = 1e-2,
-) -> LimitReport:
+def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> LimitReport:
     """Classify the final iterate as a zero-extended orthonormal basis.
 
     ``delta_zero`` defaults to 2/sqrt(M): the vanishing indices decay
@@ -388,21 +337,21 @@ def classify_limit(
         Gs = final.vectors[[k - 1 for k in surviving]]
         gram = Gs @ Gs.conj().T
         onb_residual = float(np.max(np.abs(gram - np.eye(len(surviving)))))
-        converged = onb_residual <= delta_onb
+        near_onb = onb_residual <= DELTA_ONB
     else:
         onb_residual = 0.0
         # the empty set is a basis only of the zero span
-        converged = len(trace.input_zero_indices) == final_norms.shape[0]
+        near_onb = len(trace.input_zero_indices) == final_norms.shape[0]
     predicted = tuple(sorted(set(trace.dependent_indices) | set(trace.input_zero_indices)))
     return LimitReport(
-        converged=converged,
+        near_onb=near_onb,
         iterations_run=M,
         zero_indices=zero_idx,
         surviving_indices=surviving,
         onb_residual=onb_residual,
         prediction_match=zero_idx == predicted,
         delta_zero=delta_zero,
-        delta_onb=delta_onb,
+        delta_onb=DELTA_ONB,
     )
 
 

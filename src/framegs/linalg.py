@@ -116,7 +116,8 @@ def hermitian_eigen(matrix, sweep_tol=JACOBI_SWEEP_TOL, max_sweeps=JACOBI_MAX_SW
     """
     a = check_hermitian(matrix)
     d = a.shape[0]
-    with np.errstate(over="ignore"):  # overflow is caught explicitly below
+    # overflow, and the NaN that 0.5 * (inf + 0j) makes of it, are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
         A = 0.5 * (a + a.conj().T)  # exact-Hermitian working copy
         fro = np.linalg.norm(A)
     if not math.isfinite(fro):

@@ -35,7 +35,7 @@ from .generate import (
     random_onb_frame,
 )
 from .ggs import KIND_DEPENDENT, _pass_array, ggs_pass
-from .iteration import check_stabilized_last, classify_limit, iterate
+from .iteration import DELTA_ONB, classify_limit, iterate
 
 
 @dataclass(frozen=True)
@@ -190,18 +190,30 @@ def check_non_onb_movement(frames) -> CheckResult:
 
 
 def check_last_vector_stabilization(frames) -> CheckResult:
-    """Each frame's last vector must be nonzero and independent of its
-    predecessors, and :func:`check_stabilized_last` must hold over 20
-    iterations, every iterate recorded."""
+    """Each frame's last vector f_n must be nonzero and independent of its
+    predecessors, and over 20 iterations, every iterate recorded, no
+    g_n^{(m)}, m >= 1, may lie farther than 1e-10 from g_n^{(1)} or from
+    the normalized component of f_n orthogonal to span{f_1, ..., f_{n-1}}.
+    That span is taken from an SVD, independently of the Gram-Schmidt
+    steps of the pass."""
     worst = 0.0
     bad = 0
     for F in frames:
+        n = len(F)
         tr = iterate(F, max_iter=20, eps_delta=0.0)
-        chk = check_stabilized_last(F, tr)
-        if not chk.applicable:
+        if n in tr.dependent_indices or n in tr.input_zero_indices:
             bad += 1
             continue
-        worst = max(worst, chk.residual)
+        _, sv, vh = np.linalg.svd(F.vectors[: n - 1], full_matrices=False)
+        B = vh[sv > 1e-12 * sv.max(initial=0.0)]
+        f_n = F.vectors[n - 1]
+        r = f_n - (B.conj() @ f_n) @ B
+        expected = r / np.linalg.norm(r)
+        first = tr.snapshots[1].vectors[n - 1]
+        for m in range(1, tr.iterations_run + 1):
+            g = tr.snapshots[m].vectors[n - 1]
+            worst = max(worst, float(np.linalg.norm(g - expected)),
+                        float(np.linalg.norm(g - first)))
     return _result(
         "last_vector_stabilization",
         worst,
@@ -235,8 +247,7 @@ def check_recurrences() -> CheckResult:
                      snapshot_stride=50, trace_steps=True)
         rep = tr.recurrences
         worst = max(worst, rep.max_violation)
-        consistent = (consistent and rep.pattern_consistent
-                      and rep.iterations_checked == 50)
+        consistent = consistent and rep.pattern_consistent and tr.iterations_run == 50
     return _result(
         "recurrence_battery", worst, 1e-12, extra_ok=consistent,
         detail="fig1 + fig3, 50 iterations each",
@@ -244,26 +255,25 @@ def check_recurrences() -> CheckResult:
 
 
 def check_limit_classification(names, max_iter) -> CheckResult:
-    delta_onb = 1e-2
     worst_resid = 0.0
     worst_l2 = 0.0
     mismatches = []
     for name in names:
         tr = iterate(example_frame(name), max_iter=max_iter, eps_delta=0.0,
                      snapshot_stride=max_iter)
-        rep = classify_limit(tr, delta_onb=delta_onb)
+        rep = classify_limit(tr)
         if not rep.prediction_match:
             mismatches.append(name)
         worst_resid = max(worst_resid, rep.onb_residual)
         # every iterate is Parseval for the input's span: energy = its dimension
-        rank = tr.n_vectors - len(tr.dependent_indices) - len(tr.input_zero_indices)
+        rank = tr.initial.n_vectors - len(tr.dependent_indices) - len(tr.input_zero_indices)
         sums = (tr.norms[1:] ** 2).sum(axis=1)
         worst_l2 = max(worst_l2, float(np.max(np.abs(sums - rank))))
     ok = not mismatches and worst_l2 <= 1e-9
     detail = f"{' '.join(names)} at M={max_iter}; l2 identity off by {worst_l2:.2e} <= 1e-9"
     if mismatches:
         detail += f"; zero-pattern mismatch: {','.join(mismatches)}"
-    return _result("limit_classification", worst_resid, delta_onb, extra_ok=ok, detail=detail)
+    return _result("limit_classification", worst_resid, DELTA_ONB, extra_ok=ok, detail=detail)
 
 
 def check_gram_schmidt_degeneration(frames) -> CheckResult:

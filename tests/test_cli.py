@@ -184,6 +184,27 @@ class TestRunInputErrors:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert err[0].endswith("matrix Frobenius norm overflows"), err
 
+    @pytest.mark.parametrize(
+        "command, field, vectors, message",
+        [
+            # the distance between the input and the first iterate overflows
+            ("iterate", "real", [[1e154, 0], [0, 1e154]], "iteration 1: non-finite state"),
+            # symmetrizing the frame operator gives inf, and 0.5 * (inf + 0j) a NaN
+            ("run", "complex", [[[1e154, 0]]], "matrix Frobenius norm overflows"),
+        ],
+        ids=["iterate-distance", "run-complex-operator"],
+    )
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, command, field, vectors, message):
+        # a fresh process, because numpy prints a given warning only once per process
+        inp = write_frame(tmp_path / "huge.json", len(vectors[0]), field, vectors)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framegs.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "framegs.cli", command, "--input", inp],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert err[0].endswith(message), err
+
     @pytest.mark.parametrize("command", ["run", "iterate"])
     def test_zero_dep_tol_on_overcomplete_frame(self, tmp_path, capsys, command):
         # at dep_tol 0 the last two of five vectors in R^3 still take the dependent

@@ -1,0 +1,87 @@
+"""Seeded sweep of ``framegs run`` and ``framegs iterate`` over extreme inputs.
+
+Every input must end in exit 0, exit 1 (a failed check) or exit 2 with
+exactly one ``error: `` line on stderr; no exception may escape
+``cli.main`` and numpy may not emit a warning on the way.
+"""
+
+import json
+import warnings
+
+import numpy as np
+
+from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+
+N_INPUTS = 300
+DEP_TOLS = (0.0, 1e-12, 1e-10, 1e-6, 0.1, 0.6, 0.99)
+COMMANDS = (
+    ["run"],
+    ["run", "--trace", "steps"],
+    ["iterate", "--max-iter", "30"],
+    ["iterate", "--max-iter", "30", "--trace", "steps"],
+)
+
+
+def _gaussian(rng, shape, field):
+    # unit variance per part: generate._gaussian's complex entries draw a
+    # different stream, on which 300 inputs meet no kernel overflow
+    if field == "complex":
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
+
+
+def _extreme_frame(rng) -> dict:
+    """A frame document with n <= 20 vectors in dimension d <= 8, entries
+    from 1e-300 to 1e200 in magnitude, and rows of signed zeros, exact
+    dependents and near-dependents (gaps 1e-12 to 1e-3)."""
+    field = "complex" if rng.random() < 0.5 else "real"
+    n, d = int(rng.integers(1, 21)), int(rng.integers(1, 9))
+    V = _gaussian(rng, (n, d), field)
+    for k in range(n):
+        r = rng.random()
+        if r < 0.1:
+            V.real[k] = np.copysign(0.0, rng.standard_normal(d))
+            if field == "complex":
+                V.imag[k] = np.copysign(0.0, rng.standard_normal(d))
+        elif k and r < 0.3:
+            V[k] = _gaussian(rng, k, field) @ V[:k]
+        elif k and r < 0.45:
+            gap = 10.0 ** rng.uniform(-12, -3)
+            V[k] = _gaussian(rng, k, field) @ V[:k] + gap * _gaussian(rng, d, field)
+    if rng.random() < 1 / 3:
+        # the largest row norm just below 1.34e154, where its square overflows
+        top = np.linalg.norm(V, axis=1).max()
+        if top > 0.0:
+            V = V * (10.0 ** rng.uniform(153.9, 154.12) / top)
+    elif rng.random() < 0.5:
+        V = V * 10.0 ** rng.uniform(-300, 200)
+    else:   # one magnitude per row
+        V = V * 10.0 ** rng.uniform(-300, 200, size=(n, 1))
+    if field == "complex":
+        vectors = np.stack([V.real, V.imag], axis=-1).tolist()
+    else:
+        vectors = V.tolist()
+    return {"dim": d, "field": field, "vectors": vectors}
+
+
+def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(20161)
+    inp, out = tmp_path / "frame.json", str(tmp_path / "out")
+    for i in range(N_INPUTS):
+        doc = _extreme_frame(rng)
+        inp.write_text(json.dumps(doc))
+        dep_tol = str(DEP_TOLS[int(rng.integers(len(DEP_TOLS)))])
+        for command in COMMANDS:
+            argv = [*command, "--input", str(inp), "--dep-tol", dep_tol, "--output", out]
+            case = f"input {i} ({doc['field']} {len(doc['vectors'])}x{doc['dim']}), {argv}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    rc = main(argv)
+                except Exception as exc:
+                    raise AssertionError(f"{case}: {exc!r} escaped main") from exc
+            err = capsys.readouterr().err.splitlines()
+            assert not caught, f"{case}: {caught[0].category.__name__}: {caught[0].message}"
+            assert rc in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), case
+            if rc == EXIT_INPUT_ERROR:
+                assert len(err) == 1 and err[0].startswith("error: "), f"{case}: {err}"

@@ -14,7 +14,6 @@ from framegs.generate import (
 )
 from framegs.iteration import (
     RecurrenceReport,
-    check_stabilized_last,
     classify_limit,
     closed_form_last_dependent,
     is_fixed_point,
@@ -22,6 +21,7 @@ from framegs.iteration import (
     trace_csv_rows,
     trace_to_dict,
 )
+from framegs.verify import check_last_vector_stabilization
 
 RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
@@ -135,44 +135,44 @@ class TestClosedForm:
 
 
 class TestStabilizedLast:
+    """Criterion 5 on single frames: 20 iterations, every iterate recorded."""
+
     def test_two_vector_frame(self):
         F = FrameSeq(np.array([[2.0, 0.0], [1.0, 1.0]]))
+        res = check_last_vector_stabilization([F])
+        assert res.ok and res.value <= 1e-10
         tr = iterate(F, max_iter=20, eps_delta=0.0)
-        chk = check_stabilized_last(F, tr)
-        assert chk.applicable and chk.residual <= 1e-10
         np.testing.assert_allclose(tr.final.vectors[1], [0.0, 1.0], atol=1e-12)
 
     def test_orthonormal_pair(self):
-        F = FrameSeq(np.eye(2))
-        tr = iterate(F, max_iter=5)
-        chk = check_stabilized_last(F, tr)
-        assert chk.applicable and chk.residual <= 1e-12
+        res = check_last_vector_stabilization([FrameSeq(np.eye(2))])
+        assert res.ok and res.value <= 1e-12
 
     def test_fig1_inapplicable(self):
-        tr = iterate(FIG1, max_iter=5, eps_delta=0.0)
-        chk = check_stabilized_last(FIG1, tr)
-        assert not chk.applicable
-        assert chk.residual is None
+        res = check_last_vector_stabilization([FIG1])
+        assert not res.ok
+        assert res.value == 0.0
+        assert "1 inapplicable" in res.detail
 
     def test_single_vector_frame(self):
         F = FrameSeq(np.array([[3.0, 4.0]]))
+        res = check_last_vector_stabilization([F])
+        assert res.ok and res.value <= 1e-10
         tr = iterate(F, max_iter=10)
-        chk = check_stabilized_last(F, tr)
-        assert chk.applicable and chk.residual <= 1e-10
         np.testing.assert_allclose(tr.final.vectors[0], [0.6, 0.8], atol=1e-14)
 
     def test_random_frames_with_independent_last(self):
         rng = np.random.default_rng(45)
+        frames = []
         for _ in range(20):
             d = int(rng.integers(2, 7))
             n = int(rng.integers(2, 10))
             Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             body = rng.standard_normal((n, d - 1)) @ Q[:, : d - 1].T
             last = rng.standard_normal(d - 1) @ Q[:, : d - 1].T + 1.5 * Q[:, d - 1]
-            F = FrameSeq(np.vstack([body, last[None, :]]))
-            tr = iterate(F, max_iter=20, eps_delta=0.0)
-            chk = check_stabilized_last(F, tr)
-            assert chk.applicable and chk.residual <= 1e-10
+            frames.append(FrameSeq(np.vstack([body, last[None, :]])))
+        res = check_last_vector_stabilization(frames)
+        assert res.ok and res.value <= 1e-10
 
 
 class TestValidateRecurrences:
@@ -181,7 +181,7 @@ class TestValidateRecurrences:
         tr = iterate(example_frame(name), max_iter=50, eps_delta=0.0, trace_steps=True)
         rep = tr.recurrences
         assert rep.pattern_consistent
-        assert rep.iterations_checked == 50
+        assert tr.iterations_run == 50
         assert rep.update_identity <= 1e-12
         assert rep.single_step_floor <= 1e-12
         assert rep.accumulated_floor <= 1e-12
@@ -288,7 +288,6 @@ def _per_row_validate_recurrences(trace):
         accumulated_floor=top(accum),
         shrink_ceiling=top(ceil),
         tail_floor=top(tail),
-        iterations_checked=trace.iterations_run,
         pattern_consistent=pattern_consistent,
     )
 
@@ -321,7 +320,7 @@ class TestClassifyLimit:
         assert rep.zero_indices == (3,)
         assert rep.surviving_indices == (1, 2)
         assert rep.onb_residual <= 1e-2
-        assert rep.converged and rep.prediction_match
+        assert rep.near_onb and rep.prediction_match
         assert rep.delta_zero == pytest.approx(2 / math.sqrt(1000))
 
     def test_fig3_two_survivors(self):
@@ -359,13 +358,13 @@ class TestClassifyLimit:
         tr = iterate(FIG1, max_iter=50, eps_delta=0.0, dep_tol=0.99)
         rep = classify_limit(tr)
         assert rep.surviving_indices == ()
-        assert not rep.converged
+        assert not rep.near_onb
 
     def test_all_zero_frame_has_the_empty_basis(self):
         tr = iterate(FrameSeq(np.zeros((3, 2))), max_iter=5)
         rep = classify_limit(tr)
         assert rep.surviving_indices == ()
-        assert rep.converged and rep.prediction_match
+        assert rep.near_onb and rep.prediction_match
 
 
 class TestIsFixedPoint:
