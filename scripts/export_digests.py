@@ -10,6 +10,13 @@ their exports, status lines and exit codes are byte-identical:
     PYTHONPATH=src python3 scripts/export_digests.py > b.txt
     diff a.txt b.txt
 
+``--show N`` prints the bytes behind the N-th digest (1-based) instead:
+the N-th call's stdout followed by its stderr.  Running it under both
+trees and diffing the two shows what a differing digest changed:
+
+    diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
+            <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
+
 Besides the builtin examples, the calls read two input files that the
 script writes into a temporary directory with numpy's own generator, so
 both source trees read the same bytes: a complex 64x16 frame with rows in
@@ -19,6 +26,7 @@ that directory as their working directory and name the files relatively,
 so no temporary path reaches the digests.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -64,6 +72,12 @@ def _input_frames():
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--show", type=int, metavar="N",
+                        help="print the stdout and stderr of call N (1-based) instead of the digests")
+    args = parser.parse_args()
+    if args.show is not None and not 1 <= args.show <= len(CALLS):
+        parser.error(f"--show: expected a call number in [1, {len(CALLS)}]")
     env = dict(os.environ)
     # the calls run in the temporary directory, so a relative PYTHONPATH must not move with them
     paths = env.get("PYTHONPATH", "").split(os.pathsep)
@@ -72,9 +86,13 @@ def main() -> int:
         for name, doc in _input_frames().items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        for argv in CALLS:
+        calls = CALLS if args.show is None else [CALLS[args.show - 1]]
+        for argv in calls:
             proc = subprocess.run([sys.executable, "-m", "framegs.cli", *argv],
                                   capture_output=True, cwd=tmp, env=env)
+            if args.show is not None:
+                sys.stdout.buffer.write(proc.stdout + proc.stderr)
+                continue
             digest = hashlib.sha256(proc.stdout + proc.stderr).hexdigest()
             print(f"{digest} {proc.returncode} {shlex.join(argv)}", flush=True)
     return 0

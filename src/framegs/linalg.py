@@ -7,9 +7,18 @@ array itself, so the results need no branching.  All inputs are
 validated to be finite; NaN or Inf raises
 :class:`~framegs.errors.NonFiniteError` instead of propagating.
 
-The eigensolver is a cyclic Jacobi iteration.  Problem sizes here are tiny
-(dimension a few dozen at most), where Jacobi is simple, accurate and
-backward stable.
+Two routes take a Hermitian matrix apart, one per function:
+
+* :func:`hermitian_eigen`, behind ``frames.frame_bounds``, is a cyclic
+  Jacobi iteration written in Python.  It is simple, accurate and
+  backward stable, but every sweep applies its d(d-1)/2 rotations one at
+  a time, so it is slow past a few dozen dimensions: a fraction of a
+  second at d = 64, seconds at d = 128.
+* :func:`inv_sqrt`, behind ``frames.canonical_parseval``, takes the
+  eigendecomposition from LAPACK's symmetric eigensolver
+  (``np.linalg.eigh``).
+
+Both run the same input checks first (:func:`_hermitian_copy`).
 """
 
 import math
@@ -101,21 +110,11 @@ def check_hermitian(matrix, tol=HERMITIAN_TOL):
     return a
 
 
-def hermitian_eigen(matrix, sweep_tol=JACOBI_SWEEP_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` ascending and the columns of
-    ``V`` the corresponding orthonormal eigenvectors, so that
-    ``matrix @ V[:, i] == w[i] * V[:, i]``.
-
-    Sweeps stop once the off-diagonal Frobenius mass falls below
-    ``sweep_tol`` times the Frobenius norm of the input, or after
-    ``max_sweeps`` full sweeps (which raises, but is unreachable for the
-    matrix sizes this package handles).  A matrix whose Frobenius norm
-    overflows raises :class:`NonFiniteError`.
-    """
+def _hermitian_copy(matrix):
+    """The exact-Hermitian copy ``0.5 * (a + a*)`` of a matrix that passes
+    :func:`check_hermitian`, and its Frobenius norm.  A Frobenius norm that
+    overflows raises :class:`NonFiniteError` without a numpy warning."""
     a = check_hermitian(matrix)
-    d = a.shape[0]
     # overflow, and the NaN that 0.5 * (inf + 0j) makes of it, are caught below
     with np.errstate(over="ignore", invalid="ignore"):
         A = 0.5 * (a + a.conj().T)  # exact-Hermitian working copy
@@ -123,14 +122,32 @@ def hermitian_eigen(matrix, sweep_tol=JACOBI_SWEEP_TOL, max_sweeps=JACOBI_MAX_SW
     if not math.isfinite(fro):
         # every off-diagonal norm is at most fro, so no later norm overflows
         raise NonFiniteError("matrix Frobenius norm overflows")
+    return A, fro
+
+
+def hermitian_eigen(matrix):
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Returns ``(w, V)`` with eigenvalues ``w`` ascending and the columns of
+    ``V`` the corresponding orthonormal eigenvectors, so that
+    ``matrix @ V[:, i] == w[i] * V[:, i]``.
+
+    Sweeps stop once the off-diagonal Frobenius mass falls below
+    ``JACOBI_SWEEP_TOL`` times the Frobenius norm of the input, or after
+    ``JACOBI_MAX_SWEEPS`` full sweeps, which raises
+    :class:`JacobiConvergenceError`.  A matrix whose Frobenius norm
+    overflows raises :class:`NonFiniteError`.
+    """
+    A, fro = _hermitian_copy(matrix)
+    d = A.shape[0]
     V = np.eye(d, dtype=A.dtype)
     if d == 1 or fro == 0.0:
         w = np.diag(A).real.copy()
         order = np.argsort(w, kind="stable")
         return w[order], V[:, order]
 
-    threshold = sweep_tol * fro
-    for _ in range(max_sweeps):
+    threshold = JACOBI_SWEEP_TOL * fro
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = _offdiag_norm(A)
         if off <= threshold:
             break
@@ -170,7 +187,7 @@ def hermitian_eigen(matrix, sweep_tol=JACOBI_SWEEP_TOL, max_sweeps=JACOBI_MAX_SW
     if _offdiag_norm(A) > threshold:
         raise JacobiConvergenceError(
             f"off-diagonal mass {_offdiag_norm(A):.3e} above {threshold:.3e} "
-            f"after {max_sweeps} sweeps"
+            f"after {JACOBI_MAX_SWEEPS} sweeps"
         )
     w = np.diag(A).real.copy()
     order = np.argsort(w, kind="stable")
@@ -188,11 +205,14 @@ def inv_sqrt(matrix, floor=None):
     """Inverse square root of a Hermitian positive-definite matrix.
 
     Returns ``R = V diag(w**-0.5) V*`` so that ``R @ matrix @ R`` is the
-    identity.  ``floor`` is the positivity threshold on eigenvalues; the
-    default is 1e-12 times the largest eigenvalue.  An eigenvalue at or
-    below the floor raises :class:`RankDeficientError`.
+    identity, with ``(w, V)`` from LAPACK's symmetric eigensolver
+    (``np.linalg.eigh``).  ``floor`` is the positivity threshold on
+    eigenvalues; the default is 1e-12 times the largest eigenvalue.  An
+    eigenvalue at or below the floor raises :class:`RankDeficientError`.
+    The input checks are those of :func:`hermitian_eigen`.
     """
-    w, V = hermitian_eigen(matrix)
+    A, _ = _hermitian_copy(matrix)
+    w, V = np.linalg.eigh(A)
     lam_max = w[-1]
     if floor is None:
         floor = 1e-12 * max(lam_max, 0.0)

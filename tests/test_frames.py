@@ -21,7 +21,7 @@ from framegs.frames import (
     span_projection,
     zero_indices,
 )
-from framegs.generate import example_frame, random_frame_corpus
+from framegs.generate import example_frame, random_frame, random_frame_corpus
 from framegs.ggs import KIND_INDEPENDENT, KIND_ZERO, ggs_pass
 
 RT2 = math.sqrt(2.0)
@@ -192,6 +192,23 @@ class TestCanonicalParseval:
             G = canonical_parseval(F)
             rank = F.n_vectors - len(dependency_profile(F)) - len(zero_indices(F))
             assert abs(float((G.norms() ** 2).sum()) - rank) <= 1e-10
+
+    @staticmethod
+    def _polar_factor(V):
+        """U_r Vh_r from an SVD of the rows: the canonical Parseval frame
+        by a route that shares no code with the package."""
+        U, s, Vh = np.linalg.svd(V, full_matrices=False)
+        r = int((s > 1e-10 * s[0]).sum())
+        return U[:, :r] @ Vh[:r]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n, n_dependent", [(200, 50), (60, 20)], ids=["spanning", "rank40"])
+    def test_matches_polar_factor_at_d64(self, field, n, n_dependent):
+        F = random_frame(11, 64, n, field, n_dependent)
+        Q, _, _ = _span_basis(F.vectors, DEP_TOL)
+        assert Q.shape[0] == min(64, n - n_dependent)   # 40: the span-coordinates path
+        G = canonical_parseval(F)
+        assert np.linalg.norm(G.vectors - self._polar_factor(F.vectors)) <= 1e-10
 
 
 class TestReconstruct:

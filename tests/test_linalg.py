@@ -175,3 +175,52 @@ class TestInvSqrt:
             inv_sqrt(M, floor=1e-6)
         R = inv_sqrt(M, floor=1e-12)
         np.testing.assert_allclose(R @ M @ R, np.eye(2), atol=1e-10)
+
+
+class TestInvSqrtLapackRoute:
+    """``inv_sqrt`` takes its eigendecomposition from LAPACK
+    (``np.linalg.eigh``) and its input checks from the Jacobi route."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_frobenius_overflow_raises_without_warning(self, field):
+        M = np.array([[1.0 + 1e306, 1e306], [1e306, 1.0 + 1e306]])
+        if field == "complex":
+            M = M.astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="Frobenius norm overflows"):
+                inv_sqrt(M)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            inv_sqrt(np.array([[2.0, 1.0], [-1.0, 2.0]]))
+
+    def test_zero_matrix_is_rank_deficient(self):
+        with pytest.raises(RankDeficientError):
+            inv_sqrt(np.zeros((3, 3)))
+
+    @staticmethod
+    def _positive_definite(rng, d, field):
+        A = rng.normal(size=(d + 2, d))
+        if field == "complex":
+            A = A + 1j * rng.normal(size=(d + 2, d))
+        return A.conj().T @ A + 0.1 * np.eye(d)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_defining_identity_up_to_d64(self, field):
+        rng = np.random.default_rng(106 if field == "real" else 107)
+        for d in (*range(1, 17), 24, 32, 48, 64):
+            M = self._positive_definite(rng, d, field)
+            R = inv_sqrt(M)
+            assert np.linalg.norm(R @ M @ R - np.eye(d)) <= 1e-10 * np.linalg.cond(M)
+            np.testing.assert_array_equal(R, R.conj().T)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_agrees_with_jacobi_route(self, field):
+        rng = np.random.default_rng(108 if field == "real" else 109)
+        for d in range(1, 17):
+            M = self._positive_definite(rng, d, field)
+            w, V = hermitian_eigen(M)
+            expected = (V * w ** -0.5) @ V.conj().T
+            R = inv_sqrt(M)
+            assert np.linalg.norm(R - expected) <= 1e-12 * np.linalg.norm(expected)
