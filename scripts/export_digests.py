@@ -17,13 +17,16 @@ trees and diffing the two shows what a differing digest changed:
     diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
             <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
 
-Besides the builtin examples, the calls read two input files that the
-script writes into a temporary directory with numpy's own generator, so
-both source trees read the same bytes: a complex 64x16 frame with rows in
-the span of earlier ones, and a real 40x6 frame with -0.0 entries and a
-zero row.  Most steps of both come after full rank.  The calls run with
-that directory as their working directory and name the files relatively,
-so no temporary path reaches the digests.
+Besides the builtin examples, the calls read three input files that the
+script writes into a temporary directory, so both source trees read the
+same bytes: a complex 64x16 frame with rows in the span of earlier ones
+and a real 40x6 frame with -0.0 entries and a zero row, both from numpy's
+own generator, most of whose steps come after full rank; and a fixed real
+5x3 frame on which, at ``--dep-tol 0.6``, the pass routes vectors that
+lie outside the span of their predecessors dependent, and routes vector 5
+differently in its first and later passes.  The calls run with that
+directory as their working directory and name the files relatively, so no
+temporary path reaches the digests.
 """
 
 import argparse
@@ -39,6 +42,7 @@ import numpy as np
 
 EXAMPLES = ("fig1", "fig2", "fig3")
 INPUTS = ("complex64x16.json", "real40x6.json")
+DRIFT = "drift.json"
 
 CALLS = [
     *(["run", "--example", name, "--format", fmt] for name in EXAMPLES for fmt in ("json", "csv")),
@@ -52,11 +56,15 @@ CALLS = [
     ["verify", "--seed", "0", "--random-frames", "10"],
     *(["run", "--input", name, "--trace", "steps"] for name in INPUTS),
     *(["iterate", "--input", name, "--trace", "steps", "--max-iter", "50"] for name in INPUTS),
+    # the dependent indices are those of the routing of the first pass
+    ["run", "--input", DRIFT, "--dep-tol", "0.6", "--trace", "steps"],
+    ["iterate", "--input", DRIFT, "--dep-tol", "0.6", "--max-iter", "10", "--eps-delta", "0",
+     "--trace", "steps"],
 ]
 
 
 def _input_frames():
-    """The two input documents, keyed by file name."""
+    """The three input documents, keyed by file name."""
     rng = np.random.default_rng(20160226)
     C = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
     for k in (5, 11, 30, 47):   # in the span of the rows before them
@@ -68,6 +76,9 @@ def _input_frames():
         INPUTS[0]: {"dim": 16, "field": "complex",
                     "vectors": [[[z.real, z.imag] for z in row] for row in C.tolist()]},
         INPUTS[1]: {"dim": 6, "field": "real", "vectors": R.tolist()},
+        DRIFT: {"dim": 3, "field": "real",
+                "vectors": [[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
+                            [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]},
     }
 
 

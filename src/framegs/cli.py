@@ -22,16 +22,9 @@ import sys
 import numpy as np
 
 from .errors import FrameError
-from .frames import (
-    DEP_TOL,
-    FrameSeq,
-    dependency_profile,
-    frame_bounds,
-    is_parseval,
-    zero_indices,
-)
+from .frames import DEP_TOL, FrameSeq, frame_bounds, is_parseval, zero_indices
 from .generate import EXAMPLE_NAMES, example_frame
-from .ggs import ggs_pass
+from .ggs import ggs_pass, steps_of
 from .iteration import (
     _trace_document,
     classify_limit,
@@ -181,17 +174,17 @@ def _csv_text(header, rows) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     F = load_input_frame(args)
-    G, kinds = ggs_pass(F, args.dep_tol, trace=args.trace == "steps")
+    G, kinds = ggs_pass(F, args.dep_tol)
     chk = is_parseval(G, dep_tol=args.dep_tol)
     report = {
         "parseval_residual": chk.residual,
         "parseval_ok": chk.ok,
         "output_bounds": list(frame_bounds(G)),
         "input_bounds": list(frame_bounds(F)),
-        "dependent_indices": list(dependency_profile(F, args.dep_tol)),
+        "dependent_indices": list(steps_of(kinds)),
         "input_zero_indices": list(zero_indices(F)),
     }
-    if kinds:
+    if args.trace == "steps":
         report["step_kinds"] = list(kinds)
     if args.fmt == "json":
         _emit(_json_dumps({"frame": G.to_dict(), "report": report}), args.output)

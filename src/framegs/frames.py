@@ -5,11 +5,12 @@ vectors over one scalar field.  Order matters everywhere in this package:
 the generalized Gram-Schmidt pass processes vectors strictly in sequence,
 so no operation here ever reorders.
 
-All span-sensitive operations (``is_parseval``, ``canonical_parseval``,
-``dependency_profile``) are *span-relative*: a Parseval frame for a proper
+The span-sensitive operations (``span_projection``, ``is_parseval``,
+``canonical_parseval``) are *span-relative*: a Parseval frame for a proper
 subspace passes verification against the projection onto its own span, not
 against the ambient identity.  Inputs that do not span the ambient space
-are therefore first-class citizens.
+are therefore first-class citizens.  Which vectors are dependent is not
+decided here but by the routing of the pass (``dependency_profile``).
 """
 
 import math
@@ -180,19 +181,16 @@ def zero_indices(frame: FrameSeq) -> tuple[int, ...]:
     return tuple(int(i + 1) for i in np.flatnonzero(norms <= _zero_threshold(norms)))
 
 
-def _span_basis(V: np.ndarray, dep_tol: float):
-    """Sequential Gram-Schmidt factorization of the rows of ``V``.
+def _span_basis(V: np.ndarray, dep_tol: float) -> np.ndarray:
+    """Orthonormal basis of the row span of ``V``, as the rows of Q.
 
-    Returns ``(Q, dependent, zeros)`` where the rows of Q are an
-    orthonormal basis of the row span, ``dependent`` lists the 1-based
-    indices of nonzero rows falling within relative distance ``dep_tol``
-    of the span of their predecessors, and ``zeros`` lists the (near-)zero
-    rows.  One re-orthogonalization pass keeps Q orthonormal to roundoff.
-    Once the rank reaches d, every later nonzero row is dependent without
-    a test: its residual could only be roundoff, which at ``dep_tol = 0``
-    would otherwise ask for a (d+1)-th basis vector.  The pass kernel,
-    ``ggs._pass_array``, routes by the same rule after min(n, d)
-    independent routes.
+    Sequential Gram-Schmidt: a nonzero row joins the basis when its
+    residual against the basis so far exceeds ``dep_tol * max(1, ||v||)``.
+    One re-orthogonalization pass keeps Q orthonormal to roundoff.  The
+    walk stops once the rank reaches min(n, d), so a later row, whose
+    residual could only be roundoff, never asks for one basis vector too
+    many at ``dep_tol = 0``.  This gives the span, not the routing of the
+    pass: :func:`dependency_profile` reads that from the pass itself.
     """
     n, d = V.shape
     with np.errstate(over="ignore"):
@@ -202,14 +200,10 @@ def _span_basis(V: np.ndarray, dep_tol: float):
     Q = np.zeros((full, d), dtype=V.dtype)
     is_complex = V.dtype.kind == "c"
     rank = 0
-    dependent = []
-    zeros = []
     for k, nf in enumerate(norms.tolist()):
+        if rank == full:
+            break
         if nf <= zthresh:
-            zeros.append(k + 1)
-            continue
-        if rank == full:   # Q spans the whole space: every nonzero row lies in it
-            dependent.append(k + 1)
             continue
         r = V[k]
         if rank:
@@ -219,25 +213,27 @@ def _span_basis(V: np.ndarray, dep_tol: float):
                 r = r - ((Bc @ r) @ B if is_complex else Bc.dot(r).dot(B))
         rn = _l2_norm(r)
         if rn <= dep_tol * max(1.0, nf):
-            dependent.append(k + 1)
-        else:
-            np.divide(r, rn, out=Q[rank])
-            rank += 1
-    return Q[:rank], dependent, zeros
+            continue
+        np.divide(r, rn, out=Q[rank])
+        rank += 1
+    return Q[:rank]
 
 
 def dependency_profile(frame: FrameSeq, tol: float = DEP_TOL) -> tuple[int, ...]:
-    """1-based indices of nonzero vectors lying (within relative residual
-    ``tol``) in the span of their predecessors.  Zero vectors are not
-    dependent; query them with :func:`zero_indices`."""
-    _, dependent, _ = _span_basis(frame.vectors, tol)
-    return tuple(dependent)
+    """1-based indices of the dependent steps of one pass over ``frame``
+    at ``dep_tol = tol``: the nonzero vectors the pass routes to its
+    dependent branch.  Zero vectors are not dependent; query them with
+    :func:`zero_indices`."""
+    from .ggs import ggs_pass, steps_of   # ggs imports this module
+
+    _, kinds = ggs_pass(frame, tol)
+    return steps_of(kinds)
 
 
 def span_projection(frame: FrameSeq, dep_tol: float = DEP_TOL) -> np.ndarray:
     """Orthogonal projection onto the span of the frame, as a (d, d)
     matrix."""
-    Q, _, _ = _span_basis(frame.vectors, dep_tol)
+    Q = _span_basis(frame.vectors, dep_tol)
     return Q.T @ Q.conj()
 
 
@@ -261,7 +257,7 @@ def canonical_parseval(frame: FrameSeq, dep_tol: float = DEP_TOL) -> FrameSeq:
     frame, so non-spanning inputs work.
     """
     V = frame.vectors
-    Q, _, _ = _span_basis(V, dep_tol)
+    Q = _span_basis(V, dep_tol)
     if Q.shape[0] == 0:
         return FrameSeq(V)  # all-zero sequence maps to itself
     coords = V @ Q.conj().T                  # (n, rank)

@@ -40,10 +40,16 @@ def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: 
     np.multiply(f, shrink, out=G[k])
 
 
-def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.ndarray:
-    """Array-level pass kernel.  ``on_step(k0, kind, G, w, before)`` is
-    called after each step when given; ``w``/``before`` are set only on
-    dependent steps.  ``norms``, when given, must be the row norms of
+def _pass_array(
+    V: np.ndarray, dep_tol: float, on_step=None, norms=None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Array-level pass kernel.  Returns the output rows and the branch
+    each step took, one of ``KIND_ZERO``, ``KIND_INDEPENDENT``,
+    ``KIND_DEPENDENT`` per input vector, recorded as the step is routed:
+    the one routing rule of the package, from which every dependent-index
+    list is read (:func:`steps_of`).  ``on_step(k0, kind, G, w, before)``
+    is called after each step when given; ``w``/``before`` are set only
+    on dependent steps.  ``norms``, when given, must be the row norms of
     ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a caller that
     has them already saves the kernel recomputing them.
 
@@ -51,8 +57,7 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
     span the whole space, so every later nonzero vector is dependent
     without a residual test: its residual could only be roundoff.  Such a
     step computes only the inner products ``coeffs`` its update needs;
-    it forms neither the residual ``g`` nor its norm.  This is the rule
-    ``frames._span_basis`` applies once its rank reaches d.
+    it forms neither the residual ``g`` nor its norm.
 
     The residual-norm finiteness check therefore runs only while
     independent routes remain.  After full rank it could not fire:
@@ -110,8 +115,10 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
             norms = _row_norms(V)
     zthresh = _zero_threshold(norms)
     free = min(n, d)   # independent routes left
+    kinds = []
     for k, nf in enumerate(norms.tolist()):
         if nf <= zthresh:
+            kinds.append(KIND_ZERO)
             if on_step is not None:
                 on_step(k, KIND_ZERO, G, None, None)
             continue
@@ -131,6 +138,7 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
             if rn > dep_tol * max(1.0, nf):
                 free -= 1
                 np.divide(g, rn, out=G[k])
+                kinds.append(KIND_INDEPENDENT)
                 if on_step is not None:
                     on_step(k, KIND_INDEPENDENT, G, None, None)
                 continue
@@ -139,14 +147,18 @@ def _pass_array(V: np.ndarray, dep_tol: float, on_step=None, norms=None) -> np.n
         before = _row_norms(prefix) if on_step is not None else None
         w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
         _apply_dependent_update(G, k, f, nf, w)
+        kinds.append(KIND_DEPENDENT)
         if on_step is not None:
             on_step(k, KIND_DEPENDENT, G, w, before)
-    return G
+    return G, tuple(kinds)
 
 
-def ggs_pass(
-    frame: FrameSeq, dep_tol: float = DEP_TOL, trace: bool = False
-) -> tuple[FrameSeq, tuple[str, ...]]:
+def steps_of(kinds: tuple[str, ...], kind: str = KIND_DEPENDENT) -> tuple[int, ...]:
+    """1-based indices of the steps of ``kinds`` that took branch ``kind``."""
+    return tuple(k for k, got in enumerate(kinds, 1) if got == kind)
+
+
+def ggs_pass(frame: FrameSeq, dep_tol: float = DEP_TOL) -> tuple[FrameSeq, tuple[str, ...]]:
     """Run one full pass over ``frame``.
 
     Parameters
@@ -158,26 +170,21 @@ def ggs_pass(
         outputs is at most ``dep_tol * max(1, ||f_k||)`` takes the
         dependent branch.  At exactly the threshold the branch is
         dependent.
-    trace : bool
-        When true, record the branch each input vector took: one of
-        ``KIND_ZERO``, ``KIND_INDEPENDENT``, ``KIND_DEPENDENT`` per step,
-        the kinds ``iterate(..., trace_steps=True)`` keeps for each pass.
 
     Returns
     -------
     (FrameSeq, tuple[str, ...])
         The output frame (same shape and field as the input) and the
-        branch kind of each step (empty tuple unless ``trace``).
+        branch each input vector took: one of ``KIND_ZERO``,
+        ``KIND_INDEPENDENT``, ``KIND_DEPENDENT`` per step.
     """
     if not isinstance(frame, FrameSeq):
         frame = FrameSeq(frame)
     if not (0.0 <= dep_tol < 1.0):
         raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
-    kinds: list[str] = []
-    on_step = (lambda k, kind, G, w, before: kinds.append(kind)) if trace else None
     with np.errstate(over="ignore", invalid="ignore"):  # see _pass_array
-        G = _pass_array(frame.vectors, dep_tol, on_step)
-    return FrameSeq(G), tuple(kinds)
+        G, kinds = _pass_array(frame.vectors, dep_tol)
+    return FrameSeq(G), kinds
 
 
 def dependent_update(prefix: FrameSeq, f) -> FrameSeq:

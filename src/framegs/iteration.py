@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .frames import (
-    DEP_TOL,
-    FrameSeq,
-    _coordinates,
-    dependency_profile,
-    l2_distance,
-    zero_indices,
-)
-from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass
+from .frames import DEP_TOL, FrameSeq, _coordinates, l2_distance, zero_indices
+from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass, steps_of
 from .linalg import _l2_norm, _row_norms, as_field_array
 
 # largest entry of |Gram - I| over the surviving vectors at which
@@ -54,7 +47,7 @@ class RecurrenceReport:
     Floors and the ceiling report signed violations (positive means the
     bound failed by that much); the update identity reports an absolute
     error.  A pass whose zero or dependent steps differ from those of the
-    initial frame is not measured and clears ``pattern_consistent``.
+    first pass is not measured and clears ``pattern_consistent``.
     Fields are 0.0 when the corresponding check had nothing to measure.
     """
 
@@ -83,11 +76,13 @@ class IterationTrace:
     ``norms`` has shape (M+1, n): row m holds the vector norms of G_m.
     ``snapshots`` maps iteration number to the frame at that point;
     0 and M are always present, intermediate iterations appear on the
-    snapshot stride.  ``step_traces`` and ``recurrences`` are present
-    only when step tracing was requested: ``step_traces`` maps iteration
-    number m >= 1 to the branch kind of each step of the pass that
-    produced G_m, the kinds ``ggs_pass(G_{m-1}, trace=True)`` returns,
-    and ``recurrences`` reports the norm laws checked during the passes.
+    snapshot stride.  ``dependent_indices`` are the dependent steps of
+    the first pass, the routing whose vectors the limit theorem says
+    vanish.  ``step_traces`` and ``recurrences`` are present only when
+    step tracing was requested: ``step_traces`` maps iteration number
+    m >= 1 to the branch kind of each step of the pass that produced G_m,
+    the kinds ``ggs_pass(G_{m-1})`` returns, and ``recurrences`` reports
+    the norm laws checked during the passes.
     """
 
     initial: FrameSeq
@@ -129,22 +124,21 @@ class LimitReport:
 class _RecurrenceCheck:
     """The laws of :class:`RecurrenceReport`, checked while :func:`iterate`
     runs.  :meth:`start` gives the ``on_step`` hook of one pass, which
-    records each step's kind and evaluates the update identity at each
-    dependent step from what the kernel hands it: the row norms before
-    the update, the inner products ``w`` and the updated rows.
-    :meth:`end` evaluates the floors and the ceiling from the norms
-    before and after the pass, and keeps the pass's worst values only if
-    its zero and dependent steps are those of the initial frame.  Nothing
-    of a pass outlives its :meth:`end`.
+    evaluates the update identity at each dependent step from what the
+    kernel hands it: the row norms before the update, the inner products
+    ``w`` and the updated rows.  :meth:`end` receives the kinds of the
+    pass's steps and evaluates the floors and the ceiling from the norms
+    before and after the pass.  The first pass fixes the pattern of zero
+    and dependent steps; a later pass keeps its worst values only if it
+    routes the same way.  Nothing of a pass outlives its :meth:`end`.
 
     The laws are evaluated on Python floats: ``x ** 2`` there (and on a
     numpy scalar) is libm's pow, which can differ in the last bit from
     the x * x of an array's ``** 2``, and the report is kept exact.
     """
 
-    def __init__(self, deps: tuple[int, ...], zeros: tuple[int, ...]):
-        self.deps = deps
-        self.pattern = (set(deps), set(zeros))
+    def __init__(self):
+        self.pattern = None   # (dependent steps, zero steps) of the first pass
         self.pattern_consistent = True
         # update identity, single-step floor, accumulated floor, shrink ceiling, tail floor
         self.worst: list[float | None] = [None] * 5
@@ -153,12 +147,10 @@ class _RecurrenceCheck:
         """The ``on_step`` hook of the pass whose input has row norms
         ``prev_norms``."""
         self.prev = prev = prev_norms.tolist()
-        self.kinds = kinds = []
         self.upd = upd = []
         self.after = after = {}   # dependent step -> row norms after its update
 
         def on_step(k, kind, G, w, before):
-            kinds.append(kind)
             if kind == KIND_DEPENDENT:
                 nf2 = prev[k] ** 2
                 after[k + 1] = na = _row_norms(G[:k]).tolist()
@@ -170,17 +162,17 @@ class _RecurrenceCheck:
 
         return on_step
 
-    def end(self, cur_norms: np.ndarray) -> tuple[str, ...]:
-        """Close the pass whose output has row norms ``cur_norms``;
-        return the kinds of its steps."""
-        kinds = tuple(self.kinds)
-        dep = {k for k, kind in enumerate(kinds, 1) if kind == KIND_DEPENDENT}
-        zero = {k for k, kind in enumerate(kinds, 1) if kind == KIND_ZERO}
-        if (dep, zero) != self.pattern:
+    def end(self, cur_norms: np.ndarray, kinds: tuple[str, ...]):
+        """Close the pass whose steps took branches ``kinds`` and whose
+        output has row norms ``cur_norms``."""
+        pattern = (steps_of(kinds), steps_of(kinds, KIND_ZERO))
+        if self.pattern is None:
+            self.pattern = pattern
+        elif pattern != self.pattern:
             self.pattern_consistent = False
-            return kinds
+            return
 
-        deps, prev, cur, after = self.deps, self.prev, cur_norms.tolist(), self.after
+        deps, prev, cur, after = pattern[0], self.prev, cur_norms.tolist(), self.after
         s = len(deps)
         single: list[float] = []
         accum: list[float] = []
@@ -203,7 +195,6 @@ class _RecurrenceCheck:
             if vals:
                 top = max(vals)
                 self.worst[i] = top if self.worst[i] is None else max(self.worst[i], top)
-        return kinds
 
     def report(self) -> RecurrenceReport:
         upd, single, accum, ceil, tail = (0.0 if v is None else v for v in self.worst)
@@ -246,14 +237,13 @@ def iterate(
         raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
 
     try:
-        deps = dependency_profile(frame, dep_tol)
+        zeros = zero_indices(frame)
     except NonFiniteError as exc:
         raise NonFiniteError(f"input frame: {exc}") from exc
-    zeros = zero_indices(frame)
     norms = [frame.norms()]   # norms[-1] is also the next pass's input norms
     deltas: list[float] = []
     snapshots: dict[int, FrameSeq] = {0: frame}
-    check = _RecurrenceCheck(deps, zeros) if trace_steps else None
+    check = _RecurrenceCheck() if trace_steps else None
     step_traces: dict[int, tuple[str, ...]] | None = {} if trace_steps else None
 
     prev = frame.vectors
@@ -264,15 +254,18 @@ def iterate(
         for m in range(1, max_iter + 1):
             on_step = check.start(norms[-1]) if check is not None else None
             try:
-                cur = _pass_array(prev, dep_tol, on_step, norms[-1])
+                cur, kinds = _pass_array(prev, dep_tol, on_step, norms[-1])
             except NonFiniteError as exc:
                 raise NonFiniteError(f"iteration {m}: {exc}") from exc
+            if m == 1:
+                deps = steps_of(kinds)
             delta = _l2_norm(cur - prev)
             if not math.isfinite(delta):
                 raise NonFiniteError(f"iteration {m}: non-finite state")
             norms.append(_row_norms(cur))
             if check is not None:
-                step_traces[m] = check.end(norms[-1])
+                check.end(norms[-1], kinds)
+                step_traces[m] = kinds
             deltas.append(delta)
             if m % snapshot_stride == 0:
                 snapshots[m] = FrameSeq(cur)
@@ -322,8 +315,8 @@ def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> Li
     that goes stationary after very few iterations sits at a fixed point
     whose norms cluster at 0 and 1; without the cap every vector of an
     orthonormal input would count as zero.  ``prediction_match`` compares
-    the observed zero set against the dependent indices of the initial
-    frame together with its zero vectors.
+    the observed zero set against the routing of the first pass: its
+    dependent steps together with the input's zero vectors.
     """
     M = trace.iterations_run
     if delta_zero is None:

@@ -21,11 +21,9 @@ from .frames import (
     DEP_TOL,
     FrameSeq,
     canonical_parseval,
-    dependency_profile,
     is_parseval,
     l2_distance,
     span_projection,
-    zero_indices,
 )
 from .generate import (
     EXAMPLE_NAMES,
@@ -34,7 +32,7 @@ from .generate import (
     random_independent_frame,
     random_onb_frame,
 )
-from .ggs import KIND_DEPENDENT, _pass_array, ggs_pass
+from .ggs import KIND_DEPENDENT, KIND_INDEPENDENT, _pass_array, ggs_pass, steps_of
 from .iteration import DELTA_ONB, classify_limit, iterate
 
 
@@ -303,10 +301,10 @@ def check_near_dependence_routing(cases) -> CheckResult:
     worst = 0.0
     misrouted = []
     for F, designed in cases:
-        prof = dependency_profile(F)
+        G, kinds = ggs_pass(F)
+        prof = steps_of(kinds)
         if prof != designed:
             misrouted.append(f"{designed}->{prof}")
-        G, _ = ggs_pass(F)
         worst = max(worst, is_parseval(G).residual)
     detail = "gap vectors at 1e-3..1e-5"
     if misrouted:
@@ -315,12 +313,12 @@ def check_near_dependence_routing(cases) -> CheckResult:
 
 
 def check_l2_identity(frames) -> CheckResult:
-    # Parseval output must carry total energy equal to the span dimension
+    # Parseval output must carry total energy equal to the span dimension,
+    # the number of steps the pass routes independent
     worst = 0.0
     for F in frames:
-        rank = F.n_vectors - len(dependency_profile(F)) - len(zero_indices(F))
-        G, _ = ggs_pass(F)
-        worst = max(worst, abs(float((G.norms() ** 2).sum()) - rank))
+        G, kinds = ggs_pass(F)
+        worst = max(worst, abs(float((G.norms() ** 2).sum()) - kinds.count(KIND_INDEPENDENT)))
     return _result("l2_energy_identity", worst, 1e-10, detail=f"{len(frames)} frames")
 
 

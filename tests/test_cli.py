@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,9 +13,14 @@ import framegs
 from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _json_dumps, main
 from framegs.frames import FrameSeq, is_parseval
 from framegs.generate import random_frame
-from framegs.iteration import _trace_document, iterate, trace_to_dict
+from framegs.iteration import _trace_document, classify_limit, iterate, trace_to_dict
 
 RT2 = math.sqrt(2.0)
+
+# at --dep-tol 0.6, pass 1 routes vectors 3, 4 and 5 dependent, though none
+# lies in the span of vectors 1 and 2; later passes route 5 independent
+DRIFT_VECTORS = [[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
+                 [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]
 
 
 def write_frame(path, dim, field, vectors):
@@ -99,6 +105,15 @@ class TestRun:
         main(["run", "--example", "fig1", "--trace", "steps", "--output", str(out)])
         doc = json.loads(out.read_text())
         assert doc["report"]["step_kinds"] == ["independent", "independent", "dependent"]
+
+    def test_dependent_indices_are_the_dependent_steps(self, tmp_path):
+        inp = write_frame(tmp_path / "drift.json", 3, "real", DRIFT_VECTORS)
+        out = tmp_path / "out.json"
+        main(["run", "--input", inp, "--dep-tol", "0.6", "--trace", "steps", "--output", str(out)])
+        rep = json.loads(out.read_text())["report"]
+        assert rep["dependent_indices"] == [3, 4, 5]
+        assert rep["dependent_indices"] == [
+            k for k, kind in enumerate(rep["step_kinds"], 1) if kind == "dependent"]
 
 
 class TestRunInputErrors:
@@ -292,16 +307,24 @@ class TestIterate:
         if trace == "steps":
             assert rep["recurrences"]["pattern_consistent"] is False
 
-    def test_pattern_drift_alone_exits_nonzero(self, tmp_path):
+    def test_pattern_drift_alone_exits_nonzero(self, tmp_path, monkeypatch):
         # vector 5 takes the dependent branch in pass 1 and the independent
-        # one from pass 2 on, while the zero set still matches the prediction
-        inp = write_frame(tmp_path / "drift.json", 3, "real", [
-            [-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
-            [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]])
+        # one from pass 2 on.  No real input drifts while its zero set
+        # matches the routing of pass 1, so the prediction is forced to
+        # match: the drift alone must still exit 1
+        def matching(trace, *args):
+            rep = classify_limit(trace, *args)
+            real.append(rep.prediction_match)
+            return dataclasses.replace(rep, prediction_match=True)
+
+        real = []
+        monkeypatch.setattr("framegs.cli.classify_limit", matching)
+        inp = write_frame(tmp_path / "drift.json", 3, "real", DRIFT_VECTORS)
         out = tmp_path / "trace.json"
         rc = main(["iterate", "--input", inp, "--dep-tol", "0.6", "--max-iter", "10",
                    "--eps-delta", "0", "--trace", "steps", "--output", str(out)])
         rep = json.loads(out.read_text())["limit_report"]
+        assert real == [False]   # zero set [3, 4] against the routed [3, 4, 5]
         assert rep["prediction_match"] is True
         assert rep["recurrences"]["pattern_consistent"] is False
         assert rc == EXIT_CHECK_FAILED

@@ -205,7 +205,7 @@ class TestCanonicalParseval:
     @pytest.mark.parametrize("n, n_dependent", [(200, 50), (60, 20)], ids=["spanning", "rank40"])
     def test_matches_polar_factor_at_d64(self, field, n, n_dependent):
         F = random_frame(11, 64, n, field, n_dependent)
-        Q, _, _ = _span_basis(F.vectors, DEP_TOL)
+        Q = _span_basis(F.vectors, DEP_TOL)
         assert Q.shape[0] == min(64, n - n_dependent)   # 40: the span-coordinates path
         G = canonical_parseval(F)
         assert np.linalg.norm(G.vectors - self._polar_factor(F.vectors)) <= 1e-10
@@ -282,6 +282,49 @@ class TestDependencyProfile:
         assert dependency_profile(F, 0.0) == (4, 5)
         np.testing.assert_allclose(span_projection(F, 0.0), np.eye(3), atol=1e-14)
 
+    def test_matches_svd_prefix_rank(self):
+        # the routing of the pass against a route that shares no code with
+        # it, on each corpus frame and on a copy with one vector zeroed
+        n_dependent = n_zero = 0
+        for seed in range(30, 60):
+            for i, F in enumerate(random_frame_corpus(seed, 25, dependent_fraction=0.7)):
+                V = F.vectors.copy()
+                V[i % len(V)] = 0.0
+                for W in (F.vectors, V):
+                    want_zero = _oracle_zero_rows(W)
+                    want_dep = _oracle_dependent_rows(W)
+                    assert zero_indices(FrameSeq(W)) == want_zero, (seed, i)
+                    assert dependency_profile(FrameSeq(W)) == want_dep, (seed, i)
+                    n_dependent += len(want_dep)
+                    n_zero += len(want_zero)
+        assert n_dependent > 5000 and n_zero == 750, (n_dependent, n_zero)
+
+
+def _oracle_zero_rows(V):
+    """1-based indices of rows whose norm is at most 1e-12 times the
+    largest row norm (or 1e-12 when every row vanishes)."""
+    norms = np.linalg.norm(V, axis=1)
+    scale = norms.max()
+    return tuple(int(i + 1) for i in np.flatnonzero(norms <= 1e-12 * (scale if scale > 0 else 1.0)))
+
+
+def _oracle_dependent_rows(V):
+    """1-based indices of the nonzero rows that add no rank to the rows
+    before them, the rank of each prefix counted from its singular values
+    (those above 1e-8 times the largest)."""
+    zeros = set(_oracle_zero_rows(V))
+    out = []
+    rank = 0
+    for k in range(1, V.shape[0] + 1):
+        if k in zeros:
+            continue
+        s = np.linalg.svd(V[:k], compute_uv=False)
+        r = int((s > 1e-8 * s[0]).sum()) if s[0] > 0.0 else 0
+        if r == rank:
+            out.append(k)
+        rank = r
+    return tuple(out)
+
 
 class TestZeroIndices:
     def test_exact_zeros(self):
@@ -311,8 +354,8 @@ class TestZeroIndices:
         # a norm exactly at ZERO_REL_TOL times the largest one is zero everywhere
         F = FrameSeq(np.array([[1.0, 0.0], [ZERO_REL_TOL, 0.0], [0.0, 1.0]]))
         assert zero_indices(F) == (2,)
-        assert _span_basis(F.vectors, DEP_TOL)[2] == [2]
-        assert ggs_pass(F, trace=True)[1] == (KIND_INDEPENDENT, KIND_ZERO, KIND_INDEPENDENT)
+        assert ggs_pass(F)[1] == (KIND_INDEPENDENT, KIND_ZERO, KIND_INDEPENDENT)
+        assert dependency_profile(F) == ()   # vector 2 lies along vector 1, but counts as zero
 
 
 class TestL2Distance:
@@ -345,7 +388,9 @@ def test_span_projection_is_projection():
 def _frozen_span_basis(V, dep_tol):
     """``_span_basis`` as first written, with the plain products and norms
     and no stop at full rank; its results are the reference wherever it
-    returns (at ``dep_tol = 0`` it raises IndexError once n > d)."""
+    returns (at ``dep_tol = 0`` it raises IndexError once n > d).  The
+    dependent and zero lists it also built are gone with those of
+    ``_span_basis``."""
     n, d = V.shape
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(V, axis=1)
@@ -353,12 +398,9 @@ def _frozen_span_basis(V, dep_tol):
     zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
     Q = np.zeros((min(n, d), d), dtype=V.dtype)
     rank = 0
-    dependent = []
-    zeros = []
     for k in range(n):
         nf = norms[k]
         if nf <= zthresh:
-            zeros.append(k + 1)
             continue
         f = V[k]
         if rank:
@@ -368,12 +410,10 @@ def _frozen_span_basis(V, dep_tol):
         else:
             r = f.copy()
         rn = np.linalg.norm(r)
-        if rn <= dep_tol * max(1.0, nf):
-            dependent.append(k + 1)
-        else:
+        if rn > dep_tol * max(1.0, nf):
             Q[rank] = r / rn
             rank += 1
-    return Q[:rank], dependent, zeros
+    return Q[:rank]
 
 
 def _tall_frames():
@@ -396,8 +436,7 @@ def _tall_frames():
 @pytest.mark.parametrize("dep_tol", [1e-10, 1e-6, 1e-2, 0.5])
 def test_span_basis_matches_frozen_loop(dep_tol):
     for V in _tall_frames():
-        Q, dependent, zeros = _span_basis(V, dep_tol)
-        Q0, dependent0, zeros0 = _frozen_span_basis(V, dep_tol)
+        Q = _span_basis(V, dep_tol)
+        Q0 = _frozen_span_basis(V, dep_tol)
         assert Q.dtype == Q0.dtype and Q.shape == Q0.shape
         assert Q.tobytes() == Q0.tobytes(), (V.shape, V.dtype)   # signed zeros too
-        assert dependent == dependent0 and zeros == zeros0

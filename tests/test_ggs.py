@@ -9,7 +9,6 @@ from framegs.frames import (
     ZERO_REL_TOL,
     FrameSeq,
     canonical_parseval,
-    dependency_profile,
     is_parseval,
     l2_distance,
     zero_indices,
@@ -82,12 +81,12 @@ def _dependent_updates(F, dep_tol=DEP_TOL):
 
 class TestTrace:
     def test_kinds_and_steps(self):
-        _, kinds = ggs_pass(FIG1, trace=True)
+        _, kinds = ggs_pass(FIG1)
         assert kinds == (KIND_INDEPENDENT, KIND_INDEPENDENT, KIND_DEPENDENT)
 
     def test_zero_step_kind(self):
         F = FrameSeq(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        _, kinds = ggs_pass(F, trace=True)
+        _, kinds = ggs_pass(F)
         assert kinds[0] == KIND_ZERO
         outs = _outputs_per_step(F)
         np.testing.assert_array_equal(outs[0], [[0.0, 0.0]])
@@ -102,9 +101,12 @@ class TestTrace:
         assert after == pytest.approx([math.sqrt(0.75)] * 2, abs=1e-15)
         assert inner_abs == pytest.approx([1 / RT2] * 2, abs=1e-15)
 
-    def test_trace_off_returns_empty(self):
-        _, traces = ggs_pass(FIG1)
-        assert traces == ()
+    def test_returned_kinds_are_those_of_the_hook(self):
+        for F in random_frame_corpus(38, 25, dependent_fraction=0.7):
+            seen = []
+            _, kinds = _pass_array(F.vectors, DEP_TOL, lambda k, kind, *_: seen.append(kind))
+            assert kinds == tuple(seen) and len(kinds) == F.n_vectors
+            assert ggs_pass(F)[1] == kinds
 
     def test_prefix_parseval_every_step(self):
         for F in random_frame_corpus(31, 30):
@@ -222,13 +224,13 @@ class TestBranchRouting:
         # residual of the second vector sits exactly at dep_tol * max(1, norm)
         tol = 1e-6
         F = FrameSeq(np.array([[1.0, 0.0], [1.0, tol]]))
-        _, kinds = ggs_pass(F, dep_tol=tol, trace=True)
+        _, kinds = ggs_pass(F, dep_tol=tol)
         assert kinds[1] == KIND_DEPENDENT
 
     def test_just_above_threshold_is_independent(self):
         tol = 1e-6
         F = FrameSeq(np.array([[1.0, 0.0], [1.0, 2 * tol]]))
-        _, kinds = ggs_pass(F, dep_tol=tol, trace=True)
+        _, kinds = ggs_pass(F, dep_tol=tol)
         assert kinds[1] == KIND_INDEPENDENT
 
     def test_dep_tol_validation(self):
@@ -262,27 +264,21 @@ class TestFieldsAndScales:
         rng = np.random.default_rng(36)
         V = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         V[4] = (0.3 + 0.2j) * V[0] - 1.1 * V[2]
-        G, kinds = ggs_pass(FrameSeq(V), trace=True)
+        G, kinds = ggs_pass(FrameSeq(V))
         assert kinds[4] == KIND_DEPENDENT
         assert is_parseval(G, tol=1e-12)
 
     def test_scale_invariance_of_routing(self):
         # branch decisions survive global rescaling of the input
         for F in random_frame_corpus(37, 15, dependent_fraction=0.7):
-            _, t1 = ggs_pass(F, trace=True)
-            _, t2 = ggs_pass(FrameSeq(F.vectors * 1e6), trace=True)
+            _, t1 = ggs_pass(F)
+            _, t2 = ggs_pass(FrameSeq(F.vectors * 1e6))
             assert t1 == t2
 
     def test_huge_norm_dependent_vector_overflow_raises(self):
         F = FrameSeq(np.array([[1e200, 0.0], [1e200, 0.0]]))
         with pytest.raises(NonFiniteError):
             ggs_pass(F)
-
-    def test_profile_agrees_with_trace_kinds(self):
-        for F in random_frame_corpus(38, 25, dependent_fraction=0.7):
-            _, kinds = ggs_pass(F, trace=True)
-            dep_from_trace = tuple(k for k, kind in enumerate(kinds, 1) if kind == KIND_DEPENDENT)
-            assert dep_from_trace == dependency_profile(F)
 
 
 def test_onb_frames_fixed_within_1e12():
@@ -299,8 +295,9 @@ def _reference_pass(V, dep_tol, on_step=None):
     the conjugated prefix, ``np.linalg.norm`` of the residual on every
     step, and a dependent update that computes <g_i, f> a second time.
     ``on_step`` is called as the kernel calls it, with ``w`` and ``before``
-    computed here."""
+    computed here.  Returns the output and the kind of each step."""
     G = np.zeros_like(V)
+    kinds = []
     in_norms = np.linalg.norm(V, axis=1)
     scale = in_norms.max()
     zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
@@ -325,9 +322,10 @@ def _reference_pass(V, dep_tol, on_step=None):
                 before = np.linalg.norm(G[:k], axis=1)
                 G[:k] += (cfac * w)[:, None] * f[None, :]
                 G[k] = shrink * f
+        kinds.append(kind)
         if on_step is not None:
             on_step(k, kind, G, w, before)
-    return G
+    return G, tuple(kinds)
 
 
 def _equivalence_corpus():
@@ -358,8 +356,9 @@ def _equivalence_corpus():
 def test_kernel_matches_reference_arithmetic():
     n_dependent = 0
     for V, tol in _equivalence_corpus():
-        expected = _reference_pass(V, tol)
-        assert np.array_equal(_pass_array(V, tol), expected), (V.shape, V.dtype)
+        expected, kinds = _reference_pass(V, tol)
+        G, got = _pass_array(V, tol)
+        assert np.array_equal(G, expected) and got == kinds, (V.shape, V.dtype)
 
         prev = np.zeros_like(V)
 
@@ -371,7 +370,7 @@ def test_kernel_matches_reference_arithmetic():
                 assert np.array_equal(before, np.linalg.norm(prev[:k], axis=1))
             prev = G.copy()
 
-        assert np.array_equal(_pass_array(V, tol, on_step), expected)
+        assert np.array_equal(_pass_array(V, tol, on_step)[0], expected)
     assert n_dependent > 3 * 64
 
 
@@ -406,12 +405,14 @@ def test_kernel_keeps_reference_bits_including_signed_zeros():
     arithmetic in every bit, which ``np.array_equal`` does not check."""
     n_cases = 0
     for V, tol in _signed_zero_corpus() + _equivalence_corpus():
-        expected = _reference_pass(V, tol).tobytes()
-        assert _pass_array(V, tol).tobytes() == expected, (V.shape, V.dtype)
+        G, kinds = _reference_pass(V, tol)
+        expected = G.tobytes()
+        G, got = _pass_array(V, tol)
+        assert G.tobytes() == expected and got == kinds, (V.shape, V.dtype)
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(V, axis=1)
-        hooked = _pass_array(V, tol, lambda *step: None, norms)
-        assert hooked.tobytes() == expected, (V.shape, V.dtype)
+        hooked, got = _pass_array(V, tol, lambda *step: None, norms)
+        assert hooked.tobytes() == expected and got == kinds, (V.shape, V.dtype)
         n_cases += 1
     assert n_cases > 600
 
@@ -442,15 +443,17 @@ def _overcomplete_corpus():
 
 
 def _steps_seen(run, V):
-    """Output bytes of ``run(V, DEP_TOL, on_step)`` and, per step, the bytes
-    of what its hook saw: kind, ``w``, ``before`` and all of G."""
+    """Output bytes and kinds of ``run(V, DEP_TOL, on_step)`` and, per
+    step, the bytes of what its hook saw: kind, ``w``, ``before`` and all
+    of G."""
     steps = []
 
     def on_step(k, kind, G, w, before):
         steps.append((k, kind, None if w is None else w.tobytes(),
                       None if before is None else before.tobytes(), G.tobytes()))
 
-    return run(V, DEP_TOL, on_step).tobytes(), steps
+    G, kinds = run(V, DEP_TOL, on_step)
+    return (G.tobytes(), kinds), steps
 
 
 def test_kernel_keeps_reference_bits_after_full_rank():
@@ -462,8 +465,9 @@ def test_kernel_keeps_reference_bits_after_full_rank():
         expected, ref_steps = _steps_seen(_reference_pass, V)
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(V, axis=1)
-        assert _pass_array(V, DEP_TOL).tobytes() == expected, (V.shape, V.dtype)
-        assert _pass_array(V, DEP_TOL, None, norms).tobytes() == expected, (V.shape, V.dtype)
+        for given in (None, norms):
+            G, kinds = _pass_array(V, DEP_TOL, None, given)
+            assert (G.tobytes(), kinds) == expected, (V.shape, V.dtype)
         for given in (None, norms):
             out, steps = _steps_seen(lambda V, tol, hook: _pass_array(V, tol, hook, given), V)
             assert out == expected, (V.shape, V.dtype)
@@ -486,9 +490,8 @@ def test_huge_vector_after_full_rank(field, s):
         V = V.astype(complex)
         V[2, 1] *= 1j
     if s == 1e153:
-        kinds = []
-        G = _pass_array(V, DEP_TOL, lambda k, kind, *_: kinds.append(kind))
-        assert kinds == [KIND_INDEPENDENT, KIND_INDEPENDENT, KIND_DEPENDENT]
+        G, kinds = _pass_array(V, DEP_TOL)
+        assert kinds == (KIND_INDEPENDENT, KIND_INDEPENDENT, KIND_DEPENDENT)
         assert np.all(np.isfinite(G)) and is_parseval(FrameSeq(G), tol=1e-12)
     else:
         with pytest.raises(NonFiniteError, match="step 3: input vector norm is not finite"):

@@ -299,8 +299,19 @@ class TestStepTraces:
         tr = iterate(F, max_iter=6, eps_delta=0.0, trace_steps=True)
         assert sorted(tr.step_traces) == list(range(1, 7))
         for m in range(1, 7):
-            _, ref = ggs_pass(tr.snapshots[m - 1], trace=True)
+            _, ref = ggs_pass(tr.snapshots[m - 1])
             assert tr.step_traces[m] == ref
+
+    def test_dependent_indices_are_those_of_pass_one(self):
+        # at dep_tol 0.6 pass 1 routes vector 5 dependent, later passes independent
+        F = FrameSeq(np.array([[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
+                               [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]))
+        tr = iterate(F, max_iter=10, eps_delta=0.0, dep_tol=0.6, trace_steps=True)
+        assert tr.dependent_indices == (3, 4, 5)
+        assert tr.dependent_indices == tuple(
+            k for k, kind in enumerate(tr.step_traces[1], 1) if kind == KIND_DEPENDENT)
+        assert tr.step_traces[2][4] != KIND_DEPENDENT
+        assert not tr.recurrences.pattern_consistent
 
     def test_out_of_range_dep_tol_rejected(self):
         for dep_tol in (1.0, -1e-3):
