@@ -17,16 +17,19 @@ trees and diffing the two shows what a differing digest changed:
     diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
             <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
 
-Besides the builtin examples, the calls read three input files that the
+Besides the builtin examples, the calls read four input files that the
 script writes into a temporary directory, so both source trees read the
 same bytes: a complex 64x16 frame with rows in the span of earlier ones
 and a real 40x6 frame with -0.0 entries and a zero row, both from numpy's
-own generator, most of whose steps come after full rank; and a fixed real
+own generator, most of whose steps come after full rank; a fixed real
 5x3 frame on which, at ``--dep-tol 0.6``, the pass routes vectors that
 lie outside the span of their predecessors dependent, and routes vector 5
-differently in its first and later passes.  The calls run with that
-directory as their working directory and name the files relatively, so no
-temporary path reaches the digests.
+differently in its first and later passes; and a complex 20x7 frame of
+rank 2 from the ``random_frame`` generator of the sources under test,
+whose pass output has rows of norm about 2e-6, so that ``run`` must
+judge it against the input's span, not the output's own.  The calls run
+with that directory as their working directory and name the files
+relatively, so no temporary path reaches the digests.
 """
 
 import argparse
@@ -40,9 +43,12 @@ import tempfile
 
 import numpy as np
 
+from framegs.generate import random_frame
+
 EXAMPLES = ("fig1", "fig2", "fig3")
 INPUTS = ("complex64x16.json", "real40x6.json")
 DRIFT = "drift.json"
+HEAVY = "heavy.json"
 
 CALLS = [
     *(["run", "--example", name, "--format", fmt] for name in EXAMPLES for fmt in ("json", "csv")),
@@ -60,11 +66,13 @@ CALLS = [
     ["run", "--input", DRIFT, "--dep-tol", "0.6", "--trace", "steps"],
     ["iterate", "--input", DRIFT, "--dep-tol", "0.6", "--max-iter", "10", "--eps-delta", "0",
      "--trace", "steps"],
+    # a correct output of a heavily dependent frame passes the Parseval check
+    ["run", "--input", HEAVY, "--trace", "steps"],
 ]
 
 
 def _input_frames():
-    """The three input documents, keyed by file name."""
+    """The four input documents, keyed by file name."""
     rng = np.random.default_rng(20160226)
     C = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
     for k in (5, 11, 30, 47):   # in the span of the rows before them
@@ -79,6 +87,7 @@ def _input_frames():
         DRIFT: {"dim": 3, "field": "real",
                 "vectors": [[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
                             [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]},
+        HEAVY: random_frame(0, 7, 20, "complex", 18).to_dict(),
     }
 
 

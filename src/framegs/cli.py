@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  run      apply one pass to a frame and report the Parseval residual
+  run      apply one pass and judge its output against the input's span
   iterate  drive the pass to (empirical) stationarity and classify the limit
   verify   run the seeded verification battery
 
@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from .errors import FrameError
-from .frames import DEP_TOL, FrameSeq, frame_bounds, is_parseval, zero_indices
+from .frames import DEP_TOL, FrameSeq, frame_bounds, is_parseval
 from .generate import EXAMPLE_NAMES, example_frame
-from .ggs import ggs_pass, steps_of
+from .ggs import KIND_ZERO, ggs_pass, steps_of
 from .iteration import (
     _trace_document,
     classify_limit,
@@ -175,14 +175,14 @@ def _csv_text(header, rows) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     F = load_input_frame(args)
     G, kinds = ggs_pass(F, args.dep_tol)
-    chk = is_parseval(G, dep_tol=args.dep_tol)
+    chk = is_parseval(G, span=F)
     report = {
         "parseval_residual": chk.residual,
         "parseval_ok": chk.ok,
         "output_bounds": list(frame_bounds(G)),
         "input_bounds": list(frame_bounds(F)),
         "dependent_indices": list(steps_of(kinds)),
-        "input_zero_indices": list(zero_indices(F)),
+        "input_zero_indices": list(steps_of(kinds, KIND_ZERO)),
     }
     if args.trace == "steps":
         report["step_kinds"] = list(kinds)

@@ -6,11 +6,12 @@ the generalized Gram-Schmidt pass processes vectors strictly in sequence,
 so no operation here ever reorders.
 
 The span-sensitive operations (``span_projection``, ``is_parseval``,
-``canonical_parseval``) are *span-relative*: a Parseval frame for a proper
-subspace passes verification against the projection onto its own span, not
-against the ambient identity.  Inputs that do not span the ambient space
-are therefore first-class citizens.  Which vectors are dependent is not
-decided here but by the routing of the pass (``dependency_profile``).
+``canonical_parseval``) are *span-relative*: a frame is Parseval when its
+frame operator is the projection onto a span (its own, or with
+``is_parseval(G, span=F)`` that of a pass's input F), not the ambient
+identity, so inputs that do not span the ambient space are first-class
+citizens.  Every span is taken at ``DEP_TOL``; which vectors are
+dependent is decided by the routing of the pass (``dependency_profile``).
 """
 
 import math
@@ -181,16 +182,16 @@ def zero_indices(frame: FrameSeq) -> tuple[int, ...]:
     return tuple(int(i + 1) for i in np.flatnonzero(norms <= _zero_threshold(norms)))
 
 
-def _span_basis(V: np.ndarray, dep_tol: float) -> np.ndarray:
+def _span_basis(V: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row span of ``V``, as the rows of Q.
 
     Sequential Gram-Schmidt: a nonzero row joins the basis when its
-    residual against the basis so far exceeds ``dep_tol * max(1, ||v||)``.
+    residual against the basis so far exceeds ``DEP_TOL * max(1, ||v||)``.
     One re-orthogonalization pass keeps Q orthonormal to roundoff.  The
     walk stops once the rank reaches min(n, d), so a later row, whose
     residual could only be roundoff, never asks for one basis vector too
-    many at ``dep_tol = 0``.  This gives the span, not the routing of the
-    pass: :func:`dependency_profile` reads that from the pass itself.
+    many.  This is the span, not the routing of a pass at its ``dep_tol``:
+    :func:`dependency_profile` reads that from the pass itself.
     """
     n, d = V.shape
     with np.errstate(over="ignore"):
@@ -212,7 +213,7 @@ def _span_basis(V: np.ndarray, dep_tol: float) -> np.ndarray:
             for _ in range(2):   # project out span(Q) twice
                 r = r - ((Bc @ r) @ B if is_complex else Bc.dot(r).dot(B))
         rn = _l2_norm(r)
-        if rn <= dep_tol * max(1.0, nf):
+        if rn <= DEP_TOL * max(1.0, nf):
             continue
         np.divide(r, rn, out=Q[rank])
         rank += 1
@@ -230,34 +231,37 @@ def dependency_profile(frame: FrameSeq, tol: float = DEP_TOL) -> tuple[int, ...]
     return steps_of(kinds)
 
 
-def span_projection(frame: FrameSeq, dep_tol: float = DEP_TOL) -> np.ndarray:
-    """Orthogonal projection onto the span of the frame, as a (d, d)
-    matrix."""
-    Q = _span_basis(frame.vectors, dep_tol)
+def span_projection(frame: FrameSeq) -> np.ndarray:
+    """Orthogonal projection onto the span of the frame, taken at
+    ``DEP_TOL``, as a (d, d) matrix."""
+    Q = _span_basis(frame.vectors)
     return Q.T @ Q.conj()
 
 
-def is_parseval(frame: FrameSeq, tol: float = 1e-10, dep_tol: float = DEP_TOL) -> ParsevalCheck:
-    """Whether the frame operator equals the projection onto the frame's
-    own span within Frobenius distance ``tol``.
-
-    Span-relative on purpose: a Parseval frame for a proper subspace
-    verifies as Parseval.
+def is_parseval(frame: FrameSeq, tol: float = 1e-10, span: FrameSeq | None = None) -> ParsevalCheck:
+    """Whether the frame operator of ``frame`` lies within Frobenius
+    distance ``tol`` of the projection onto the span of ``span``, by
+    default ``frame`` itself, which suits an arbitrary frame.  A pass
+    output G is judged with ``span=F``, its input: one pass makes G a
+    Parseval frame for span(F), however far it shrank G's rows.
     """
+    span = frame if span is None else span
+    if span.dim != frame.dim:
+        raise DimensionMismatchError(f"span has dimension {span.dim}, frame has {frame.dim}")
     S = frame_operator(frame)
-    P = span_projection(frame, dep_tol)
+    P = span_projection(span)
     residual = float(np.linalg.norm(S - P))
     return ParsevalCheck(ok=residual <= tol, residual=residual)
 
 
-def canonical_parseval(frame: FrameSeq, dep_tol: float = DEP_TOL) -> FrameSeq:
+def canonical_parseval(frame: FrameSeq) -> FrameSeq:
     """Map each vector through the inverse square root of the frame
     operator, yielding a Parseval frame with order preserved and zero
     vectors kept at zero.  The operator is inverted on the span of the
-    frame, so non-spanning inputs work.
+    frame, taken at ``DEP_TOL``, so non-spanning inputs work.
     """
     V = frame.vectors
-    Q = _span_basis(V, dep_tol)
+    Q = _span_basis(V)
     if Q.shape[0] == 0:
         return FrameSeq(V)  # all-zero sequence maps to itself
     coords = V @ Q.conj().T                  # (n, rank)

@@ -23,7 +23,6 @@ from .frames import (
     canonical_parseval,
     is_parseval,
     l2_distance,
-    span_projection,
 )
 from .generate import (
     EXAMPLE_NAMES,
@@ -123,23 +122,20 @@ def check_single_pass_parseval(frames) -> CheckResult:
     worst = 0.0
     for F in frames:
         G, _ = ggs_pass(F)
-        worst = max(worst, is_parseval(G).residual)
+        worst = max(worst, is_parseval(G, span=F).residual)
     return _result("single_pass_parseval", worst, 1e-10, detail=f"{len(frames)} frames")
 
 
 def check_prefix_parseval(frames) -> CheckResult:
-    # after step k the outputs must be Parseval for the span of the input
-    # prefix F[:k], not merely for their own span; read from the pass as it runs
+    # after step k the outputs must be Parseval for the span of the input prefix F[:k]
     worst = 0.0
     for F in frames:
         V = F.vectors
 
         def on_step(k, kind, G, w, before):
             nonlocal worst
-            out = G[: k + 1]
-            S = out.T @ out.conj()   # the frame operator of the output prefix
-            P = span_projection(FrameSeq(V[: k + 1]))
-            worst = max(worst, float(np.linalg.norm(S - P)))
+            chk = is_parseval(FrameSeq(G[: k + 1]), span=FrameSeq(V[: k + 1]))
+            worst = max(worst, chk.residual)
 
         _pass_array(V, DEP_TOL, on_step)
     return _result("prefix_parseval", worst, 1e-10, detail=f"{len(frames)} frames, all steps")
@@ -305,7 +301,7 @@ def check_near_dependence_routing(cases) -> CheckResult:
         prof = steps_of(kinds)
         if prof != designed:
             misrouted.append(f"{designed}->{prof}")
-        worst = max(worst, is_parseval(G).residual)
+        worst = max(worst, is_parseval(G, span=F).residual)
     detail = "gap vectors at 1e-3..1e-5"
     if misrouted:
         detail += f"; profile misrouted: {' '.join(misrouted)}"

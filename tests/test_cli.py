@@ -499,8 +499,8 @@ def test_parseval_failure_exit_code(tmp_path, monkeypatch):
     calls = {}
     real = cli_mod.is_parseval
 
-    def fake(G, tol=1e-10, dep_tol=1e-10):
-        chk = real(G, tol=1e-30, dep_tol=dep_tol)
+    def fake(G, tol=1e-10, span=None):
+        chk = real(G, tol=1e-30, span=span)
         calls["residual"] = chk.residual
         return chk
 

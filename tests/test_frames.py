@@ -155,6 +155,25 @@ class TestIsParseval:
         G = FrameSeq(np.stack([v * 0.6, v * 0.8]))  # norms^2 sum to 1 along the line
         assert is_parseval(G, tol=1e-12)
 
+    def test_default_span_is_the_frame_itself(self):
+        for F in [FIG1, FIG3, *random_frame_corpus(12, 10, dependent_fraction=0.5)]:
+            G, _ = ggs_pass(F)
+            for frame in (F, G):
+                assert is_parseval(frame, span=frame) == is_parseval(frame)
+
+    def test_subspace_frame_fails_against_a_larger_span(self):
+        # the line frame above against the plane it lies in
+        v = np.array([3.0, 0.0, 4.0]) / 5.0
+        G = FrameSeq(np.stack([v * 0.6, v * 0.8]))
+        plane = FrameSeq(np.stack([v, [0.0, 1.0, 0.0]]))
+        chk = is_parseval(G, span=plane)
+        assert not chk and chk.residual == pytest.approx(1.0, abs=1e-12)
+        assert is_parseval(G, span=FrameSeq(v[None, :] * 2.0), tol=1e-12)
+
+    def test_span_of_another_dimension_raises(self):
+        with pytest.raises(DimensionMismatchError, match="dimension 3"):
+            is_parseval(FIG1, span=FrameSeq(np.eye(3)))
+
 
 class TestCanonicalParseval:
     def test_onb_unchanged(self):
@@ -205,7 +224,7 @@ class TestCanonicalParseval:
     @pytest.mark.parametrize("n, n_dependent", [(200, 50), (60, 20)], ids=["spanning", "rank40"])
     def test_matches_polar_factor_at_d64(self, field, n, n_dependent):
         F = random_frame(11, 64, n, field, n_dependent)
-        Q = _span_basis(F.vectors, DEP_TOL)
+        Q = _span_basis(F.vectors)
         assert Q.shape[0] == min(64, n - n_dependent)   # 40: the span-coordinates path
         G = canonical_parseval(F)
         assert np.linalg.norm(G.vectors - self._polar_factor(F.vectors)) <= 1e-10
@@ -280,7 +299,7 @@ class TestDependencyProfile:
         F = FrameSeq(V)
         # the first three span the space, so the last two lie in it at any tolerance
         assert dependency_profile(F, 0.0) == (4, 5)
-        np.testing.assert_allclose(span_projection(F, 0.0), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(span_projection(F), np.eye(3), atol=1e-14)
 
     def test_matches_svd_prefix_rank(self):
         # the routing of the pass against a route that shares no code with
@@ -433,10 +452,10 @@ def _tall_frames():
     return frames
 
 
-@pytest.mark.parametrize("dep_tol", [1e-10, 1e-6, 1e-2, 0.5])
+@pytest.mark.parametrize("dep_tol", [DEP_TOL])   # the one tolerance of every span
 def test_span_basis_matches_frozen_loop(dep_tol):
     for V in _tall_frames():
-        Q = _span_basis(V, dep_tol)
+        Q = _span_basis(V)
         Q0 = _frozen_span_basis(V, dep_tol)
         assert Q.dtype == Q0.dtype and Q.shape == Q0.shape
         assert Q.tobytes() == Q0.tobytes(), (V.shape, V.dtype)   # signed zeros too

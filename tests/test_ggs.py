@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from framegs.cli import EXIT_OK, main
 from framegs.errors import DimensionMismatchError, NonFiniteError
 from framegs.frames import (
     DEP_TOL,
@@ -13,7 +15,7 @@ from framegs.frames import (
     l2_distance,
     zero_indices,
 )
-from framegs.generate import example_frame, random_frame_corpus, random_onb_frame
+from framegs.generate import example_frame, random_frame, random_frame_corpus, random_onb_frame
 from framegs.ggs import (
     KIND_DEPENDENT,
     KIND_INDEPENDENT,
@@ -279,6 +281,32 @@ class TestFieldsAndScales:
         F = FrameSeq(np.array([[1e200, 0.0], [1e200, 0.0]]))
         with pytest.raises(NonFiniteError):
             ggs_pass(F)
+
+
+def _svd_parseval_gap(G, V):
+    """||S_G - P||_F with P the projection onto the row span of V, its
+    rank read from V's singular values: no framegs code on this route."""
+    _, s, Vh = np.linalg.svd(V, full_matrices=False)
+    B = Vh[: int((s > 1e-8 * s[0]).sum())]
+    return float(np.linalg.norm(G.T @ G.conj() - B.T @ B.conj()))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_heavily_dependent_output_is_parseval_for_input_span(field, tmp_path, capsys):
+    # 18 of 20 vectors in the span of their predecessors: the pass shrinks
+    # early output rows to about 2e-6, so a span rebuilt from the output's
+    # own rows can read a rank of 3 where the input's is 2
+    for seed in range(200):
+        F = random_frame(seed, 7, 20, field, 18)
+        G, _ = ggs_pass(F)
+        chk = is_parseval(G, span=F)
+        assert chk.ok, (seed, chk.residual)
+        assert _svd_parseval_gap(G.vectors, F.vectors) <= 1e-10, seed
+    inp = tmp_path / "frame.json"
+    for seed in (13, 14, 15):   # own-span residuals of about 1 in both fields
+        inp.write_text(json.dumps(random_frame(seed, 7, 20, field, 18).to_dict()))
+        assert main(["run", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == EXIT_OK
+        assert capsys.readouterr().err.endswith("ok=True\n")
 
 
 def test_onb_frames_fixed_within_1e12():
