@@ -17,19 +17,30 @@ trees and diffing the two shows what a differing digest changed:
     diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
             <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
 
-Besides the builtin examples, the calls read four input files that the
+Besides the builtin examples, the calls read six input files that the
 script writes into a temporary directory, so both source trees read the
-same bytes: a complex 64x16 frame with rows in the span of earlier ones
-and a real 40x6 frame with -0.0 entries and a zero row, both from numpy's
-own generator, most of whose steps come after full rank; a fixed real
-5x3 frame on which, at ``--dep-tol 0.6``, the pass routes vectors that
-lie outside the span of their predecessors dependent, and routes vector 5
-differently in its first and later passes; and a complex 20x7 frame of
-rank 2 from the ``random_frame`` generator of the sources under test,
-whose pass output has rows of norm about 2e-6, so that ``run`` must
-judge it against the input's span, not the output's own.  The calls run
-with that directory as their working directory and name the files
-relatively, so no temporary path reaches the digests.
+same bytes:
+
+* a complex 64x16 frame with rows in the span of earlier ones and a real
+  40x6 frame with -0.0 entries and a zero row, both from numpy's own
+  generator, most of whose steps come after full rank;
+* a complex 20x7 frame of rank 2 from the ``random_frame`` generator of
+  the sources under test, whose pass output has rows of norm about 2e-6,
+  so that ``run`` must judge it against the input's span, not the
+  output's own;
+* the real frame ``[[10, 0], [0, 10], [2e12, 0]]``, whose dependent third
+  vector shrinks the parallel first output row to about 5e-13, so that
+  pass 2 counts it as zero: ``iterate`` fails its prediction and its
+  routing drifts, while one pass is Parseval;
+* the real frame ``[[1e-11, 0], [0, 1e-11]]``, whose two vectors both
+  route dependent, so that no vector survives the iteration;
+* a real 4x4 Gaussian frame whose row 3 is ``N1 - 0.5 N2 + 1e-9 N4``:
+  it lies 1e-9 off the span of rows 1 and 2, and routed independent it
+  leaves a prefix far enough from orthonormal that the exactly dependent
+  row 4 routes independent too, so ``run`` fails its Parseval check.
+
+The calls run with that directory as their working directory and name
+the files relatively, so no temporary path reaches the digests.
 """
 
 import argparse
@@ -47,32 +58,36 @@ from framegs.generate import random_frame
 
 EXAMPLES = ("fig1", "fig2", "fig3")
 INPUTS = ("complex64x16.json", "real40x6.json")
-DRIFT = "drift.json"
 HEAVY = "heavy.json"
+HUGE = "huge.json"
+TINY = "tiny.json"
+NEAR = "near.json"
 
 CALLS = [
     *(["run", "--example", name, "--format", fmt] for name in EXAMPLES for fmt in ("json", "csv")),
     *(["run", "--example", name, "--trace", "steps"] for name in EXAMPLES),
     *(["iterate", "--example", "fig3", "--trace", "steps", "--format", fmt] for fmt in ("json", "csv")),
     ["iterate", "--example", "fig1", "--snapshot-stride", "1", "--max-iter", "200"],
-    # the false branches of the limit report: no survivors and a failed
-    # prediction (exit 1), then a run stopped before the survivors are near-ONB
-    ["iterate", "--example", "fig1", "--dep-tol", "0.99", "--max-iter", "50", "--trace", "steps"],
+    # the false branches of the limit report: a failed prediction with a
+    # drifting routing (exit 1), no survivors, then a run stopped before the
+    # survivors are near-ONB
+    ["iterate", "--input", HUGE, "--trace", "steps"],
+    ["iterate", "--input", TINY, "--trace", "steps"],
     ["iterate", "--example", "fig3", "--max-iter", "3", "--eps-delta", "0", "--trace", "steps"],
     ["verify", "--seed", "0", "--random-frames", "10"],
     *(["run", "--input", name, "--trace", "steps"] for name in INPUTS),
     *(["iterate", "--input", name, "--trace", "steps", "--max-iter", "50"] for name in INPUTS),
-    # the dependent indices are those of the routing of the first pass
-    ["run", "--input", DRIFT, "--dep-tol", "0.6", "--trace", "steps"],
-    ["iterate", "--input", DRIFT, "--dep-tol", "0.6", "--max-iter", "10", "--eps-delta", "0",
-     "--trace", "steps"],
+    # one pass over the frame that drifts under iteration is Parseval; a
+    # near-dependent row makes one that is not (exit 1)
+    ["run", "--input", HUGE, "--trace", "steps"],
+    ["run", "--input", NEAR, "--trace", "steps"],
     # a correct output of a heavily dependent frame passes the Parseval check
     ["run", "--input", HEAVY, "--trace", "steps"],
 ]
 
 
 def _input_frames():
-    """The four input documents, keyed by file name."""
+    """The six input documents, keyed by file name."""
     rng = np.random.default_rng(20160226)
     C = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
     for k in (5, 11, 30, 47):   # in the span of the rows before them
@@ -80,14 +95,16 @@ def _input_frames():
     R = rng.normal(size=(40, 6))
     R[rng.random(R.shape) < 0.2] = -0.0
     R[9] = 0.0
+    N = rng.normal(size=(4, 4))
+    N[2] = N[0] - 0.5 * N[1] + 1e-9 * N[3]
     return {
         INPUTS[0]: {"dim": 16, "field": "complex",
                     "vectors": [[[z.real, z.imag] for z in row] for row in C.tolist()]},
         INPUTS[1]: {"dim": 6, "field": "real", "vectors": R.tolist()},
-        DRIFT: {"dim": 3, "field": "real",
-                "vectors": [[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
-                            [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]},
         HEAVY: random_frame(0, 7, 20, "complex", 18).to_dict(),
+        HUGE: {"dim": 2, "field": "real", "vectors": [[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]},
+        TINY: {"dim": 2, "field": "real", "vectors": [[1e-11, 0.0], [0.0, 1e-11]]},
+        NEAR: {"dim": 4, "field": "real", "vectors": N.tolist()},
     }
 
 

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="apply one pass and verify the output")
     _add_input_args(run)
-    run.add_argument("--dep-tol", type=float, default=DEP_TOL)
     run.add_argument("--trace", choices=("none", "steps"), default="none")
     _add_output_args(run)
 
@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--max-iter", type=int, default=1000)
     it.add_argument("--snapshot-stride", type=int, default=1)
     it.add_argument("--eps-delta", type=float, default=1e-12)
-    it.add_argument("--dep-tol", type=float, default=DEP_TOL)
     it.add_argument("--trace", choices=("none", "steps"), default="none",
                     help="steps: per-step tracing plus recurrence validation")
     _add_output_args(it)
@@ -90,10 +89,10 @@ def _check_ranges(args: argparse.Namespace):
     for name in ("max_iter", "snapshot_stride"):
         if getattr(args, name, 1) < 1:
             raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
-    if not 0.0 <= getattr(args, "dep_tol", 0.0) < 1.0:
-        raise InputError(f"--dep-tol must lie in [0, 1), got {args.dep_tol}")
-    if getattr(args, "eps_delta", 0.0) < 0.0:
-        raise InputError(f"--eps-delta must be >= 0, got {args.eps_delta}")
+    if not 0.0 <= getattr(args, "eps_delta", 0.0) < math.inf:
+        raise InputError(f"--eps-delta must be finite and >= 0, got {args.eps_delta}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "random_frames", 1) < 1:
         raise InputError(f"--random-frames must be >= 1, got {args.random_frames}")
 
@@ -174,7 +173,7 @@ def _csv_text(header, rows) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     F = load_input_frame(args)
-    G, kinds = ggs_pass(F, args.dep_tol)
+    G, kinds = ggs_pass(F)
     chk = is_parseval(G, span=F)
     report = {
         "parseval_residual": chk.residual,
@@ -202,7 +201,6 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         max_iter=args.max_iter,
         eps_delta=args.eps_delta,
         snapshot_stride=args.snapshot_stride,
-        dep_tol=args.dep_tol,
         trace_steps=args.trace == "steps",
     )
     rep = classify_limit(tr)

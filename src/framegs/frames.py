@@ -190,7 +190,7 @@ def _span_basis(V: np.ndarray) -> np.ndarray:
     One re-orthogonalization pass keeps Q orthonormal to roundoff.  The
     walk stops once the rank reaches min(n, d), so a later row, whose
     residual could only be roundoff, never asks for one basis vector too
-    many.  This is the span, not the routing of a pass at its ``dep_tol``:
+    many.  This is the span, not the routing of a pass:
     :func:`dependency_profile` reads that from the pass itself.
     """
     n, d = V.shape
@@ -220,14 +220,13 @@ def _span_basis(V: np.ndarray) -> np.ndarray:
     return Q[:rank]
 
 
-def dependency_profile(frame: FrameSeq, tol: float = DEP_TOL) -> tuple[int, ...]:
-    """1-based indices of the dependent steps of one pass over ``frame``
-    at ``dep_tol = tol``: the nonzero vectors the pass routes to its
-    dependent branch.  Zero vectors are not dependent; query them with
-    :func:`zero_indices`."""
+def dependency_profile(frame: FrameSeq) -> tuple[int, ...]:
+    """1-based indices of the dependent steps of one pass over ``frame``:
+    the nonzero vectors the pass routes to its dependent branch.  Zero
+    vectors are not dependent; query them with :func:`zero_indices`."""
     from .ggs import ggs_pass, steps_of   # ggs imports this module
 
-    _, kinds = ggs_pass(frame, tol)
+    _, kinds = ggs_pass(frame)
     return steps_of(kinds)
 
 

@@ -41,13 +41,16 @@ def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: 
 
 
 def _pass_array(
-    V: np.ndarray, dep_tol: float, on_step=None, norms=None
+    V: np.ndarray, on_step=None, norms=None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Array-level pass kernel.  Returns the output rows and the branch
     each step took, one of ``KIND_ZERO``, ``KIND_INDEPENDENT``,
     ``KIND_DEPENDENT`` per input vector, recorded as the step is routed:
     the one routing rule of the package, from which every dependent-index
-    list is read (:func:`steps_of`).  ``on_step(k0, kind, G, w, before)``
+    list is read (:func:`steps_of`).  A nonzero vector whose residual
+    against the span of the previous outputs is at most ``DEP_TOL *
+    max(1, ||f_k||)`` takes the dependent branch; at exactly the
+    threshold the branch is dependent.  ``on_step(k0, kind, G, w, before)``
     is called after each step when given; ``w``/``before`` are set only
     on dependent steps.  ``norms``, when given, must be the row norms of
     ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a caller that
@@ -79,11 +82,11 @@ def _pass_array(
 
     Those checks raise :class:`NonFiniteError` on every overflow the
     pass can meet, but numpy warns first when a product or sum inside
-    them overflows (a residual before full rank can outgrow ``||f||`` when
-    the prefix is not orthonormal, as at ``dep_tol = 0``).  So
-    :func:`ggs_pass` and :func:`~framegs.iteration.iterate` call the
-    kernel under ``np.errstate(over="ignore", invalid="ignore")``, once
-    per call rather than once per pass.
+    them overflows (a residual before full rank can outgrow ``||f||``
+    when the prefix is not exactly orthonormal).  So :func:`ggs_pass` and
+    :func:`~framegs.iteration.iterate` call the kernel under
+    ``np.errstate(over="ignore", invalid="ignore")``, once per call
+    rather than once per pass.
 
     Each step makes as few numpy calls as its field allows, and keeps the
     bits, signed zeros included, of the plain expressions
@@ -135,7 +138,7 @@ def _pass_array(
                 rn = math.sqrt(g.dot(g))
             if not math.isfinite(rn):
                 raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
-            if rn > dep_tol * max(1.0, nf):
+            if rn > DEP_TOL * max(1.0, nf):
                 free -= 1
                 np.divide(g, rn, out=G[k])
                 kinds.append(KIND_INDEPENDENT)
@@ -158,18 +161,14 @@ def steps_of(kinds: tuple[str, ...], kind: str = KIND_DEPENDENT) -> tuple[int, .
     return tuple(k for k, got in enumerate(kinds, 1) if got == kind)
 
 
-def ggs_pass(frame: FrameSeq, dep_tol: float = DEP_TOL) -> tuple[FrameSeq, tuple[str, ...]]:
-    """Run one full pass over ``frame``.
+def ggs_pass(frame: FrameSeq) -> tuple[FrameSeq, tuple[str, ...]]:
+    """Run one full pass over ``frame``, routed as :func:`_pass_array`
+    says.
 
     Parameters
     ----------
     frame : FrameSeq
         Input vectors, processed in order.
-    dep_tol : float
-        A nonzero vector whose residual against the span of the previous
-        outputs is at most ``dep_tol * max(1, ||f_k||)`` takes the
-        dependent branch.  At exactly the threshold the branch is
-        dependent.
 
     Returns
     -------
@@ -180,10 +179,8 @@ def ggs_pass(frame: FrameSeq, dep_tol: float = DEP_TOL) -> tuple[FrameSeq, tuple
     """
     if not isinstance(frame, FrameSeq):
         frame = FrameSeq(frame)
-    if not (0.0 <= dep_tol < 1.0):
-        raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
     with np.errstate(over="ignore", invalid="ignore"):  # see _pass_array
-        G, kinds = _pass_array(frame.vectors, dep_tol)
+        G, kinds = _pass_array(frame.vectors)
     return FrameSeq(G), kinds
 
 

@@ -96,7 +96,6 @@ class IterationTrace:
     iterations_run: int
     stationary: bool
     eps_delta: float
-    dep_tol: float
 
     @property
     def final(self) -> FrameSeq:
@@ -213,7 +212,6 @@ def iterate(
     max_iter: int = 1000,
     eps_delta: float = 1e-12,
     snapshot_stride: int = 1,
-    dep_tol: float = DEP_TOL,
     trace_steps: bool = False,
 ) -> IterationTrace:
     """Apply the pass repeatedly, stopping at ``max_iter`` or as soon as
@@ -231,10 +229,8 @@ def iterate(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    if eps_delta < 0.0:
-        raise ValueError(f"eps_delta must be >= 0, got {eps_delta}")
-    if not 0.0 <= dep_tol < 1.0:
-        raise ValueError(f"dep_tol must lie in [0, 1), got {dep_tol}")
+    if not 0.0 <= eps_delta < math.inf:
+        raise ValueError(f"eps_delta must be finite and >= 0, got {eps_delta}")
 
     try:
         zeros = zero_indices(frame)
@@ -254,7 +250,7 @@ def iterate(
         for m in range(1, max_iter + 1):
             on_step = check.start(norms[-1]) if check is not None else None
             try:
-                cur, kinds = _pass_array(prev, dep_tol, on_step, norms[-1])
+                cur, kinds = _pass_array(prev, on_step, norms[-1])
             except NonFiniteError as exc:
                 raise NonFiniteError(f"iteration {m}: {exc}") from exc
             if m == 1:
@@ -288,7 +284,6 @@ def iterate(
         iterations_run=m,
         stationary=stationary,
         eps_delta=eps_delta,
-        dep_tol=dep_tol,
     )
 
 
@@ -348,10 +343,10 @@ def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> Li
     )
 
 
-def is_fixed_point(frame: FrameSeq, tol: float = 1e-10, dep_tol: float = DEP_TOL) -> bool:
+def is_fixed_point(frame: FrameSeq, tol: float = 1e-10) -> bool:
     """Whether one pass moves the frame by at most ``tol`` in l2 distance.
     The fixed points are exactly the zero-extended orthonormal bases."""
-    out, _ = ggs_pass(frame, dep_tol)
+    out, _ = ggs_pass(frame)
     return l2_distance(out, frame) <= tol
 
 
@@ -367,7 +362,7 @@ def _trace_document(trace: IterationTrace) -> dict:
         "iterations_run": trace.iterations_run,
         "stationary": trace.stationary,
         "eps_delta": trace.eps_delta,
-        "dep_tol": trace.dep_tol,
+        "dep_tol": DEP_TOL,
         "dependent_indices": list(trace.dependent_indices),
         "input_zero_indices": list(trace.input_zero_indices),
         "deltas": trace.deltas,

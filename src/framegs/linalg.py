@@ -97,13 +97,13 @@ def inner(u, v):
     return np.dot(u, v.conj()).item()
 
 
-def check_hermitian(matrix, tol=HERMITIAN_TOL):
+def check_hermitian(matrix):
     """Raise unless ``matrix`` equals its conjugate transpose within
-    ``tol`` times the largest entry magnitude."""
+    ``HERMITIAN_TOL`` times the largest entry magnitude."""
     a = _as_square(matrix)
     scale = np.abs(a).max()
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol * max(scale, 1e-300):
+    if dev > HERMITIAN_TOL * max(scale, 1e-300):
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})"
         )
@@ -201,21 +201,19 @@ def _offdiag_norm(A):
     return float(np.linalg.norm(off))
 
 
-def inv_sqrt(matrix, floor=None):
+def inv_sqrt(matrix):
     """Inverse square root of a Hermitian positive-definite matrix.
 
     Returns ``R = V diag(w**-0.5) V*`` so that ``R @ matrix @ R`` is the
     identity, with ``(w, V)`` from LAPACK's symmetric eigensolver
-    (``np.linalg.eigh``).  ``floor`` is the positivity threshold on
-    eigenvalues; the default is 1e-12 times the largest eigenvalue.  An
-    eigenvalue at or below the floor raises :class:`RankDeficientError`.
-    The input checks are those of :func:`hermitian_eigen`.
+    (``np.linalg.eigh``).  An eigenvalue at or below the positivity
+    floor, 1e-12 times the largest eigenvalue, raises
+    :class:`RankDeficientError`.  The input checks are those of
+    :func:`hermitian_eigen`.
     """
     A, _ = _hermitian_copy(matrix)
     w, V = np.linalg.eigh(A)
-    lam_max = w[-1]
-    if floor is None:
-        floor = 1e-12 * max(lam_max, 0.0)
+    floor = 1e-12 * max(w[-1], 0.0)
     if w[0] <= floor:
         raise RankDeficientError(
             f"eigenvalue {w[0]:.3e} at or below floor {floor:.3e}: "

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    DEP_TOL,
-    FrameSeq,
-    canonical_parseval,
-    is_parseval,
-    l2_distance,
-)
+from .frames import FrameSeq, canonical_parseval, is_parseval, l2_distance
 from .generate import (
     EXAMPLE_NAMES,
     example_frame,
@@ -137,7 +131,7 @@ def check_prefix_parseval(frames) -> CheckResult:
             chk = is_parseval(FrameSeq(G[: k + 1]), span=FrameSeq(V[: k + 1]))
             worst = max(worst, chk.residual)
 
-        _pass_array(V, DEP_TOL, on_step)
+        _pass_array(V, on_step)
     return _result("prefix_parseval", worst, 1e-10, detail=f"{len(frames)} frames, all steps")
 
 
@@ -161,7 +155,7 @@ def check_dependent_oracle(frames) -> CheckResult:
                 prev[:k] = G[:k]
             prev[k] = G[k]
 
-        _pass_array(V, DEP_TOL, on_step)
+        _pass_array(V, on_step)
     return _result("dependent_oracle_match", worst, 1e-10, extra_ok=steps > 0,
                    detail=f"{steps} dependent steps")
 

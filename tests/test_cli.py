@@ -17,10 +17,20 @@ from framegs.iteration import _trace_document, classify_limit, iterate, trace_to
 
 RT2 = math.sqrt(2.0)
 
-# at --dep-tol 0.6, pass 1 routes vectors 3, 4 and 5 dependent, though none
-# lies in the span of vectors 1 and 2; later passes route 5 independent
-DRIFT_VECTORS = [[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
-                 [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]
+# pass 1 routes vector 3 dependent, which shrinks the parallel output row 1
+# to about 5e-13, so pass 2 counts vector 1 as zero: the zero set of the
+# iteration is [1], not the predicted [3], and the routing drifts
+HUGE_VECTORS = [[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]
+
+
+def near_dependent_vectors():
+    """A 4x4 Gaussian frame whose row 3 lies 1e-9 off the span of rows 1
+    and 2.  Routed independent, that row leaves a prefix far enough from
+    orthonormal that the exactly dependent row 4 routes independent too,
+    and the output is not Parseval for the input's span."""
+    N = np.random.default_rng(9).normal(size=(4, 4))
+    N[2] = N[0] - 0.5 * N[1] + 1e-9 * N[3]
+    return N.tolist()
 
 
 def write_frame(path, dim, field, vectors):
@@ -107,13 +117,22 @@ class TestRun:
         assert doc["report"]["step_kinds"] == ["independent", "independent", "dependent"]
 
     def test_dependent_indices_are_the_dependent_steps(self, tmp_path):
-        inp = write_frame(tmp_path / "drift.json", 3, "real", DRIFT_VECTORS)
         out = tmp_path / "out.json"
-        main(["run", "--input", inp, "--dep-tol", "0.6", "--trace", "steps", "--output", str(out)])
+        main(["run", "--example", "fig3", "--trace", "steps", "--output", str(out)])
         rep = json.loads(out.read_text())["report"]
-        assert rep["dependent_indices"] == [3, 4, 5]
+        assert rep["dependent_indices"] == list(range(3, 11))
         assert rep["dependent_indices"] == [
             k for k, kind in enumerate(rep["step_kinds"], 1) if kind == "dependent"]
+
+    def test_near_dependent_frame_fails_the_parseval_check(self, tmp_path, capsys):
+        inp = write_frame(tmp_path / "near.json", 4, "real", near_dependent_vectors())
+        out = tmp_path / "out.json"
+        rc = main(["run", "--input", inp, "--trace", "steps", "--output", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        rep = json.loads(out.read_text())["report"]
+        assert rep["step_kinds"] == ["independent"] * 4
+        assert rep["parseval_ok"] is False and rep["parseval_residual"] > 1.0
+        assert capsys.readouterr().err.endswith("ok=False\n")
 
 
 class TestRunInputErrors:
@@ -150,10 +169,29 @@ class TestRunInputErrors:
 
     @pytest.mark.parametrize("dep_tol", ["1.5", "1", "nan"])
     def test_dep_tol_out_of_range(self, dep_tol, capsys):
-        assert main(["run", "--example", "fig1", "--dep-tol", dep_tol]) == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err
-        assert "--dep-tol must lie in [0, 1)" in err
-        assert len(err.strip().splitlines()) == 1
+        # every pass routes at DEP_TOL: the option is gone, so any value,
+        # in range or not, is refused by the parser
+        for command in ("run", "iterate"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--example", "fig1", "--dep-tol", dep_tol])
+            assert exc.value.code == EXIT_INPUT_ERROR
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_eps_delta_must_be_finite_and_nonnegative(self, value, capsys):
+        # "=" keeps argparse from reading "-inf" as an option name
+        rc = main(["iterate", "--example", "fig1", f"--eps-delta={value}"])
+        assert rc == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == [f"error: --eps-delta must be finite and >= 0, got {float(value)}"], err
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --seed must be >= 0, got -1"]
 
     def test_bad_max_iter(self, capsys):
         assert main(["iterate", "--example", "fig1", "--max-iter", "0"]) == EXIT_INPUT_ERROR
@@ -221,13 +259,13 @@ class TestRunInputErrors:
         assert err[0].endswith(message), err
 
     @pytest.mark.parametrize("command", ["run", "iterate"])
-    def test_zero_dep_tol_on_overcomplete_frame(self, tmp_path, capsys, command):
-        # at dep_tol 0 the last two of five vectors in R^3 still take the dependent
-        # branch, as every vector after full rank does, so the output is Parseval
+    def test_overcomplete_frame_routes_its_tail_dependent(self, tmp_path, capsys, command):
+        # the last two of five vectors in R^3 take the dependent branch, as
+        # every vector after full rank does, so the output is Parseval
         vectors = np.random.default_rng(43).normal(size=(5, 3)).tolist()
         inp = write_frame(tmp_path / "f.json", 3, "real", vectors)
         out = tmp_path / "out.json"
-        argv = [command, "--input", inp, "--dep-tol", "0", "--output", str(out)]
+        argv = [command, "--input", inp, "--output", str(out)]
         if command == "iterate":
             argv += ["--max-iter", "5"]
         assert main(argv) == EXIT_OK
@@ -297,21 +335,23 @@ class TestIterate:
 
     @pytest.mark.parametrize("trace", ["none", "steps"])
     def test_failed_check_exits_nonzero(self, tmp_path, trace):
+        inp = write_frame(tmp_path / "huge.json", 2, "real", HUGE_VECTORS)
         out = tmp_path / "trace.json"
-        rc = main(["iterate", "--example", "fig1", "--dep-tol", "0.99", "--max-iter", "50",
-                   "--trace", trace, "--output", str(out)])
+        rc = main(["iterate", "--input", inp, "--trace", trace, "--output", str(out)])
         assert rc == EXIT_CHECK_FAILED
-        rep = json.loads(out.read_text())["limit_report"]
+        doc = json.loads(out.read_text())
+        rep = doc["limit_report"]
+        assert doc["dependent_indices"] == [3] and rep["zero_indices"] == [1]
         assert rep["prediction_match"] is False
-        assert rep["surviving_indices"] == [] and rep["near_onb"] is False
+        assert rep["surviving_indices"] == [2, 3] and rep["near_onb"] is True
         if trace == "steps":
             assert rep["recurrences"]["pattern_consistent"] is False
 
     def test_pattern_drift_alone_exits_nonzero(self, tmp_path, monkeypatch):
-        # vector 5 takes the dependent branch in pass 1 and the independent
-        # one from pass 2 on.  No real input drifts while its zero set
-        # matches the routing of pass 1, so the prediction is forced to
-        # match: the drift alone must still exit 1
+        # pass 1 routes vector 1 independent and pass 2 counts it as zero.
+        # No input here drifts while its zero set matches the routing of
+        # pass 1, so the prediction is forced to match: the drift alone
+        # must still exit 1
         def matching(trace, *args):
             rep = classify_limit(trace, *args)
             real.append(rep.prediction_match)
@@ -319,12 +359,12 @@ class TestIterate:
 
         real = []
         monkeypatch.setattr("framegs.cli.classify_limit", matching)
-        inp = write_frame(tmp_path / "drift.json", 3, "real", DRIFT_VECTORS)
+        inp = write_frame(tmp_path / "huge.json", 2, "real", HUGE_VECTORS)
         out = tmp_path / "trace.json"
-        rc = main(["iterate", "--input", inp, "--dep-tol", "0.6", "--max-iter", "10",
-                   "--eps-delta", "0", "--trace", "steps", "--output", str(out)])
+        rc = main(["iterate", "--input", inp, "--max-iter", "10", "--eps-delta", "0",
+                   "--trace", "steps", "--output", str(out)])
         rep = json.loads(out.read_text())["limit_report"]
-        assert real == [False]   # zero set [3, 4] against the routed [3, 4, 5]
+        assert real == [False]   # zero set [1] against the routed [3]
         assert rep["prediction_match"] is True
         assert rep["recurrences"]["pattern_consistent"] is False
         assert rc == EXIT_CHECK_FAILED

@@ -13,7 +13,6 @@ import numpy as np
 from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 
 N_INPUTS = 300
-DEP_TOLS = (0.0, 1e-12, 1e-10, 1e-6, 0.1, 0.6, 0.99)
 COMMANDS = (
     ["run"],
     ["run", "--trace", "steps"],
@@ -70,9 +69,11 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
     for i in range(N_INPUTS):
         doc = _extreme_frame(rng)
         inp.write_text(json.dumps(doc))
-        dep_tol = str(DEP_TOLS[int(rng.integers(len(DEP_TOLS)))])
+        # this draw once picked a routing tolerance for the input; it stays
+        # so that the generator's stream, and so each input, is unchanged
+        rng.integers(7)
         for command in COMMANDS:
-            argv = [*command, "--input", str(inp), "--dep-tol", dep_tol, "--output", out]
+            argv = [*command, "--input", str(inp), "--output", out]
             case = f"input {i} ({doc['field']} {len(doc['vectors'])}x{doc['dim']}), {argv}"
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

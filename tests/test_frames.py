@@ -291,14 +291,15 @@ class TestDependencyProfile:
             assert dependency_profile(G) == dependency_profile(F)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_zero_tolerance_on_overcomplete_frame(self, field):
+    def test_overcomplete_tail_is_dependent(self, field):
         rng = np.random.default_rng(42)
         V = rng.normal(size=(5, 3))
         if field == "complex":
             V = V + 1j * rng.normal(size=(5, 3))
         F = FrameSeq(V)
-        # the first three span the space, so the last two lie in it at any tolerance
-        assert dependency_profile(F, 0.0) == (4, 5)
+        # the first three span the space, so the last two lie in it: the
+        # pass routes them dependent at full rank, with no residual test
+        assert dependency_profile(F) == (4, 5)
         np.testing.assert_allclose(span_projection(F), np.eye(3), atol=1e-14)
 
     def test_matches_svd_prefix_rank(self):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -11,6 +12,7 @@ from framegs.frames import (
     ZERO_REL_TOL,
     FrameSeq,
     canonical_parseval,
+    dependency_profile,
     is_parseval,
     l2_distance,
     zero_indices,
@@ -25,6 +27,7 @@ from framegs.ggs import (
     ggs_pass,
     norm_drop,
 )
+from framegs.iteration import is_fixed_point, iterate
 
 RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
@@ -59,15 +62,15 @@ class TestPassOnExamples:
         np.testing.assert_allclose(G.vectors, np.eye(2), atol=1e-15)
 
 
-def _outputs_per_step(F, dep_tol=DEP_TOL):
+def _outputs_per_step(F):
     """Copies of the output prefix G[:k] after each step k of the pass,
     read through the kernel's ``on_step`` hook."""
     outs = []
-    _pass_array(F.vectors, dep_tol, lambda k, kind, G, w, before: outs.append(G[: k + 1].copy()))
+    _pass_array(F.vectors, lambda k, kind, G, w, before: outs.append(G[: k + 1].copy()))
     return outs
 
 
-def _dependent_updates(F, dep_tol=DEP_TOL):
+def _dependent_updates(F):
     """For each dependent step (1-based), the norms of the rows it
     updates before and after the update and ``|<g_i, f>|``, read through
     the kernel's ``on_step`` hook."""
@@ -77,7 +80,7 @@ def _dependent_updates(F, dep_tol=DEP_TOL):
         if kind == KIND_DEPENDENT:
             updates[k + 1] = (before, np.linalg.norm(G[:k], axis=1), np.hypot(w.real, w.imag))
 
-    _pass_array(F.vectors, dep_tol, hook)
+    _pass_array(F.vectors, hook)
     return updates
 
 
@@ -106,7 +109,7 @@ class TestTrace:
     def test_returned_kinds_are_those_of_the_hook(self):
         for F in random_frame_corpus(38, 25, dependent_fraction=0.7):
             seen = []
-            _, kinds = _pass_array(F.vectors, DEP_TOL, lambda k, kind, *_: seen.append(kind))
+            _, kinds = _pass_array(F.vectors, lambda k, kind, *_: seen.append(kind))
             assert kinds == tuple(seen) and len(kinds) == F.n_vectors
             assert ggs_pass(F)[1] == kinds
 
@@ -223,23 +226,25 @@ class TestNormDrop:
 
 class TestBranchRouting:
     def test_at_threshold_dependent_branch_is_taken(self):
-        # residual of the second vector sits exactly at dep_tol * max(1, norm)
-        tol = 1e-6
-        F = FrameSeq(np.array([[1.0, 0.0], [1.0, tol]]))
-        _, kinds = ggs_pass(F, dep_tol=tol)
+        # residual of the second vector sits exactly at DEP_TOL * max(1, norm)
+        F = FrameSeq(np.array([[1.0, 0.0], [1.0, DEP_TOL]]))
+        _, kinds = ggs_pass(F)
         assert kinds[1] == KIND_DEPENDENT
 
     def test_just_above_threshold_is_independent(self):
-        tol = 1e-6
-        F = FrameSeq(np.array([[1.0, 0.0], [1.0, 2 * tol]]))
-        _, kinds = ggs_pass(F, dep_tol=tol)
+        F = FrameSeq(np.array([[1.0, 0.0], [1.0, 2 * DEP_TOL]]))
+        _, kinds = ggs_pass(F)
         assert kinds[1] == KIND_INDEPENDENT
 
     def test_dep_tol_validation(self):
-        with pytest.raises(ValueError):
-            ggs_pass(FIG1, dep_tol=1.0)
-        with pytest.raises(ValueError):
-            ggs_pass(FIG1, dep_tol=-1e-3)
+        # every pass routes at DEP_TOL: no function takes a routing tolerance
+        for fn in (_pass_array, ggs_pass, iterate, dependency_profile, is_fixed_point):
+            assert "dep_tol" not in inspect.signature(fn).parameters, fn
+        assert list(inspect.signature(dependency_profile).parameters) == ["frame"]
+        with pytest.raises(TypeError):
+            ggs_pass(FIG1, dep_tol=1e-6)
+        with pytest.raises(TypeError):
+            ggs_pass(FIG1, 1e-6)
 
 
 class TestZeroHandling:
@@ -318,7 +323,7 @@ def test_onb_frames_fixed_within_1e12():
         assert l2_distance(G, F) <= 1e-12
 
 
-def _reference_pass(V, dep_tol, on_step=None):
+def _reference_pass(V, on_step=None):
     """The pass kernel's step arithmetic as first written: the product with
     the conjugated prefix, ``np.linalg.norm`` of the residual on every
     step, and a dependent update that computes <g_i, f> a second time.
@@ -338,7 +343,7 @@ def _reference_pass(V, dep_tol, on_step=None):
             coeffs = prefix.conj() @ f
             g = f - coeffs @ prefix
             rn = np.linalg.norm(g)
-            if rn > dep_tol * max(1.0, nf):
+            if rn > DEP_TOL * max(1.0, nf):
                 kind = KIND_INDEPENDENT
                 G[k] = g / rn
             else:
@@ -357,9 +362,9 @@ def _reference_pass(V, dep_tol, on_step=None):
 
 
 def _equivalence_corpus():
-    """(V, dep_tol) cases: real and complex frames for every d in 1..64
-    with zero vectors and forced dependents, plus vectors exactly at and
-    just above the dependence threshold."""
+    """Real and complex frames for every d in 1..64 with zero vectors and
+    forced dependents, plus vectors exactly at and just above the
+    dependence threshold."""
     rng = np.random.default_rng(40)
     cases = []
     for d in range(1, 65):
@@ -372,20 +377,20 @@ def _equivalence_corpus():
             for k in rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False):
                 V[k] = rng.normal(size=k) @ V[:k]   # in the span of the earlier vectors
             V *= 10.0 ** rng.uniform(-3, 3)
-            cases.append((V, DEP_TOL))
-    # residual 0.5 against dep_tol * max(1, ||f||) = 0.5: dependent
-    cases.append((np.array([[1.0, 0.0], [0.5, 0.5]]), 0.5))
-    cases.append((np.array([[1.0, 0.0], [0.5, 0.5j]]), 0.5))
-    cases.append((np.array([[1.0, 0.0], [0.5, 0.5 + 1e-9]]), 0.5))
-    cases.append((np.zeros((3, 2)), DEP_TOL))
+            cases.append(V)
+    # residual DEP_TOL against DEP_TOL * max(1, ||f||) = DEP_TOL: dependent
+    cases.append(np.array([[1.0, 0.0], [1.0, DEP_TOL]]))
+    cases.append(np.array([[1.0, 0.0], [1.0, DEP_TOL * 1j]]))
+    cases.append(np.array([[1.0, 0.0], [1.0, DEP_TOL * (1.0 + 1e-9)]]))
+    cases.append(np.zeros((3, 2)))
     return cases
 
 
 def test_kernel_matches_reference_arithmetic():
     n_dependent = 0
-    for V, tol in _equivalence_corpus():
-        expected, kinds = _reference_pass(V, tol)
-        G, got = _pass_array(V, tol)
+    for V in _equivalence_corpus():
+        expected, kinds = _reference_pass(V)
+        G, got = _pass_array(V)
         assert np.array_equal(G, expected) and got == kinds, (V.shape, V.dtype)
 
         prev = np.zeros_like(V)
@@ -398,12 +403,12 @@ def test_kernel_matches_reference_arithmetic():
                 assert np.array_equal(before, np.linalg.norm(prev[:k], axis=1))
             prev = G.copy()
 
-        assert np.array_equal(_pass_array(V, tol, on_step)[0], expected)
+        assert np.array_equal(_pass_array(V, on_step)[0], expected)
     assert n_dependent > 3 * 64
 
 
 def _signed_zero_corpus():
-    """(V, dep_tol) cases whose arithmetic meets exact zeros: integer-valued
+    """Frames whose arithmetic meets exact zeros: integer-valued
     rows (some scaled) with -0.0 entries and zero rows, as real frames,
     complex frames with real entries, purely imaginary frames and complex
     frames with -0.0 imaginary parts; plus complex frames of dimension 1,
@@ -419,12 +424,12 @@ def _signed_zero_corpus():
         V[rng.random((n, d)) < 0.2] = -0.0
         imag = np.where(rng.random((n, d)) < 0.5, -0.0, rng.integers(-2, 3, size=(n, d)))
         V = (V, V.astype(complex), V * 1j, V + 1j * imag)[t % 4]
-        cases.append((V, DEP_TOL))
+        cases.append(V)
     for _ in range(100):
         n = int(rng.integers(2, 6))
         V = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
         V[int(rng.integers(0, n))] = 0.0
-        cases.append((V, DEP_TOL))
+        cases.append(V)
     return cases
 
 
@@ -432,14 +437,14 @@ def test_kernel_keeps_reference_bits_including_signed_zeros():
     """Exports print -0.0, so the kernel must match the reference
     arithmetic in every bit, which ``np.array_equal`` does not check."""
     n_cases = 0
-    for V, tol in _signed_zero_corpus() + _equivalence_corpus():
-        G, kinds = _reference_pass(V, tol)
+    for V in _signed_zero_corpus() + _equivalence_corpus():
+        G, kinds = _reference_pass(V)
         expected = G.tobytes()
-        G, got = _pass_array(V, tol)
+        G, got = _pass_array(V)
         assert G.tobytes() == expected and got == kinds, (V.shape, V.dtype)
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(V, axis=1)
-        hooked, got = _pass_array(V, tol, lambda *step: None, norms)
+        hooked, got = _pass_array(V, lambda *step: None, norms)
         assert hooked.tobytes() == expected and got == kinds, (V.shape, V.dtype)
         n_cases += 1
     assert n_cases > 600
@@ -471,7 +476,7 @@ def _overcomplete_corpus():
 
 
 def _steps_seen(run, V):
-    """Output bytes and kinds of ``run(V, DEP_TOL, on_step)`` and, per
+    """Output bytes and kinds of ``run(V, on_step)`` and, per
     step, the bytes of what its hook saw: kind, ``w``, ``before`` and all
     of G."""
     steps = []
@@ -480,7 +485,7 @@ def _steps_seen(run, V):
         steps.append((k, kind, None if w is None else w.tobytes(),
                       None if before is None else before.tobytes(), G.tobytes()))
 
-    G, kinds = run(V, DEP_TOL, on_step)
+    G, kinds = run(V, on_step)
     return (G.tobytes(), kinds), steps
 
 
@@ -494,10 +499,10 @@ def test_kernel_keeps_reference_bits_after_full_rank():
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(V, axis=1)
         for given in (None, norms):
-            G, kinds = _pass_array(V, DEP_TOL, None, given)
+            G, kinds = _pass_array(V, None, given)
             assert (G.tobytes(), kinds) == expected, (V.shape, V.dtype)
         for given in (None, norms):
-            out, steps = _steps_seen(lambda V, tol, hook: _pass_array(V, tol, hook, given), V)
+            out, steps = _steps_seen(lambda V, hook: _pass_array(V, hook, given), V)
             assert out == expected, (V.shape, V.dtype)
             assert steps == ref_steps, (V.shape, V.dtype)
         free = min(V.shape)
@@ -518,9 +523,9 @@ def test_huge_vector_after_full_rank(field, s):
         V = V.astype(complex)
         V[2, 1] *= 1j
     if s == 1e153:
-        G, kinds = _pass_array(V, DEP_TOL)
+        G, kinds = _pass_array(V)
         assert kinds == (KIND_INDEPENDENT, KIND_INDEPENDENT, KIND_DEPENDENT)
         assert np.all(np.isfinite(G)) and is_parseval(FrameSeq(G), tol=1e-12)
     else:
         with pytest.raises(NonFiniteError, match="step 3: input vector norm is not finite"):
-            _pass_array(V, DEP_TOL)
+            _pass_array(V)

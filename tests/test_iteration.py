@@ -27,6 +27,9 @@ RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
 FIG2 = example_frame("fig2")
 FIG3 = example_frame("fig3")
+# the dependent third vector shrinks the parallel first output row to
+# about 5e-13, so pass 2 counts it as zero: the routing drifts from pass 1's
+HUGE = FrameSeq(np.array([[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]))
 
 
 class TestIterate:
@@ -58,8 +61,9 @@ class TestIterate:
             iterate(FIG1, max_iter=0)
         with pytest.raises(ValueError):
             iterate(FIG1, snapshot_stride=0)
-        with pytest.raises(ValueError):
-            iterate(FIG1, eps_delta=-1.0)
+        for eps_delta in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eps_delta must be finite and >= 0"):
+                iterate(FIG1, eps_delta=eps_delta)
 
     def test_non_finite_input_rejected_up_front(self):
         # entries this large overflow the very first norm computation, so
@@ -208,16 +212,14 @@ class TestValidateRecurrences:
         if case == "corpus":
             frames = random_frame_corpus(52, 10, dependent_fraction=0.8)
         else:
-            frames = [FIG3 if case == "fig3" else FIG1]
-        dep_tol = 0.99 if case == "drift" else 1e-10
+            frames = [{"fig1": FIG1, "fig3": FIG3, "drift": HUGE}[case]]
         for F in frames:
-            tr = iterate(F, max_iter=40, eps_delta=0.0, dep_tol=dep_tol, snapshot_stride=1,
-                         trace_steps=True)
+            tr = iterate(F, max_iter=40, eps_delta=0.0, snapshot_stride=1, trace_steps=True)
             assert tr.recurrences == _per_row_validate_recurrences(tr)
             assert tr.recurrences.pattern_consistent == (case != "drift")
 
 
-def _steps_of_pass(V, dep_tol):
+def _steps_of_pass(V):
     """The kind of each step of one pass over ``V`` and, for each
     dependent step (1-based), copies of what the kernel hands its hook:
     the row norms before the update, the inner products ``w`` and the
@@ -229,7 +231,7 @@ def _steps_of_pass(V, dep_tol):
         if kind == KIND_DEPENDENT:
             dependent[k + 1] = (before.copy(), w.copy(), G[:k].copy())
 
-    _pass_array(V, dep_tol, hook)
+    _pass_array(V, hook)
     return kinds, dependent
 
 
@@ -246,7 +248,7 @@ def _per_row_validate_recurrences(trace):
     for m in range(1, trace.iterations_run + 1):
         prev = trace.norms[m - 1]
         cur = trace.norms[m]
-        kinds, dependent = _steps_of_pass(trace.snapshots[m - 1].vectors, trace.dep_tol)
+        kinds, dependent = _steps_of_pass(trace.snapshots[m - 1].vectors)
         assert tuple(kinds) == trace.step_traces[m]
         actual_dep = {k for k, kd in enumerate(kinds, 1) if kd == KIND_DEPENDENT}
         actual_zero = {k for k, kd in enumerate(kinds, 1) if kd == KIND_ZERO}
@@ -303,21 +305,19 @@ class TestStepTraces:
             assert tr.step_traces[m] == ref
 
     def test_dependent_indices_are_those_of_pass_one(self):
-        # at dep_tol 0.6 pass 1 routes vector 5 dependent, later passes independent
-        F = FrameSeq(np.array([[-1.03, -0.56, -0.05], [0.31, 1.89, 0.2], [-1.41, 0.13, -0.6],
-                               [0.4, -0.69, -0.71], [-0.51, -0.63, -1.82]]))
-        tr = iterate(F, max_iter=10, eps_delta=0.0, dep_tol=0.6, trace_steps=True)
-        assert tr.dependent_indices == (3, 4, 5)
+        # pass 1 routes vector 3 dependent; pass 2 counts vector 1 as zero
+        tr = iterate(HUGE, max_iter=10, eps_delta=0.0, trace_steps=True)
+        assert tr.dependent_indices == (3,)
         assert tr.dependent_indices == tuple(
             k for k, kind in enumerate(tr.step_traces[1], 1) if kind == KIND_DEPENDENT)
-        assert tr.step_traces[2][4] != KIND_DEPENDENT
+        assert tr.step_traces[2][0] == KIND_ZERO
         assert not tr.recurrences.pattern_consistent
 
     def test_out_of_range_dep_tol_rejected(self):
-        for dep_tol in (1.0, -1e-3):
-            for trace_steps in (False, True):
-                with pytest.raises(ValueError):
-                    iterate(FIG1, max_iter=2, dep_tol=dep_tol, trace_steps=trace_steps)
+        # routing has one tolerance, DEP_TOL; iterate takes none
+        for trace_steps in (False, True):
+            with pytest.raises(TypeError):
+                iterate(FIG1, max_iter=2, dep_tol=1e-6, trace_steps=trace_steps)
 
     def test_untraced_run_has_no_step_data(self):
         tr = iterate(FIG1, max_iter=5, eps_delta=0.0)
@@ -366,7 +366,10 @@ class TestClassifyLimit:
         assert not rep.prediction_match
 
     def test_no_survivor_is_not_a_basis_of_a_nonzero_span(self):
-        tr = iterate(FIG1, max_iter=50, eps_delta=0.0, dep_tol=0.99)
+        # both vectors fall below the absolute part of the dependence rule,
+        # DEP_TOL * max(1, ||f||), and route dependent on an empty prefix
+        tiny = FrameSeq(np.array([[1e-11, 0.0], [0.0, 1e-11]]))
+        tr = iterate(tiny, max_iter=50, eps_delta=0.0)
         rep = classify_limit(tr)
         assert rep.surviving_indices == ()
         assert not rep.near_onb
