@@ -38,9 +38,7 @@ from .ggs import (
     KIND_DEPENDENT,
     KIND_INDEPENDENT,
     KIND_ZERO,
-    dependent_update,
     ggs_pass,
-    norm_drop,
 )
 from .iteration import (
     IterationTrace,
@@ -48,12 +46,11 @@ from .iteration import (
     RecurrenceReport,
     classify_limit,
     closed_form_last_dependent,
-    is_fixed_point,
     iterate,
     trace_csv_rows,
     trace_to_dict,
 )
-from .linalg import hermitian_eigen, inner, inv_sqrt
+from .linalg import hermitian_eigen, inv_sqrt
 
 __version__ = "0.1.0"
 
@@ -80,19 +77,15 @@ __all__ = [
     "classify_limit",
     "closed_form_last_dependent",
     "dependency_profile",
-    "dependent_update",
     "example_frame",
     "frame_bounds",
     "frame_operator",
     "ggs_pass",
     "hermitian_eigen",
-    "inner",
     "inv_sqrt",
-    "is_fixed_point",
     "is_parseval",
     "iterate",
     "l2_distance",
-    "norm_drop",
     "random_frame",
     "random_frame_corpus",
     "random_independent_frame",

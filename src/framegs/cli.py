@@ -44,6 +44,15 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors take one stderr line, ``error:
+    <message>``, and exit code 2, without the usage block; the subcommand
+    parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+
 def _add_input_args(sub):
     grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("--input", metavar="PATH", help="frame JSON file")
@@ -56,7 +65,7 @@ def _add_output_args(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="framegs",
         description="Parseval frames via a generalized Gram-Schmidt pass.",
     )

@@ -25,6 +25,7 @@ from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen, inv_s
 
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
+PARSEVAL_TOL = 1e-10  # Frobenius distance within which is_parseval holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +238,12 @@ def span_projection(frame: FrameSeq) -> np.ndarray:
     return Q.T @ Q.conj()
 
 
-def is_parseval(frame: FrameSeq, tol: float = 1e-10, span: FrameSeq | None = None) -> ParsevalCheck:
+def is_parseval(frame: FrameSeq, span: FrameSeq | None = None) -> ParsevalCheck:
     """Whether the frame operator of ``frame`` lies within Frobenius
-    distance ``tol`` of the projection onto the span of ``span``, by
-    default ``frame`` itself, which suits an arbitrary frame.  A pass
-    output G is judged with ``span=F``, its input: one pass makes G a
-    Parseval frame for span(F), however far it shrank G's rows.
+    distance ``PARSEVAL_TOL`` of the projection onto the span of
+    ``span``, by default ``frame`` itself, which suits an arbitrary frame.
+    A pass output G is judged with ``span=F``, its input: one pass makes
+    G a Parseval frame for span(F), however far it shrank G's rows.
     """
     span = frame if span is None else span
     if span.dim != frame.dim:
@@ -250,7 +251,7 @@ def is_parseval(frame: FrameSeq, tol: float = 1e-10, span: FrameSeq | None = Non
     S = frame_operator(frame)
     P = span_projection(span)
     residual = float(np.linalg.norm(S - P))
-    return ParsevalCheck(ok=residual <= tol, residual=residual)
+    return ParsevalCheck(ok=residual <= PARSEVAL_TOL, residual=residual)
 
 
 def canonical_parseval(frame: FrameSeq) -> FrameSeq:

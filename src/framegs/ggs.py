@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
-from .frames import DEP_TOL, ZERO_REL_TOL, FrameSeq, _check_member, _zero_threshold
-from .linalg import _row_norms, as_field_array
+from .errors import NonFiniteError
+from .frames import DEP_TOL, FrameSeq, _zero_threshold
+from .linalg import _row_norms
 
 KIND_ZERO = "zero"
 KIND_INDEPENDENT = "independent"
@@ -66,8 +66,8 @@ def _pass_array(
     independent routes remain.  After full rank it could not fire:
 
     * Every output row has norm at most 1.  Independent rows are
-      normalized, and the dependent update only shrinks rows (see
-      :func:`norm_drop`, which is never negative).
+      normalized, and the dependent update only shrinks rows: row i
+      keeps squared norm ``||g_i||^2 - |<g_i, f>|^2 / (1 + ||f||^2)``.
     * So, with finite input norms, ``|coeffs[j]| <= ||f||``; the
       residual, roundoff against ``||f||``, would have a finite norm; and
       each entry ``cfac * w[i] * f[j]`` of the update, with ``|cfac| <=
@@ -182,44 +182,3 @@ def ggs_pass(frame: FrameSeq) -> tuple[FrameSeq, tuple[str, ...]]:
     with np.errstate(over="ignore", invalid="ignore"):  # see _pass_array
         G, kinds = _pass_array(frame.vectors)
     return FrameSeq(G), kinds
-
-
-def dependent_update(prefix: FrameSeq, f) -> FrameSeq:
-    """Apply the dependent-branch correction for vector ``f`` to every
-    vector of ``prefix``, then append f / sqrt(1 + ||f||^2).
-
-    ``f`` must be nonzero; callers route zero vectors to the zero branch
-    themselves.  Whether f actually lies in the span of ``prefix`` is not
-    checked here: the formula is defined regardless, the pass only
-    *applies* it in the dependent case.
-    """
-    arr = _check_member(prefix, f)
-    nf = float(np.linalg.norm(arr))
-    scale = max(float(prefix.norms().max()), nf)
-    if nf <= ZERO_REL_TOL * (scale if scale > 0.0 else 1.0):
-        raise ValueError("dependent_update requires a nonzero vector f")
-    if not math.isfinite(nf * nf):
-        raise NonFiniteError("dependent_update: squared norm overflows")
-    k = len(prefix)
-    G = np.zeros((k + 1, prefix.dim), dtype=prefix.vectors.dtype)
-    G[:k] = prefix.vectors
-    _apply_dependent_update(G, k, arr, nf, (G[:k].conj() @ arr).conj())
-    return FrameSeq(G)
-
-
-def norm_drop(g, f) -> float:
-    """Squared norm of g after a dependent update driven by f:
-
-        ||g||^2 - |<g, f>|^2 / (1 + ||f||^2)
-
-    evaluated without forming the updated vector.
-    """
-    g = as_field_array(g, "g")
-    f = as_field_array(f, "f")
-    if g.shape != f.shape or g.ndim != 1:
-        raise DimensionMismatchError(
-            f"g and f must be vectors of equal dimension, got {g.shape} and {f.shape}"
-        )
-    nf2 = float(np.linalg.norm(f)) ** 2
-    ip = complex(np.dot(g, f.conj()))
-    return float(np.linalg.norm(g)) ** 2 - abs(ip) ** 2 / (1.0 + nf2)

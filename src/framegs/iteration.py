@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .frames import DEP_TOL, FrameSeq, _coordinates, l2_distance, zero_indices
-from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass, steps_of
+from .frames import DEP_TOL, FrameSeq, _coordinates
+from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, steps_of
 from .linalg import _l2_norm, _row_norms, as_field_array
 
 # largest entry of |Gram - I| over the surviving vectors at which
@@ -76,13 +76,14 @@ class IterationTrace:
     ``norms`` has shape (M+1, n): row m holds the vector norms of G_m.
     ``snapshots`` maps iteration number to the frame at that point;
     0 and M are always present, intermediate iterations appear on the
-    snapshot stride.  ``dependent_indices`` are the dependent steps of
-    the first pass, the routing whose vectors the limit theorem says
-    vanish.  ``step_traces`` and ``recurrences`` are present only when
-    step tracing was requested: ``step_traces`` maps iteration number
-    m >= 1 to the branch kind of each step of the pass that produced G_m,
-    the kinds ``ggs_pass(G_{m-1})`` returns, and ``recurrences`` reports
-    the norm laws checked during the passes.
+    snapshot stride.  ``dependent_indices`` and ``input_zero_indices``
+    are the dependent and zero steps of the first pass, the routing whose
+    vectors the limit theorem says vanish.  ``step_traces`` and
+    ``recurrences`` are present only when step tracing was requested:
+    ``step_traces`` maps iteration number m >= 1 to the branch kind of
+    each step of the pass that produced G_m, the kinds
+    ``ggs_pass(G_{m-1})`` returns, and ``recurrences`` reports the norm
+    laws checked during the passes.
     """
 
     initial: FrameSeq
@@ -232,10 +233,6 @@ def iterate(
     if not 0.0 <= eps_delta < math.inf:
         raise ValueError(f"eps_delta must be finite and >= 0, got {eps_delta}")
 
-    try:
-        zeros = zero_indices(frame)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"input frame: {exc}") from exc
     norms = [frame.norms()]   # norms[-1] is also the next pass's input norms
     deltas: list[float] = []
     snapshots: dict[int, FrameSeq] = {0: frame}
@@ -254,7 +251,7 @@ def iterate(
             except NonFiniteError as exc:
                 raise NonFiniteError(f"iteration {m}: {exc}") from exc
             if m == 1:
-                deps = steps_of(kinds)
+                deps, zeros = steps_of(kinds), steps_of(kinds, KIND_ZERO)
             delta = _l2_norm(cur - prev)
             if not math.isfinite(delta):
                 raise NonFiniteError(f"iteration {m}: non-finite state")
@@ -341,13 +338,6 @@ def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> Li
         delta_zero=delta_zero,
         delta_onb=DELTA_ONB,
     )
-
-
-def is_fixed_point(frame: FrameSeq, tol: float = 1e-10) -> bool:
-    """Whether one pass moves the frame by at most ``tol`` in l2 distance.
-    The fixed points are exactly the zero-extended orthonormal bases."""
-    out, _ = ggs_pass(frame)
-    return l2_distance(out, frame) <= tol
 
 
 def _trace_document(trace: IterationTrace) -> dict:

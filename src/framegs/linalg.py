@@ -71,30 +71,11 @@ def _l2_norm(x) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _as_vector(x, name="vector"):
-    arr = as_field_array(x, name)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise DimensionMismatchError(f"{name}: expected a 1-d array, got shape {arr.shape}")
-    return arr
-
-
 def _as_square(x, name="matrix"):
     arr = as_field_array(x, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatchError(f"{name}: expected a square matrix, got shape {arr.shape}")
     return arr
-
-
-def inner(u, v):
-    """Inner product, linear in the first argument and conjugate-linear in
-    the second: ``sum_j u[j] * conj(v[j])``."""
-    u = _as_vector(u, "u")
-    v = _as_vector(v, "v")
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"inner: shapes {u.shape} and {v.shape} differ")
-    if u.dtype != v.dtype:
-        raise DimensionMismatchError("inner: operands must share one scalar field")
-    return np.dot(u, v.conj()).item()
 
 
 def check_hermitian(matrix):

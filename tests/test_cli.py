@@ -168,7 +168,7 @@ class TestRunInputErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("dep_tol", ["1.5", "1", "nan"])
-    def test_dep_tol_out_of_range(self, dep_tol, capsys):
+    def test_dep_tol_option_is_gone(self, dep_tol, capsys):
         # every pass routes at DEP_TOL: the option is gone, so any value,
         # in range or not, is refused by the parser
         for command in ("run", "iterate"):
@@ -176,6 +176,25 @@ class TestRunInputErrors:
                 main([command, "--example", "fig1", "--dep-tol", dep_tol])
             assert exc.value.code == EXIT_INPUT_ERROR
             assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--example", "fig1", "--bogus"],                  # unknown option
+            ["iterate", "--example", "fig1", "--eps-delta", "-inf"],  # "-inf" read as an option
+            ["iterate", "--max-iter", "5"],                           # no --input or --example
+            ["run", "--example", "fig9"],                             # not a builtin example
+            [],                                                       # no subcommand
+        ],
+    )
+    def test_parser_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_eps_delta_must_be_finite_and_nonnegative(self, value, capsys):
@@ -278,7 +297,7 @@ class TestRunInputErrors:
         else:
             assert doc["limit_report"]["zero_indices"] == [4, 5]
             final = doc["snapshots"]["5"]
-        assert is_parseval(FrameSeq(np.array(final)), tol=1e-10)
+        assert is_parseval(FrameSeq(np.array(final)))
 
 
 class TestIterate:
@@ -533,17 +552,8 @@ class TestVerify:
 def test_parseval_failure_exit_code(tmp_path, monkeypatch):
     # force a verification failure in `run` by breaking the tolerance:
     # a pass output is Parseval to ~1e-15, so a run cannot normally fail;
-    # instead re-check the pass output at an impossible tolerance
-    import framegs.cli as cli_mod
-
-    calls = {}
-    real = cli_mod.is_parseval
-
-    def fake(G, tol=1e-10, span=None):
-        chk = real(G, tol=1e-30, span=span)
-        calls["residual"] = chk.residual
-        return chk
-
-    monkeypatch.setattr(cli_mod, "is_parseval", fake)
-    assert main(["run", "--example", "fig1", "--output", str(tmp_path / "o.json")]) == EXIT_CHECK_FAILED
-    assert calls["residual"] > 0.0
+    # instead check the pass output at an impossible tolerance
+    monkeypatch.setattr(framegs.frames, "PARSEVAL_TOL", 1e-30)
+    out = tmp_path / "o.json"
+    assert main(["run", "--example", "fig1", "--output", str(out)]) == EXIT_CHECK_FAILED
+    assert json.loads(out.read_text())["report"]["parseval_residual"] > 0.0

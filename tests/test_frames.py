@@ -147,13 +147,13 @@ class TestIsParseval:
         a = (2 + RT2) / 4
         b = (RT2 - 2) / 4
         G = FrameSeq(np.array([[a, b], [b, a], [0.5, 0.5]]))
-        assert is_parseval(G, tol=1e-10)
+        assert is_parseval(G)
 
     def test_span_relative_subspace_frame(self):
         # Parseval for a line in R^3, far from spanning the ambient space
         v = np.array([3.0, 0.0, 4.0]) / 5.0
         G = FrameSeq(np.stack([v * 0.6, v * 0.8]))  # norms^2 sum to 1 along the line
-        assert is_parseval(G, tol=1e-12)
+        assert is_parseval(G).residual <= 1e-12
 
     def test_default_span_is_the_frame_itself(self):
         for F in [FIG1, FIG3, *random_frame_corpus(12, 10, dependent_fraction=0.5)]:
@@ -168,7 +168,7 @@ class TestIsParseval:
         plane = FrameSeq(np.stack([v, [0.0, 1.0, 0.0]]))
         chk = is_parseval(G, span=plane)
         assert not chk and chk.residual == pytest.approx(1.0, abs=1e-12)
-        assert is_parseval(G, span=FrameSeq(v[None, :] * 2.0), tol=1e-12)
+        assert is_parseval(G, span=FrameSeq(v[None, :] * 2.0)).residual <= 1e-12
 
     def test_span_of_another_dimension_raises(self):
         with pytest.raises(DimensionMismatchError, match="dimension 3"):
@@ -186,18 +186,18 @@ class TestCanonicalParseval:
         np.testing.assert_allclose(canonical_parseval(F).vectors, expected, atol=1e-12)
 
     def test_fig1_output_parseval(self):
-        assert is_parseval(canonical_parseval(FIG1), tol=1e-10)
+        assert is_parseval(canonical_parseval(FIG1))
 
     def test_zero_vectors_stay_zero(self):
         F = FrameSeq(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
         G = canonical_parseval(F)
         np.testing.assert_array_equal(G.vectors[1], [0.0, 0.0])
-        assert is_parseval(G, tol=1e-10)
+        assert is_parseval(G)
 
     def test_non_spanning_handled_by_span_restriction(self):
         F = FrameSeq(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         G = canonical_parseval(F)
-        assert is_parseval(G, tol=1e-10)
+        assert is_parseval(G)
 
     def test_bounds_become_unit(self):
         for F in random_frame_corpus(23, 25):

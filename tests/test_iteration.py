@@ -16,7 +16,6 @@ from framegs.iteration import (
     RecurrenceReport,
     classify_limit,
     closed_form_last_dependent,
-    is_fixed_point,
     iterate,
     trace_csv_rows,
     trace_to_dict,
@@ -67,9 +66,10 @@ class TestIterate:
 
     def test_non_finite_input_rejected_up_front(self):
         # entries this large overflow the very first norm computation, so
-        # the error surfaces before any pass runs
+        # the first pass stops at its input-norm check before any step runs
         F = FrameSeq(np.array([[1e200, 0.0], [1e200, 0.0]]))
-        with pytest.raises(NonFiniteError, match="input frame"):
+        with pytest.raises(NonFiniteError,
+                           match="^iteration 1: step 1: input vector norm is not finite$"):
             iterate(F, max_iter=5)
 
     def test_dependent_indices_and_zeros_recorded(self):
@@ -83,7 +83,7 @@ class TestIterate:
             tr = iterate(F, max_iter=200, eps_delta=0.0, snapshot_stride=40)
             for m, snap in tr.snapshots.items():
                 if m >= 1:
-                    assert is_parseval(snap, tol=1e-9), m
+                    assert is_parseval(snap).residual <= 1e-9, m
 
     def test_monotone_decay_at_dependent_indices(self):
         for F in random_frame_corpus(43, 10, dependent_fraction=1.0):
@@ -313,7 +313,7 @@ class TestStepTraces:
         assert tr.step_traces[2][0] == KIND_ZERO
         assert not tr.recurrences.pattern_consistent
 
-    def test_out_of_range_dep_tol_rejected(self):
+    def test_iterate_takes_no_dep_tol(self):
         # routing has one tolerance, DEP_TOL; iterate takes none
         for trace_steps in (False, True):
             with pytest.raises(TypeError):
@@ -382,17 +382,21 @@ class TestClassifyLimit:
 
 
 class TestIsFixedPoint:
+    # a fixed point: one pass moves the frame by at most 1e-10 in l2 distance
+
     def test_zero_extended_onb_true(self):
-        assert is_fixed_point(FrameSeq(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])))
+        F = FrameSeq(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        assert l2_distance(ggs_pass(F)[0], F) <= 1e-10
 
     def test_fig1_false(self):
-        assert not is_fixed_point(FIG1)
+        assert not l2_distance(ggs_pass(FIG1)[0], FIG1) <= 1e-10
 
     def test_unnormalized_single_vector_false(self):
-        assert not is_fixed_point(FrameSeq(np.array([[1 / RT2, 0.0]])))
+        F = FrameSeq(np.array([[1 / RT2, 0.0]]))
+        assert not l2_distance(ggs_pass(F)[0], F) <= 1e-10
 
     def test_structural_equivalence(self):
-        # moving by <= tol iff the nonzero rows are orthonormal within tol
+        # moving by <= 1e-10 iff the nonzero rows are orthonormal within 1e-10
         rng = np.random.default_rng(49)
         cases = []
         for i in range(15):
@@ -410,7 +414,7 @@ class TestIsFixedPoint:
             structural = (
                 float(np.max(np.abs(gram - np.eye(len(nz))))) <= 1e-10 if nz else True
             )
-            assert is_fixed_point(F, tol=1e-10) == structural
+            assert (l2_distance(ggs_pass(F)[0], F) <= 1e-10) == structural
 
 
 class TestExports:

@@ -1,60 +1,10 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from framegs.errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    NotHermitianError,
-    RankDeficientError,
-)
-from framegs.linalg import check_hermitian, hermitian_eigen, inner, inv_sqrt
-
-RT2 = math.sqrt(2.0)
-
-
-class TestInner:
-    def test_orthogonal_axes(self):
-        assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_unit_vector(self):
-        assert inner(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-    def test_diagonal_against_axis(self):
-        v = np.array([1 / RT2, 1 / RT2])
-        assert inner(v, np.array([1.0, 0.0])) == pytest.approx(1 / RT2, abs=1e-15)
-
-    def test_conjugate_linear_in_second_argument(self):
-        u = np.array([1.0 + 2.0j, 0.5 - 1.0j])
-        v = np.array([0.25 + 0.75j, -1.0 + 0.5j])
-        direct = sum(a * np.conj(b) for a, b in zip(u, v))
-        assert inner(u, v) == pytest.approx(direct, abs=1e-15)
-        assert inner(1j * u, v) == pytest.approx(1j * direct, abs=1e-15)
-        assert inner(u, 1j * v) == pytest.approx(-1j * direct, abs=1e-15)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            d = int(rng.integers(1, 9))
-            u = rng.normal(size=d) + 1j * rng.normal(size=d)
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            assert inner(u, v) == pytest.approx(np.conj(inner(v, u)), abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            inner(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-    def test_field_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            inner(np.array([1.0, 0.0]), np.array([1.0 + 0j, 0.0]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            inner(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
-        with pytest.raises(NonFiniteError):
-            inner(np.array([1.0, 0.0]), np.array([np.inf, 0.0]))
+from framegs.errors import NonFiniteError, NotHermitianError, RankDeficientError
+from framegs.linalg import check_hermitian, hermitian_eigen, inv_sqrt
 
 
 class TestCheckHermitian:
