@@ -7,8 +7,6 @@ from .errors import (
     FrameError,
     JacobiConvergenceError,
     NonFiniteError,
-    NotHermitianError,
-    RankDeficientError,
 )
 from .frames import (
     DEP_TOL,
@@ -31,7 +29,6 @@ from .generate import (
     example_frame,
     random_frame,
     random_frame_corpus,
-    random_independent_frame,
     random_onb_frame,
 )
 from .ggs import (
@@ -50,7 +47,6 @@ from .iteration import (
     trace_csv_rows,
     trace_to_dict,
 )
-from .linalg import hermitian_eigen, inv_sqrt
 
 __version__ = "0.1.0"
 
@@ -69,9 +65,7 @@ __all__ = [
     "JacobiConvergenceError",
     "LimitReport",
     "NonFiniteError",
-    "NotHermitianError",
     "ParsevalCheck",
-    "RankDeficientError",
     "RecurrenceReport",
     "canonical_parseval",
     "classify_limit",
@@ -81,14 +75,11 @@ __all__ = [
     "frame_bounds",
     "frame_operator",
     "ggs_pass",
-    "hermitian_eigen",
-    "inv_sqrt",
     "is_parseval",
     "iterate",
     "l2_distance",
     "random_frame",
     "random_frame_corpus",
-    "random_independent_frame",
     "random_onb_frame",
     "reconstruct",
     "span_projection",

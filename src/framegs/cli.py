@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the seeded verification battery")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--random-frames", type=int, default=50)
-    ver.add_argument("--max-iter", type=int, default=1000)
     return p
 
 
@@ -237,7 +236,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_battery(seed=args.seed, n_frames=args.random_frames, max_iter=args.max_iter)
+    results = run_battery(seed=args.seed, n_frames=args.random_frames)
     print(f"seed={args.seed} random-frames={args.random_frames} dep-tol={DEP_TOL:g}")
     name_w = max(len(r.name) for r in results)
     for r in results:

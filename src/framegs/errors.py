@@ -13,15 +13,6 @@ class NonFiniteError(FrameError):
     """A NaN or infinity entered or left a numerical operation."""
 
 
-class NotHermitianError(FrameError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class RankDeficientError(FrameError):
-    """Operator is singular (or numerically singular) where positive
-    definiteness is required."""
-
-
 class JacobiConvergenceError(FrameError):
     """Eigensolver sweep limit reached before the off-diagonal mass
     dropped below threshold."""

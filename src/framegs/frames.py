@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen, inv_sqrt
+from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen
 
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
@@ -259,15 +259,19 @@ def canonical_parseval(frame: FrameSeq) -> FrameSeq:
     operator, yielding a Parseval frame with order preserved and zero
     vectors kept at zero.  The operator is inverted on the span of the
     frame, taken at ``DEP_TOL``, so non-spanning inputs work.
+
+    With ``coords = U diag(s) Wh`` the SVD of the span coordinates, the
+    result is their polar factor ``coords Wh* diag(1/s) Wh = U Wh``.
+    ``coords`` has full column rank by construction, so every ``s`` is
+    kept; the first form maps a zero row to an exact zero.
     """
     V = frame.vectors
     Q = _span_basis(V)
     if Q.shape[0] == 0:
         return FrameSeq(V)  # all-zero sequence maps to itself
     coords = V @ Q.conj().T                  # (n, rank)
-    S = coords.T @ coords.conj()             # operator on span coordinates
-    R = inv_sqrt(S)
-    return FrameSeq((coords @ R.conj()) @ Q)
+    _, s, Wh = np.linalg.svd(coords, full_matrices=False)
+    return FrameSeq((coords @ ((Wh.conj().T / s) @ Wh)) @ Q)
 
 
 def reconstruct(frame: FrameSeq, f) -> np.ndarray:

@@ -85,15 +85,6 @@ def random_onb_frame(seed, dim: int, n_zeros: int = 0, field: str = "real") -> F
     return FrameSeq(out)
 
 
-def random_independent_frame(seed, dim: int, n_vectors: int, field: str = "real") -> FrameSeq:
-    """Random frame whose vectors are linearly independent (n <= d;
-    Gaussian rows are independent almost surely)."""
-    if n_vectors > dim:
-        raise ValueError(f"independence needs n_vectors <= dim, got {n_vectors} > {dim}")
-    rng = _rng(seed)
-    return FrameSeq(_gaussian(rng, (n_vectors, dim), field))
-
-
 def random_frame_corpus(
     seed,
     count: int,

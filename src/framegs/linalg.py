@@ -7,33 +7,19 @@ array itself, so the results need no branching.  All inputs are
 validated to be finite; NaN or Inf raises
 :class:`~framegs.errors.NonFiniteError` instead of propagating.
 
-Two routes take a Hermitian matrix apart, one per function:
-
-* :func:`hermitian_eigen`, behind ``frames.frame_bounds``, is a cyclic
-  Jacobi iteration written in Python.  It is simple, accurate and
-  backward stable, but every sweep applies its d(d-1)/2 rotations one at
-  a time, so it is slow past a few dozen dimensions: a fraction of a
-  second at d = 64, seconds at d = 128.
-* :func:`inv_sqrt`, behind ``frames.canonical_parseval``, takes the
-  eigendecomposition from LAPACK's symmetric eigensolver
-  (``np.linalg.eigh``).
-
-Both run the same input checks first (:func:`_hermitian_copy`).
+One route takes a Hermitian matrix apart: :func:`hermitian_eigen`,
+behind ``frames.frame_bounds``, a cyclic Jacobi iteration written in
+Python.  It is simple, accurate and backward stable, but every sweep
+applies its d(d-1)/2 rotations one at a time, so it is slow past a few
+dozen dimensions: a fraction of a second at d = 64, seconds at d = 128.
 """
 
 import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    JacobiConvergenceError,
-    NonFiniteError,
-    NotHermitianError,
-    RankDeficientError,
-)
+from .errors import JacobiConvergenceError, NonFiniteError
 
-HERMITIAN_TOL = 1e-12     # relative to the largest entry magnitude
 JACOBI_SWEEP_TOL = 1e-14  # off-diagonal Frobenius, relative to ||M||_F
 JACOBI_MAX_SWEEPS = 100
 
@@ -71,41 +57,6 @@ def _l2_norm(x) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _as_square(x, name="matrix"):
-    arr = as_field_array(x, name)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DimensionMismatchError(f"{name}: expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def check_hermitian(matrix):
-    """Raise unless ``matrix`` equals its conjugate transpose within
-    ``HERMITIAN_TOL`` times the largest entry magnitude."""
-    a = _as_square(matrix)
-    scale = np.abs(a).max()
-    dev = np.abs(a - a.conj().T).max()
-    if dev > HERMITIAN_TOL * max(scale, 1e-300):
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})"
-        )
-    return a
-
-
-def _hermitian_copy(matrix):
-    """The exact-Hermitian copy ``0.5 * (a + a*)`` of a matrix that passes
-    :func:`check_hermitian`, and its Frobenius norm.  A Frobenius norm that
-    overflows raises :class:`NonFiniteError` without a numpy warning."""
-    a = check_hermitian(matrix)
-    # overflow, and the NaN that 0.5 * (inf + 0j) makes of it, are caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = 0.5 * (a + a.conj().T)  # exact-Hermitian working copy
-        fro = np.linalg.norm(A)
-    if not math.isfinite(fro):
-        # every off-diagonal norm is at most fro, so no later norm overflows
-        raise NonFiniteError("matrix Frobenius norm overflows")
-    return A, fro
-
-
 def hermitian_eigen(matrix):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -116,10 +67,19 @@ def hermitian_eigen(matrix):
     Sweeps stop once the off-diagonal Frobenius mass falls below
     ``JACOBI_SWEEP_TOL`` times the Frobenius norm of the input, or after
     ``JACOBI_MAX_SWEEPS`` full sweeps, which raises
-    :class:`JacobiConvergenceError`.  A matrix whose Frobenius norm
-    overflows raises :class:`NonFiniteError`.
+    :class:`JacobiConvergenceError`.  The input is the frame operator,
+    Hermitian to roundoff by construction; the rotations act on its exact
+    Hermitian part ``0.5 * (a + a*)``.  A matrix whose Frobenius norm
+    overflows raises :class:`NonFiniteError` without a numpy warning.
     """
-    A, fro = _hermitian_copy(matrix)
+    a = as_field_array(matrix, "matrix")
+    # overflow, and the NaN that 0.5 * (inf + 0j) makes of it, are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 0.5 * (a + a.conj().T)
+        fro = np.linalg.norm(A)
+    if not math.isfinite(fro):
+        # every off-diagonal norm is at most fro, so no later norm overflows
+        raise NonFiniteError("matrix Frobenius norm overflows")
     d = A.shape[0]
     V = np.eye(d, dtype=A.dtype)
     if d == 1 or fro == 0.0:
@@ -180,25 +140,3 @@ def _offdiag_norm(A):
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     return float(np.linalg.norm(off))
-
-
-def inv_sqrt(matrix):
-    """Inverse square root of a Hermitian positive-definite matrix.
-
-    Returns ``R = V diag(w**-0.5) V*`` so that ``R @ matrix @ R`` is the
-    identity, with ``(w, V)`` from LAPACK's symmetric eigensolver
-    (``np.linalg.eigh``).  An eigenvalue at or below the positivity
-    floor, 1e-12 times the largest eigenvalue, raises
-    :class:`RankDeficientError`.  The input checks are those of
-    :func:`hermitian_eigen`.
-    """
-    A, _ = _hermitian_copy(matrix)
-    w, V = np.linalg.eigh(A)
-    floor = 1e-12 * max(w[-1], 0.0)
-    if w[0] <= floor:
-        raise RankDeficientError(
-            f"eigenvalue {w[0]:.3e} at or below floor {floor:.3e}: "
-            "operator is numerically rank deficient"
-        )
-    R = (V * w ** -0.5) @ V.conj().T
-    return 0.5 * (R + R.conj().T)

@@ -21,8 +21,8 @@ from .frames import FrameSeq, canonical_parseval, is_parseval, l2_distance
 from .generate import (
     EXAMPLE_NAMES,
     example_frame,
+    random_frame,
     random_frame_corpus,
-    random_independent_frame,
     random_onb_frame,
 )
 from .ggs import KIND_DEPENDENT, KIND_INDEPENDENT, _pass_array, ggs_pass, steps_of
@@ -90,8 +90,7 @@ def _independent_frames(seed, n_frames) -> list[FrameSeq]:
     for _ in range(n_frames):
         d = int(rng.integers(2, 9))
         n = int(rng.integers(1, d + 1))
-        out.append(random_independent_frame(rng, d, n,
-                                            "complex" if rng.random() < 0.5 else "real"))
+        out.append(random_frame(rng, d, n, "complex" if rng.random() < 0.5 else "real"))
     return out
 
 
@@ -312,7 +311,7 @@ def check_l2_identity(frames) -> CheckResult:
     return _result("l2_energy_identity", worst, 1e-10, detail=f"{len(frames)} frames")
 
 
-def run_battery(seed: int = 0, n_frames: int = 50, max_iter: int = 1000) -> list[CheckResult]:
+def run_battery(seed: int = 0, n_frames: int = 50) -> list[CheckResult]:
     def corpus(offset, **kw):
         return random_frame_corpus(seed + offset, n_frames, **kw)
 
@@ -325,9 +324,9 @@ def run_battery(seed: int = 0, n_frames: int = 50, max_iter: int = 1000) -> list
         check_last_vector_stabilization(_stabilization_frames(seed + 5, n_frames)),
         check_closed_form_decay(),
         check_recurrences(),
-        check_limit_classification(EXAMPLE_NAMES, max_iter),
+        check_limit_classification(EXAMPLE_NAMES, 1000),
         check_gram_schmidt_degeneration(_independent_frames(seed + 6, n_frames)),
-        check_zero_pattern_prediction(corpus(7, dependent_fraction=1.0), max_iter),
+        check_zero_pattern_prediction(corpus(7, dependent_fraction=1.0), 1000),
         check_near_dependence_routing(_near_dependence_frames(seed + 8)),
         check_l2_identity(corpus(9)),
     ]

@@ -16,7 +16,6 @@ from framegs import (
     FrameSeq,
     random_frame,
     random_frame_corpus,
-    random_independent_frame,
     random_onb_frame,
 )
 from framegs.verify import (
@@ -129,7 +128,7 @@ def test_criterion_09_gram_schmidt_degeneration():
         d = int(rng.integers(2, 9))
         n = int(rng.integers(1, d + 1))
         field = "complex" if t % 2 else "real"
-        frames.append(random_independent_frame(rng, d, n, field=field))
+        frames.append(random_frame(rng, d, n, field=field))
     _verdict(9, check_gram_schmidt_degeneration(frames), 1e-12)
 
 

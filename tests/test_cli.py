@@ -185,6 +185,7 @@ class TestRunInputErrors:
             ["iterate", "--max-iter", "5"],                           # no --input or --example
             ["run", "--example", "fig9"],                             # not a builtin example
             [],                                                       # no subcommand
+            ["verify", "--max-iter", "200"],                          # retired option
         ],
     )
     def test_parser_error_is_one_line(self, argv, capsys):
@@ -487,7 +488,7 @@ def test_import_loads_no_numpy_random():
 
 class TestVerify:
     def test_small_battery_passes(self, capsys):
-        rc = main(["verify", "--random-frames", "6", "--max-iter", "200"])
+        rc = main(["verify", "--random-frames", "6"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "RESULT: PASS" in out
@@ -509,9 +510,9 @@ class TestVerify:
             assert name in out
 
     def test_seed_changes_are_still_deterministic(self, capsys):
-        rc1 = main(["verify", "--seed", "7", "--random-frames", "4", "--max-iter", "200"])
+        rc1 = main(["verify", "--seed", "7", "--random-frames", "4"])
         out1 = capsys.readouterr().out
-        rc2 = main(["verify", "--seed", "7", "--random-frames", "4", "--max-iter", "200"])
+        rc2 = main(["verify", "--seed", "7", "--random-frames", "4"])
         out2 = capsys.readouterr().out
         assert rc1 == rc2 == EXIT_OK
         assert out1 == out2
@@ -528,7 +529,7 @@ class TestVerify:
             G[k, 0] += 1e-6
 
         monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)
-        rc = main(["verify", "--random-frames", "4", "--max-iter", "100"])
+        rc = main(["verify", "--random-frames", "4"])
         lines = capsys.readouterr().out.splitlines()
         assert rc == EXIT_CHECK_FAILED
         assert lines[-1].startswith("RESULT: FAIL"), lines

@@ -221,13 +221,30 @@ class TestCanonicalParseval:
         return U[:, :r] @ Vh[:r]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("n, n_dependent", [(200, 50), (60, 20)], ids=["spanning", "rank40"])
-    def test_matches_polar_factor_at_d64(self, field, n, n_dependent):
-        F = random_frame(11, 64, n, field, n_dependent)
+    @pytest.mark.parametrize(
+        "d, n, n_dependent",
+        [(64, 200, 50), (64, 60, 20), (2, 6, 2), (2, 2, 1), (8, 30, 8), (8, 6, 2),
+         (16, 50, 12), (16, 15, 5)],
+        ids=["spanning", "rank40", "d2-spanning", "d2-rank1", "d8-spanning", "d8-rank4",
+             "d16-spanning", "d16-rank10"],
+    )
+    def test_matches_polar_factor_at_d64(self, field, d, n, n_dependent):
+        F = random_frame(11, d, n, field, n_dependent)
         Q = _span_basis(F.vectors)
-        assert Q.shape[0] == min(64, n - n_dependent)   # 40: the span-coordinates path
+        assert Q.shape[0] == min(d, n - n_dependent)   # below d: the span-coordinates path
         G = canonical_parseval(F)
         assert np.linalg.norm(G.vectors - self._polar_factor(F.vectors)) <= 1e-10
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-7, 1e-9])
+    def test_near_parallel_rows(self, field, gamma):
+        # the pass and the span see R^2 down to gamma = DEP_TOL; so must the
+        # canonical frame, whose S has eigenvalues about 2 and gamma^2 / 2
+        dtype = complex if field == "complex" else float
+        F = FrameSeq(np.array([[1.0, 0.0], [1.0, gamma]], dtype=dtype))
+        C = canonical_parseval(F)
+        assert np.linalg.norm(C.vectors - self._polar_factor(F.vectors)) <= 1e-12
+        assert is_parseval(C, span=F).ok
 
 
 class TestReconstruct:
