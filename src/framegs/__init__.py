@@ -20,7 +20,6 @@ from .frames import (
     frame_operator,
     is_parseval,
     l2_distance,
-    reconstruct,
     span_projection,
     zero_indices,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "random_frame",
     "random_frame_corpus",
     "random_onb_frame",
-    "reconstruct",
     "span_projection",
     "trace_csv_rows",
     "trace_to_dict",

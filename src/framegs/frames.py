@@ -79,31 +79,26 @@ class FrameSeq:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameSeq":
-        """Parse the frame JSON schema: keys dim, field, vectors."""
+        """Parse the frame JSON schema: keys dim (an integer), field and
+        vectors, the inverse of :meth:`to_dict`."""
         try:
-            dim = int(data["dim"])
-            field = data["field"]
-            raw = data["vectors"]
+            dim, field, raw = data["dim"], data["field"], data["vectors"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"frame dict missing or malformed key: {exc}") from exc
-        if field == "complex":
-            rows = []
-            try:
-                for row in raw:
-                    rows.append([complex(re, im) for re, im in row])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"vectors row {len(rows) + 1}: complex entries must be [re, im] pairs"
-                ) from exc
-            arr = np.asarray(rows, dtype=np.complex128)
-        elif field == "real":
-            arr = np.asarray(raw, dtype=np.float64)
-        else:
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}; expected 'real' or 'complex'")
-        if arr.ndim != 2 or arr.shape[1] != dim:
-            raise ValueError(
-                f"vectors shape {arr.shape} inconsistent with dim={dim}"
-            )
+        try:
+            arr = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:   # ragged, non-numeric, huge int
+            raise ValueError(f"vectors: {exc}") from exc
+        shape = (dim, 2) if field == "complex" else (dim,)
+        if arr.shape[1:] != shape:
+            raise ValueError(f"vectors shape {arr.shape} inconsistent with dim={dim} "
+                             f"and field={field!r}")
+        if field == "complex":
+            arr = arr.view(np.complex128)[..., 0]   # [re, im] pairs, signed zeros kept
         return cls(arr)
 
 
@@ -131,21 +126,6 @@ class ParsevalCheck:
         return self.ok
 
 
-def _check_member(frame: FrameSeq, f, name="f"):
-    """Validate a vector against a frame's dimension and field; a real
-    vector may enter a complex frame's space."""
-    arr = as_field_array(f, name)
-    if arr.ndim != 1 or arr.shape[0] != frame.dim:
-        raise DimensionMismatchError(
-            f"{name}: expected shape ({frame.dim},), got {arr.shape}"
-        )
-    if frame.field == "complex":
-        arr = arr.astype(np.complex128, copy=False)
-    elif np.iscomplexobj(arr):
-        raise DimensionMismatchError(f"{name}: complex vector against a real frame")
-    return arr
-
-
 def frame_operator(frame: FrameSeq) -> np.ndarray:
     """The positive operator S = sum_i f_i f_i* as a (d, d) matrix."""
     V = frame.vectors
@@ -158,7 +138,7 @@ def frame_bounds(frame: FrameSeq) -> FrameBounds:
     space."""
     with np.errstate(over="ignore", invalid="ignore"):  # hermitian_eigen rejects inf and NaN
         S = frame_operator(frame)
-    w, _ = hermitian_eigen(S)
+    w = hermitian_eigen(S)
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=float(w[-1]))
 
 
@@ -272,14 +252,6 @@ def canonical_parseval(frame: FrameSeq) -> FrameSeq:
     coords = V @ Q.conj().T                  # (n, rank)
     _, s, Wh = np.linalg.svd(coords, full_matrices=False)
     return FrameSeq((coords @ ((Wh.conj().T / s) @ Wh)) @ Q)
-
-
-def reconstruct(frame: FrameSeq, f) -> np.ndarray:
-    """Analysis-then-synthesis sum ``sum_i <f, f_i> f_i``, i.e. the frame
-    operator applied to ``f``.  Recovers ``f`` itself exactly when the
-    frame is Parseval for a space containing ``f``."""
-    arr = _check_member(frame, f)
-    return frame_operator(frame) @ arr
 
 
 def l2_distance(a: FrameSeq, b: FrameSeq) -> float:

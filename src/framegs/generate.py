@@ -85,30 +85,23 @@ def random_onb_frame(seed, dim: int, n_zeros: int = 0, field: str = "real") -> F
     return FrameSeq(out)
 
 
-def random_frame_corpus(
-    seed,
-    count: int,
-    dim_range: tuple[int, int] = (2, 8),
-    max_vectors: int = 20,
-    dependent_fraction: float = 0.3,
-) -> list[FrameSeq]:
-    """Mixed corpus of random frames: dimensions in ``dim_range``,
-    n between d and ``max_vectors``, alternating real/complex, with
-    roughly ``dependent_fraction`` of the frames containing forced
-    dependencies (spanning is preserved)."""
+def random_frame_corpus(seed, count: int, dependent_fraction: float = 0.3) -> list[FrameSeq]:
+    """Mixed corpus of random frames: dimensions 2..8, n between d and 20,
+    each frame real or complex with probability 1/2, and roughly
+    ``dependent_fraction`` of the frames containing forced dependencies
+    (spanning is preserved)."""
     rng = _rng(seed)
     frames = []
-    dlo, dhi = dim_range
     for _ in range(count):
-        d = int(rng.integers(dlo, dhi + 1))
-        n = int(rng.integers(d, max_vectors + 1))
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(d, 21))
         field = "complex" if rng.random() < 0.5 else "real"
         n_dep = 0
         if rng.random() < dependent_fraction:
             room = n - d  # keep d generic vectors so the frame spans
             if room < 1:
-                n = min(max_vectors, d + 1)
-                room = n - d
+                n = d + 1
+                room = 1
             n_dep = int(rng.integers(1, min(room, 4) + 1))
         frames.append(random_frame(rng, d, n, field, n_dep))
     return frames

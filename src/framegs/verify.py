@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FrameSeq, canonical_parseval, is_parseval, l2_distance
+from .frames import PARSEVAL_TOL, FrameSeq, canonical_parseval, is_parseval, l2_distance
 from .generate import (
     EXAMPLE_NAMES,
     example_frame,
@@ -116,7 +116,7 @@ def check_single_pass_parseval(frames) -> CheckResult:
     for F in frames:
         G, _ = ggs_pass(F)
         worst = max(worst, is_parseval(G, span=F).residual)
-    return _result("single_pass_parseval", worst, 1e-10, detail=f"{len(frames)} frames")
+    return _result("single_pass_parseval", worst, PARSEVAL_TOL, detail=f"{len(frames)} frames")
 
 
 def check_prefix_parseval(frames) -> CheckResult:
@@ -131,7 +131,7 @@ def check_prefix_parseval(frames) -> CheckResult:
             worst = max(worst, chk.residual)
 
         _pass_array(V, on_step)
-    return _result("prefix_parseval", worst, 1e-10, detail=f"{len(frames)} frames, all steps")
+    return _result("prefix_parseval", worst, PARSEVAL_TOL, detail=f"{len(frames)} frames, all steps")
 
 
 def check_dependent_oracle(frames) -> CheckResult:
@@ -298,7 +298,7 @@ def check_near_dependence_routing(cases) -> CheckResult:
     detail = "gap vectors at 1e-3..1e-5"
     if misrouted:
         detail += f"; profile misrouted: {' '.join(misrouted)}"
-    return _result("near_dependence_routing", worst, 1e-10, extra_ok=not misrouted, detail=detail)
+    return _result("near_dependence_routing", worst, PARSEVAL_TOL, extra_ok=not misrouted, detail=detail)
 
 
 def check_l2_identity(frames) -> CheckResult:

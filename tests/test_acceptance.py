@@ -50,8 +50,7 @@ def _verdict(num, result, threshold, elapsed=None, gate=None):
 
 
 def _corpus200():
-    return random_frame_corpus(CORPUS_SEED, 200, dim_range=(2, 8), max_vectors=20,
-                               dependent_fraction=0.3)
+    return random_frame_corpus(CORPUS_SEED, 200, dependent_fraction=0.3)
 
 
 def test_criterion_01_single_pass_parseval():

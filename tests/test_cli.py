@@ -231,6 +231,30 @@ class TestRunInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "bad.json" in err[0]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 1e400, "field": "real", "vectors": [[1.0, 0.0]]}',   # parses to inf
+            '{"dim": 2.5, "field": "real", "vectors": [[1.0, 0.0]]}',
+            '{"dim": 2.0, "field": "real", "vectors": [[1.0, 0.0]]}',   # == 2, still not an int
+            '{"dim": true, "field": "real", "vectors": [[1.0]]}',       # == 1, still not an int
+            '{"dim": "2", "field": "real", "vectors": [[1.0, 0.0]]}',
+            '{"dim": 1, "field": "real", "vectors": [[1%s]]}' % ("0" * 400),
+            '{"dim": 1, "field": "complex", "vectors": [[[1%s, 0]]]}' % ("0" * 400),
+        ],
+        ids=["dim-1e400", "dim-2.5", "dim-2.0", "dim-true", "dim-string", "huge-int-real", "huge-int-complex"],
+    )
+    def test_raw_json_rejected_with_one_line(self, tmp_path, capsys, text):
+        # write_frame writes an int dim and float entries, so these files
+        # are written as text
+        inp = tmp_path / "raw.json"
+        inp.write_text(text)
+        assert main(["run", "--input", str(inp)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "raw.json" in err[0], err
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("s", [1e155, 1e200])
     def test_huge_vector_after_full_rank(self, tmp_path, capsys, field, s):

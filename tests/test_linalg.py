@@ -9,16 +9,13 @@ from framegs.linalg import hermitian_eigen
 
 class TestHermitianEigen:
     def test_identity(self):
-        w, V = hermitian_eigen(np.eye(2))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-        np.testing.assert_allclose(V.conj().T @ V, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(hermitian_eigen(np.eye(2)), [1.0, 1.0])
 
     def test_diagonal(self):
-        w, _ = hermitian_eigen(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0])
+        np.testing.assert_allclose(hermitian_eigen(np.diag([2.0, 1.0])), [1.0, 2.0])
 
     def test_hand_2x2(self):
-        w, _ = hermitian_eigen(np.array([[1.25, 0.25], [0.25, 1.25]]))
+        w = hermitian_eigen(np.array([[1.25, 0.25], [0.25, 1.25]]))
         np.testing.assert_allclose(w, [1.0, 1.5], atol=1e-14)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -30,30 +27,15 @@ class TestHermitianEigen:
             if field == "complex":
                 A = A + 1j * rng.normal(size=(d, d))
             M = A + A.conj().T
-            w, V = hermitian_eigen(M)
             scale = max(1.0, float(np.linalg.norm(M)))
-            np.testing.assert_allclose(w, np.linalg.eigvalsh(M), atol=1e-11 * scale)
-            np.testing.assert_allclose(M @ V, V * w, atol=1e-10 * scale)
-            np.testing.assert_allclose(V.conj().T @ V, np.eye(d), atol=1e-10)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(103)
-        for _ in range(40):
-            d = int(rng.integers(2, 9))
-            A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            M = A + A.conj().T
-            w, V = hermitian_eigen(M)
-            R = (V * w) @ V.conj().T
-            assert np.linalg.norm(R - M) <= 1e-10 * max(1.0, np.linalg.norm(M))
+            np.testing.assert_allclose(hermitian_eigen(M), np.linalg.eigvalsh(M), atol=1e-11 * scale)
 
     def test_degenerate_spectrum(self):
         # projector with repeated eigenvalues 0 and 1
         q = np.array([1.0, 2.0, -1.0, 0.5])
         q /= np.linalg.norm(q)
         M = np.eye(4) - np.outer(q, q)
-        w, V = hermitian_eigen(M)
-        np.testing.assert_allclose(w, [0.0, 1.0, 1.0, 1.0], atol=1e-13)
-        np.testing.assert_allclose(V.conj().T @ V, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(hermitian_eigen(M), [0.0, 1.0, 1.0, 1.0], atol=1e-13)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_frobenius_overflow_raises_without_warning(self, field):
