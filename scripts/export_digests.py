@@ -33,7 +33,8 @@ same bytes:
   pass 2 counts it as zero: ``iterate`` fails its prediction and its
   routing drifts, while one pass is Parseval;
 * the real frame ``[[1e-11, 0], [0, 1e-11]]``, whose two vectors both
-  route dependent, so that no vector survives the iteration;
+  route dependent, so that no vector survives the iteration and ``run``
+  fails its Parseval check;
 * a real 4x4 Gaussian frame whose row 3 is ``N1 - 0.5 N2 + 1e-9 N4``:
   it lies 1e-9 off the span of rows 1 and 2, and routed independent it
   leaves a prefix far enough from orthonormal that the exactly dependent
@@ -83,6 +84,9 @@ CALLS = [
     ["run", "--input", NEAR, "--trace", "steps"],
     # a correct output of a heavily dependent frame passes the Parseval check
     ["run", "--input", HEAVY, "--trace", "steps"],
+    # both vectors route dependent, and a verdict that does not share the
+    # routing rule sees the wrong output (exit 1)
+    ["run", "--input", TINY, "--trace", "steps"],
 ]
 
 

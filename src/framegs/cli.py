@@ -9,7 +9,7 @@ Frames are read from JSON files with keys ``dim``, ``field`` ("real" or
 "complex") and ``vectors`` (rows; complex entries as [re, im] pairs), or
 constructed from the builtin examples fig1, fig2, fig3.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 141 stdout closed.
 """
 
 import argparse
@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -38,6 +39,7 @@ from .verify import run_battery
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE, as a shell reports a process killed by a closed pipe
 
 
 class InputError(Exception):
@@ -252,19 +254,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_ranges(args)
-        if args.command == "verify":
-            return cmd_verify(args)
         try:
-            return cmd_run(args) if args.command == "run" else cmd_iterate(args)
+            code = {"run": cmd_run, "iterate": cmd_iterate, "verify": cmd_verify}[args.command](args)
         except FrameError as exc:  # the pass cannot process the input, e.g. its norms overflow
             raise InputError(f"cannot process {args.input or args.example}: {exc}") from exc
+        sys.stdout.flush()   # a closed stdout raises here, not at interpreter exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:   # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # keeps the exit flush quiet
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ The span-sensitive operations (``span_projection``, ``is_parseval``,
 frame operator is the projection onto a span (its own, or with
 ``is_parseval(G, span=F)`` that of a pass's input F), not the ambient
 identity, so inputs that do not span the ambient space are first-class
-citizens.  Every span is taken at ``DEP_TOL``; which vectors are
-dependent is decided by the routing of the pass (``dependency_profile``).
+citizens.  Every span is the SVD span of the unit-normalized nonzero
+rows at ``DEP_TOL``: it shares no rule with the routing of the pass
+(``dependency_profile``), so a misrouted pass fails ``is_parseval``.
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen
+from .linalg import _row_norms, as_field_array, hermitian_eigen
 
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
@@ -90,15 +91,17 @@ class FrameSeq:
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}; expected 'real' or 'complex'")
         try:
-            arr = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:   # ragged, non-numeric, huge int
+            arr = np.asarray(raw)
+        except (TypeError, ValueError) as exc:   # ragged
             raise ValueError(f"vectors: {exc}") from exc
+        if arr.dtype.kind not in "iuf":   # a string, boolean, null or past-uint64 integer leaf
+            raise ValueError(f"vectors: expected JSON numbers, got {arr.dtype} entries")
         shape = (dim, 2) if field == "complex" else (dim,)
         if arr.shape[1:] != shape:
             raise ValueError(f"vectors shape {arr.shape} inconsistent with dim={dim} "
                              f"and field={field!r}")
         if field == "complex":
-            arr = arr.view(np.complex128)[..., 0]   # [re, im] pairs, signed zeros kept
+            arr = arr.astype(np.float64).view(np.complex128)[..., 0]   # [re, im] pairs, signed zeros kept
         return cls(arr)
 
 
@@ -163,42 +166,19 @@ def zero_indices(frame: FrameSeq) -> tuple[int, ...]:
     return tuple(int(i + 1) for i in np.flatnonzero(norms <= _zero_threshold(norms)))
 
 
-def _span_basis(V: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row span of ``V``, as the rows of Q.
-
-    Sequential Gram-Schmidt: a nonzero row joins the basis when its
-    residual against the basis so far exceeds ``DEP_TOL * max(1, ||v||)``.
-    One re-orthogonalization pass keeps Q orthonormal to roundoff.  The
-    walk stops once the rank reaches min(n, d), so a later row, whose
-    residual could only be roundoff, never asks for one basis vector too
-    many.  This is the span, not the routing of a pass:
-    :func:`dependency_profile` reads that from the pass itself.
+def _span_basis(frame: FrameSeq) -> np.ndarray:
+    """Orthonormal basis of the span of ``frame``, as the rows of Q: the
+    right singular vectors of the nonzero rows scaled to unit norm, cut at
+    ``s > DEP_TOL * s[0]``, a rule that shares nothing with the routing of
+    the pass.  The SVD is of the R factor of a QR, so the n x d left factor
+    is never formed (R-SVD, Golub & Van Loan, *Matrix Computations*, 8.6).
     """
-    n, d = V.shape
-    with np.errstate(over="ignore"):
-        norms = _row_norms(V)
-    zthresh = _zero_threshold(norms)
-    full = min(n, d)
-    Q = np.zeros((full, d), dtype=V.dtype)
-    is_complex = V.dtype.kind == "c"
-    rank = 0
-    for k, nf in enumerate(norms.tolist()):
-        if rank == full:
-            break
-        if nf <= zthresh:
-            continue
-        r = V[k]
-        if rank:
-            B = Q[:rank]
-            Bc = B.conj()   # B itself when real
-            for _ in range(2):   # project out span(Q) twice
-                r = r - ((Bc @ r) @ B if is_complex else Bc.dot(r).dot(B))
-        rn = _l2_norm(r)
-        if rn <= DEP_TOL * max(1.0, nf):
-            continue
-        np.divide(r, rn, out=Q[rank])
-        rank += 1
-    return Q[:rank]
+    norms = frame.norms()
+    keep = norms > _zero_threshold(norms)
+    U = frame.vectors[keep]           # the one n x d working copy
+    U /= norms[keep, None]
+    _, s, Wh = np.linalg.svd(np.linalg.qr(U, mode="r"), full_matrices=False)
+    return Wh[s > DEP_TOL * s[:1]]    # s[:1] is empty when every row is zero
 
 
 def dependency_profile(frame: FrameSeq) -> tuple[int, ...]:
@@ -212,9 +192,9 @@ def dependency_profile(frame: FrameSeq) -> tuple[int, ...]:
 
 
 def span_projection(frame: FrameSeq) -> np.ndarray:
-    """Orthogonal projection onto the span of the frame, taken at
-    ``DEP_TOL``, as a (d, d) matrix."""
-    Q = _span_basis(frame.vectors)
+    """Orthogonal projection onto the span of the frame, the SVD span of
+    its unit rows at ``DEP_TOL``, as a (d, d) matrix."""
+    Q = _span_basis(frame)
     return Q.T @ Q.conj()
 
 
@@ -238,7 +218,8 @@ def canonical_parseval(frame: FrameSeq) -> FrameSeq:
     """Map each vector through the inverse square root of the frame
     operator, yielding a Parseval frame with order preserved and zero
     vectors kept at zero.  The operator is inverted on the span of the
-    frame, taken at ``DEP_TOL``, so non-spanning inputs work.
+    frame, the SVD span of its unit rows at ``DEP_TOL``, so non-spanning
+    inputs work.
 
     With ``coords = U diag(s) Wh`` the SVD of the span coordinates, the
     result is their polar factor ``coords Wh* diag(1/s) Wh = U Wh``.
@@ -246,7 +227,7 @@ def canonical_parseval(frame: FrameSeq) -> FrameSeq:
     kept; the first form maps a zero row to an exact zero.
     """
     V = frame.vectors
-    Q = _span_basis(V)
+    Q = _span_basis(frame)
     if Q.shape[0] == 0:
         return FrameSeq(V)  # all-zero sequence maps to itself
     coords = V @ Q.conj().T                  # (n, rank)

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import framegs
-from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _json_dumps, main
+from framegs.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CHECK_FAILED,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    _json_dumps,
+    main,
+)
 from framegs.frames import FrameSeq, is_parseval
 from framegs.generate import random_frame
 from framegs.iteration import _trace_document, classify_limit, iterate, trace_to_dict
@@ -241,8 +248,14 @@ class TestRunInputErrors:
             '{"dim": "2", "field": "real", "vectors": [[1.0, 0.0]]}',
             '{"dim": 1, "field": "real", "vectors": [[1%s]]}' % ("0" * 400),
             '{"dim": 1, "field": "complex", "vectors": [[[1%s, 0]]]}' % ("0" * 400),
+            '{"dim": 2, "field": "real", "vectors": [["1.5", "0"], [" 2 ", "1e0"]]}',
+            '{"dim": 2, "field": "complex", "vectors": [[["1.5", "0"], [" 2 ", "1e0"]]]}',
+            '{"dim": 2, "field": "real", "vectors": [[1.5, "0"]]}',
+            '{"dim": 2, "field": "real", "vectors": [[true, false], [false, true]]}',
+            '{"dim": 2, "field": "real", "vectors": [[null, 0.0]]}',
         ],
-        ids=["dim-1e400", "dim-2.5", "dim-2.0", "dim-true", "dim-string", "huge-int-real", "huge-int-complex"],
+        ids=["dim-1e400", "dim-2.5", "dim-2.0", "dim-true", "dim-string", "huge-int-real", "huge-int-complex",
+             "string-real", "string-complex", "string-mixed-real", "bool-real", "null-real"],
     )
     def test_raw_json_rejected_with_one_line(self, tmp_path, capsys, text):
         # write_frame writes an int dim and float entries, so these files
@@ -491,6 +504,23 @@ class TestJsonWriter:
         assert _json_dumps(doc) == _reference_dumps(doc)
         for value in doc.values():
             assert _json_dumps(value) == _reference_dumps(value)
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # the 1000 x 8 export is far larger than a pipe's buffer, so the
+    # writer meets the closed pipe
+    vectors = np.random.default_rng(44).normal(size=(1000, 8)).tolist()
+    inp = write_frame(tmp_path / "f.json", 8, "real", vectors)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framegs.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "framegs.cli", "run", "--input", inp],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_import_loads_no_numpy_random():

@@ -235,7 +235,7 @@ class TestCanonicalParseval:
     )
     def test_matches_polar_factor_at_d64(self, field, d, n, n_dependent):
         F = random_frame(11, d, n, field, n_dependent)
-        Q = _span_basis(F.vectors)
+        Q = _span_basis(F)
         assert Q.shape[0] == min(d, n - n_dependent)   # below d: the span-coordinates path
         G = canonical_parseval(F)
         assert np.linalg.norm(G.vectors - self._polar_factor(F.vectors)) <= 1e-10
@@ -412,37 +412,6 @@ def test_span_projection_is_projection():
         assert np.trace(P).real == pytest.approx(np.linalg.matrix_rank(V), abs=1e-10)
 
 
-def _frozen_span_basis(V, dep_tol):
-    """``_span_basis`` as first written, with the plain products and norms
-    and no stop at full rank; its results are the reference wherever it
-    returns (at ``dep_tol = 0`` it raises IndexError once n > d).  The
-    dependent and zero lists it also built are gone with those of
-    ``_span_basis``."""
-    n, d = V.shape
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(V, axis=1)
-    scale = norms.max()
-    zthresh = ZERO_REL_TOL * (scale if scale > 0.0 else 1.0)
-    Q = np.zeros((min(n, d), d), dtype=V.dtype)
-    rank = 0
-    for k in range(n):
-        nf = norms[k]
-        if nf <= zthresh:
-            continue
-        f = V[k]
-        if rank:
-            B = Q[:rank]
-            r = f - (B.conj() @ f) @ B
-            r = r - (B.conj() @ r) @ B
-        else:
-            r = f.copy()
-        rn = np.linalg.norm(r)
-        if rn > dep_tol * max(1.0, nf):
-            Q[rank] = r / rn
-            rank += 1
-    return Q[:rank]
-
-
 def _tall_frames():
     """Frames with n >> d for d = 1..8: Gaussian real and complex ones
     scaled over six decades, and integer-valued ones with -0.0 entries and
@@ -460,10 +429,23 @@ def _tall_frames():
     return frames
 
 
-@pytest.mark.parametrize("dep_tol", [DEP_TOL])   # the one tolerance of every span
-def test_span_basis_matches_frozen_loop(dep_tol):
-    for V in _tall_frames():
-        Q = _span_basis(V)
-        Q0 = _frozen_span_basis(V, dep_tol)
-        assert Q.dtype == Q0.dtype and Q.shape == Q0.shape
-        assert Q.tobytes() == Q0.tobytes(), (V.shape, V.dtype)   # signed zeros too
+def _oracle_projection(V):
+    """Projection onto the row span of ``V``: the right singular vectors of
+    its nonzero rows at unit norm, cut at ``DEP_TOL`` relative; numpy only,
+    with a plain SVD in place of the QR route."""
+    norms = np.linalg.norm(V, axis=1)
+    U = V[norms > ZERO_REL_TOL * norms.max()]
+    _, s, Wh = np.linalg.svd(U / np.linalg.norm(U, axis=1)[:, None])
+    B = Wh[: int((s > DEP_TOL * s[0]).sum())]
+    return B.T @ B.conj(), B.shape[0]
+
+
+def test_span_projection_matches_svd_oracle():
+    # [[1, 0], [0, 1e-11]] spans the plane: the cut is per unit row, not
+    # relative to the largest row
+    two_scales = np.array([[1.0, 0.0], [0.0, 1e-11]])
+    for V in [*_tall_frames(), two_scales]:
+        P0, rank = _oracle_projection(V)
+        assert _span_basis(FrameSeq(V)).shape[0] == rank, (V.shape, V.dtype)
+        assert np.linalg.norm(span_projection(FrameSeq(V)) - P0) <= 1e-13, (V.shape, V.dtype)
+    assert _span_basis(FrameSeq(two_scales)).shape[0] == 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from framegs.cli import EXIT_OK, main
+from framegs.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from framegs.errors import NonFiniteError
 from framegs.frames import (
     DEP_TOL,
@@ -289,6 +289,33 @@ def test_heavily_dependent_output_is_parseval_for_input_span(field, tmp_path, ca
         inp.write_text(json.dumps(random_frame(seed, 7, 20, field, 18).to_dict()))
         assert main(["run", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == EXIT_OK
         assert capsys.readouterr().err.endswith("ok=True\n")
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-6, 1.0, 1e6])
+def test_exit_zero_means_a_parseval_output(scale, tmp_path, capsys):
+    # run's verdict must not share the pass's routing rule: at 1e-11 the
+    # pass routes every vector dependent, and a verdict that shared the
+    # rule judged those wrong outputs Parseval
+    inp, out = tmp_path / "frame.json", tmp_path / "out.json"
+    exits = []
+    for i, F in enumerate(random_frame_corpus(18, 50, dependent_fraction=0.5)):
+        V = F.vectors * scale
+        inp.write_text(json.dumps(FrameSeq(V).to_dict()))
+        exits.append(main(["run", "--input", str(inp), "--output", str(out)]))
+        assert exits[-1] in (EXIT_OK, EXIT_CHECK_FAILED), i
+        if exits[-1] == EXIT_OK:
+            G = FrameSeq.from_dict(json.loads(out.read_text())["frame"])
+            assert _svd_parseval_gap(G.vectors, V) <= 1e-10, i
+    capsys.readouterr()
+    if scale >= 1e-6:
+        assert exits.count(EXIT_OK) == len(exits), exits
+
+
+def test_tiny_input_fails_its_check(tmp_path, capsys):
+    inp = tmp_path / "tiny.json"
+    inp.write_text(json.dumps({"dim": 2, "field": "real", "vectors": [[1e-11, 0.0], [0.0, 1e-11]]}))
+    assert main(["run", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == "parseval_residual=1.414e+00 ok=False\n"
 
 
 def test_onb_frames_fixed_within_1e12():
