@@ -41,7 +41,9 @@ same bytes:
   row 4 routes independent too, so ``run`` fails its Parseval check.
 
 The calls run with that directory as their working directory and name
-the files relatively, so no temporary path reaches the digests.
+the files relatively, so no temporary path reaches the digests.  The
+last two calls pass an option out of its range, so they pin the one
+error line and the exit code 2 of a refused value.
 """
 
 import argparse
@@ -87,6 +89,10 @@ CALLS = [
     # both vectors route dependent, and a verdict that does not share the
     # routing rule sees the wrong output (exit 1)
     ["run", "--input", TINY, "--trace", "steps"],
+    # an option out of the range of the library function that takes it:
+    # one error line that names the parameter (exit 2)
+    ["iterate", "--example", "fig1", "--max-iter", "0"],
+    ["verify", "--random-frames", "0"],
 ]
 
 

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -91,20 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--random-frames", type=int, default=50)
     return p
-
-
-def _check_ranges(args: argparse.Namespace):
-    """Reject out-of-range option values of the parsed subcommand with an
-    :class:`InputError`; options it lacks are not checked."""
-    for name in ("max_iter", "snapshot_stride"):
-        if getattr(args, name, 1) < 1:
-            raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
-    if not 0.0 <= getattr(args, "eps_delta", 0.0) < math.inf:
-        raise InputError(f"--eps-delta must be finite and >= 0, got {args.eps_delta}")
-    if getattr(args, "seed", 0) < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
-    if getattr(args, "random_frames", 1) < 1:
-        raise InputError(f"--random-frames must be >= 1, got {args.random_frames}")
 
 
 def load_input_frame(args: argparse.Namespace) -> FrameSeq:
@@ -206,13 +191,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     F = load_input_frame(args)
-    tr = iterate(
-        F,
-        max_iter=args.max_iter,
-        eps_delta=args.eps_delta,
-        snapshot_stride=args.snapshot_stride,
-        trace_steps=args.trace == "steps",
-    )
+    try:   # iterate owns the ranges of its options
+        tr = iterate(F, max_iter=args.max_iter, eps_delta=args.eps_delta,
+                     snapshot_stride=args.snapshot_stride, trace_steps=args.trace == "steps")
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     rep = classify_limit(tr)
     summary = dataclasses.asdict(rep)
     summary["stationary"] = tr.stationary
@@ -238,7 +221,10 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_battery(seed=args.seed, n_frames=args.random_frames)
+    try:   # run_battery owns the ranges of its options
+        results = run_battery(seed=args.seed, n_frames=args.random_frames)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     print(f"seed={args.seed} random-frames={args.random_frames} dep-tol={DEP_TOL:g}")
     name_w = max(len(r.name) for r in results)
     for r in results:
@@ -256,11 +242,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_ranges(args)
         try:
             code = {"run": cmd_run, "iterate": cmd_iterate, "verify": cmd_verify}[args.command](args)
         except FrameError as exc:  # the pass cannot process the input, e.g. its norms overflow
-            raise InputError(f"cannot process {args.input or args.example}: {exc}") from exc
+            source = vars(args).get("input") or vars(args).get("example", "the verify battery")
+            raise InputError(f"cannot process {source}: {exc}") from exc
         sys.stdout.flush()   # a closed stdout raises here, not at interpreter exit
         return code
     except InputError as exc:

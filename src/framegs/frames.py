@@ -15,6 +15,7 @@ rows at ``DEP_TOL``: it shares no rule with the routing of the pass
 (``dependency_profile``), so a misrouted pass fails ``is_parseval``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -100,6 +101,11 @@ class FrameSeq:
         if arr.shape[1:] != shape:
             raise ValueError(f"vectors shape {arr.shape} inconsistent with dim={dim} "
                              f"and field={field!r}")
+        leaves = raw
+        for _ in range(arr.ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if bool in set(map(type, leaves)):   # numpy reads true and false among numbers as 1 and 0
+            raise ValueError("vectors: expected JSON numbers, got a boolean entry")
         if field == "complex":
             arr = arr.astype(np.float64).view(np.complex128)[..., 0]   # [re, im] pairs, signed zeros kept
         return cls(arr)

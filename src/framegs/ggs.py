@@ -177,8 +177,6 @@ def ggs_pass(frame: FrameSeq) -> tuple[FrameSeq, tuple[str, ...]]:
         branch each input vector took: one of ``KIND_ZERO``,
         ``KIND_INDEPENDENT``, ``KIND_DEPENDENT`` per step.
     """
-    if not isinstance(frame, FrameSeq):
-        frame = FrameSeq(frame)
     with np.errstate(over="ignore", invalid="ignore"):  # see _pass_array
         G, kinds = _pass_array(frame.vectors)
     return FrameSeq(G), kinds

@@ -224,8 +224,6 @@ def iterate(
     and checks the norm laws of :class:`RecurrenceReport` as the passes
     run, with no per-step record kept.
     """
-    if not isinstance(frame, FrameSeq):
-        frame = FrameSeq(frame)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if snapshot_stride < 1:

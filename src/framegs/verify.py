@@ -1,15 +1,16 @@
 """Self-contained verification battery behind the ``verify`` CLI command.
 
 Each ``check_*`` function is the one definition of its criterion: it
-takes its inputs (frames, or example names and an iteration count) as
-arguments, holds its thresholds as constants, routes at the library's
-``DEP_TOL``, and reports the worst measured value against its threshold,
-so each verdict means one fixed thing.  :func:`run_battery` builds the
-seeded inputs of ``framegs verify``; the acceptance tests call the same
-checks on their own corpora.  The battery exercises the pass, the iteration driver, and
-the validators against each other and against independent constructions
-(classical Gram-Schmidt, the canonical Parseval map, an SVD projection,
-closed-form decay).
+takes its inputs (frames or example names, and for the zero-pattern
+check an iteration count) as arguments, holds its thresholds as
+constants, routes at the library's ``DEP_TOL``, and reports the worst
+measured value against its threshold, so each verdict means one fixed
+thing.  :func:`run_battery` builds the seeded inputs of ``framegs
+verify`` and owns the ranges of its arguments; the acceptance tests call
+the same checks on their own corpora.  The battery exercises the pass,
+the iteration driver, and the validators against each other and against
+independent constructions (classical Gram-Schmidt, the canonical
+Parseval map, an SVD projection, closed-form decay).
 """
 
 import math
@@ -26,7 +27,7 @@ from .generate import (
     random_onb_frame,
 )
 from .ggs import KIND_DEPENDENT, KIND_INDEPENDENT, _pass_array, ggs_pass, steps_of
-from .iteration import DELTA_ONB, classify_limit, iterate
+from .iteration import DELTA_ONB, classify_limit, closed_form_last_dependent, iterate
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,7 @@ class CheckResult:
 
 
 def _result(name, value, threshold, op="<=", extra_ok=True, detail="") -> CheckResult:
-    if op == "<=":
-        ok = value <= threshold
-    elif op == ">":
-        ok = value > threshold
-    else:
-        raise ValueError(f"unknown op {op!r}")
+    ok = value <= threshold if op == "<=" else value > threshold
     return CheckResult(name, float(value), threshold, op, ok and extra_ok, detail)
 
 
@@ -212,14 +208,16 @@ def check_last_vector_stabilization(frames) -> CheckResult:
 
 
 def check_closed_form_decay() -> CheckResult:
-    # fig1's last vector is dependent with unit norm, so its m-th iterate
-    # has norm exactly 1/sqrt(1 + m)
-    tr = iterate(example_frame("fig1"), max_iter=1000, eps_delta=0.0, snapshot_stride=1000)
+    # fig1's last vector f is dependent, so its m-th iterate is the closed
+    # form f / sqrt(1 + m ||f||^2)
+    F = example_frame("fig1")
+    tr = iterate(F, max_iter=1000, eps_delta=0.0, snapshot_stride=1000)
     M = tr.iterations_run
-    ms = np.arange(1, M + 1)
-    worst = float(np.max(np.abs(tr.norms[1:, 2] * np.sqrt(1.0 + ms) - 1.0)))
+    f = F.vectors[2]
+    predicted = [np.linalg.norm(closed_form_last_dependent(f, m)) for m in range(1, M + 1)]
+    worst = float(np.max(np.abs(tr.norms[1:, 2] / predicted - 1.0)))
     final = float(tr.norms[M, 2])
-    final_err = abs(final - 1.0 / math.sqrt(1.0 + M))
+    final_err = abs(final - predicted[-1])
     return _result(
         "closed_form_decay", worst, 1e-8, extra_ok=final_err <= 1e-12,
         detail=f"fig1, {M} iterations, final norm {final:.7f} off by {final_err:.1e} <= 1e-12",
@@ -241,13 +239,12 @@ def check_recurrences() -> CheckResult:
     )
 
 
-def check_limit_classification(names, max_iter) -> CheckResult:
+def check_limit_classification(names) -> CheckResult:
     worst_resid = 0.0
     worst_l2 = 0.0
     mismatches = []
     for name in names:
-        tr = iterate(example_frame(name), max_iter=max_iter, eps_delta=0.0,
-                     snapshot_stride=max_iter)
+        tr = iterate(example_frame(name), max_iter=1000, eps_delta=0.0, snapshot_stride=1000)
         rep = classify_limit(tr)
         if not rep.prediction_match:
             mismatches.append(name)
@@ -257,7 +254,7 @@ def check_limit_classification(names, max_iter) -> CheckResult:
         sums = (tr.norms[1:] ** 2).sum(axis=1)
         worst_l2 = max(worst_l2, float(np.max(np.abs(sums - rank))))
     ok = not mismatches and worst_l2 <= 1e-9
-    detail = f"{' '.join(names)} at M={max_iter}; l2 identity off by {worst_l2:.2e} <= 1e-9"
+    detail = f"{' '.join(names)} at M=1000; l2 identity off by {worst_l2:.2e} <= 1e-9"
     if mismatches:
         detail += f"; zero-pattern mismatch: {','.join(mismatches)}"
     return _result("limit_classification", worst_resid, DELTA_ONB, extra_ok=ok, detail=detail)
@@ -312,6 +309,11 @@ def check_l2_identity(frames) -> CheckResult:
 
 
 def run_battery(seed: int = 0, n_frames: int = 50) -> list[CheckResult]:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+
     def corpus(offset, **kw):
         return random_frame_corpus(seed + offset, n_frames, **kw)
 
@@ -324,7 +326,7 @@ def run_battery(seed: int = 0, n_frames: int = 50) -> list[CheckResult]:
         check_last_vector_stabilization(_stabilization_frames(seed + 5, n_frames)),
         check_closed_form_decay(),
         check_recurrences(),
-        check_limit_classification(EXAMPLE_NAMES, 1000),
+        check_limit_classification(EXAMPLE_NAMES),
         check_gram_schmidt_degeneration(_independent_frames(seed + 6, n_frames)),
         check_zero_pattern_prediction(corpus(7, dependent_fraction=1.0), 1000),
         check_near_dependence_routing(_near_dependence_frames(seed + 8)),

@@ -115,7 +115,7 @@ def test_criterion_07_recurrence_battery():
 def test_criterion_08_limit_classification():
     for name in ("fig1", "fig2", "fig3"):
         t0 = time.perf_counter()
-        result = check_limit_classification((name,), max_iter=1000)
+        result = check_limit_classification((name,))
         _verdict(8, result, 1e-2, time.perf_counter() - t0, gate=2.0)
         assert "<= 1e-9" in result.detail
 

@@ -18,6 +18,7 @@ from framegs.cli import (
     _json_dumps,
     main,
 )
+from framegs.errors import NonFiniteError
 from framegs.frames import FrameSeq, is_parseval
 from framegs.generate import random_frame
 from framegs.iteration import _trace_document, classify_limit, iterate, trace_to_dict
@@ -212,17 +213,33 @@ class TestRunInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
-        assert err == [f"error: --eps-delta must be finite and >= 0, got {float(value)}"], err
+        assert err == [f"error: eps_delta must be finite and >= 0, got {float(value)}"], err
 
     def test_negative_seed_is_an_input_error(self, capsys):
         assert main(["verify", "--seed", "-1"]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: --seed must be >= 0, got -1"]
+        assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
 
     def test_bad_max_iter(self, capsys):
         assert main(["iterate", "--example", "fig1", "--max-iter", "0"]) == EXIT_INPUT_ERROR
-        assert "--max-iter" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["error: max_iter must be >= 1, got 0"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["iterate", "--example", "fig1", "--snapshot-stride", "0"], "snapshot_stride must be >= 1, got 0"),
+            (["verify", "--random-frames", "0"], "n_frames must be >= 1, got 0"),
+        ],
+        ids=["snapshot-stride", "random-frames"],
+    )
+    def test_out_of_range_option_is_one_line(self, argv, message, capsys):
+        # the library function that takes the value checks its range, and
+        # names the parameter
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
         "field, vectors",
@@ -253,9 +270,12 @@ class TestRunInputErrors:
             '{"dim": 2, "field": "real", "vectors": [[1.5, "0"]]}',
             '{"dim": 2, "field": "real", "vectors": [[true, false], [false, true]]}',
             '{"dim": 2, "field": "real", "vectors": [[null, 0.0]]}',
+            '{"dim": 2, "field": "real", "vectors": [[1, true], [0, 1]]}',     # numpy reads 1
+            '{"dim": 1, "field": "complex", "vectors": [[[1.0, false]]]}',     # numpy reads 0.0
         ],
         ids=["dim-1e400", "dim-2.5", "dim-2.0", "dim-true", "dim-string", "huge-int-real", "huge-int-complex",
-             "string-real", "string-complex", "string-mixed-real", "bool-real", "null-real"],
+             "string-real", "string-complex", "string-mixed-real", "bool-real", "null-real",
+             "bool-mixed-real", "bool-mixed-complex"],
     )
     def test_raw_json_rejected_with_one_line(self, tmp_path, capsys, text):
         # write_frame writes an int dim and float entries, so these files
@@ -602,6 +622,19 @@ class TestVerify:
             main(argv)
         assert exc.value.code == EXIT_INPUT_ERROR
         assert capsys.readouterr().out == ""
+
+    def test_frame_error_in_battery_is_one_line(self, capsys, monkeypatch):
+        # the verify namespace has no --input or --example to name
+        def fail(seed, n_frames):
+            raise NonFiniteError("step 2: input vector norm is not finite")
+
+        monkeypatch.setattr(framegs.cli, "run_battery", fail)
+        assert main(["verify", "--random-frames", "2"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cannot process the verify battery: step 2: input vector norm is not finite"
+        ]
 
 
 def test_parseval_failure_exit_code(tmp_path, monkeypatch):

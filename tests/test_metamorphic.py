@@ -1,19 +1,29 @@
-"""Metamorphic relations of one pass: properties that relate the pass on
-one input to the pass on a transformed input, so they need no oracle and
-no rank rule of their own.
+"""Metamorphic relations of one pass and of its iteration: properties
+that relate a run on one input to a run on a transformed input, so they
+need no oracle and no rank rule of their own.
 
-Each output difference is bounded by ``1e2 * n * eps * max(1, max ||f||)``
-for an n-vector frame, a roundoff bound that scales with the input.
+Each output difference of one pass is bounded by
+``1e2 * n * eps * max(1, max ||f||)`` for an n-vector frame, a roundoff
+bound that scales with the input; the verdicts of an iteration must be
+equal.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from framegs.cli import main
 from framegs.frames import FrameSeq
 from framegs.generate import random_frame_corpus
 from framegs.ggs import KIND_ZERO, ggs_pass
+from framegs.iteration import classify_limit, iterate
 
 EPS = np.finfo(np.float64).eps
+# pass 1 shrinks the parallel first output row to about 5e-13, so pass 2
+# counts it as zero: the iteration fails its zero-set prediction and its
+# routing drifts, in every rotation
+HUGE = FrameSeq(np.array([[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]))
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +41,12 @@ def _unitary(rng, d, dtype):
         A = A + 1j * rng.standard_normal((d, d))
     Q, _ = np.linalg.qr(A)
     return Q
+
+
+def _rotated_pairs(frames, seed):
+    """Each frame F with F U for a random unitary (real: orthogonal) U."""
+    rng = np.random.default_rng(seed)
+    return [(F, FrameSeq(F.vectors @ _unitary(rng, F.dim, F.vectors.dtype))) for F in frames]
 
 
 def test_unitary_covariance(corpus):
@@ -75,3 +91,40 @@ def test_zero_insertion(corpus):
         assert not GZ.vectors[p].any(), i
         others = np.delete(GZ.vectors, p, axis=0)
         assert np.max(np.abs(others - G.vectors)) <= _bound(F), i
+
+
+def test_iterate_unitary_covariance(corpus):
+    # iterating F U takes the branches of iterating F, so the limit has the
+    # same zero set and the same prediction verdict
+    for i, (F, FU) in enumerate(_rotated_pairs(corpus[:100], 13)):
+        rep, rep_u = (classify_limit(iterate(G, max_iter=100, eps_delta=0.0, snapshot_stride=100))
+                      for G in (F, FU))
+        assert rep_u.zero_indices == rep.zero_indices, i
+        assert rep_u.prediction_match == rep.prediction_match, i
+
+
+def test_traced_iterate_unitary_covariance(corpus):
+    # the recurrence check's pattern verdict is covariant too; HUGE makes
+    # sure that both verdicts occur
+    seen = set()
+    for i, (F, FU) in enumerate(_rotated_pairs([*corpus[:10], HUGE], 14)):
+        pat, pat_u = (iterate(G, max_iter=100, eps_delta=0.0, snapshot_stride=100,
+                              trace_steps=True).recurrences.pattern_consistent for G in (F, FU))
+        assert pat_u == pat, i
+        seen.add(pat)
+    assert seen == {True, False}
+
+
+def test_cli_iterate_exit_code_unitary_covariance(corpus, tmp_path, capsys):
+    codes = set()
+    for i, (F, FU) in enumerate(_rotated_pairs([*corpus[:5], HUGE], 15)):
+        rc = []
+        for G in (F, FU):
+            path = tmp_path / "frame.json"
+            path.write_text(json.dumps(G.to_dict()))
+            rc.append(main(["iterate", "--input", str(path), "--max-iter", "100", "--eps-delta", "0",
+                            "--trace", "steps", "--output", str(tmp_path / "out.json")]))
+        assert rc[1] == rc[0], i
+        codes.add(rc[0])
+    capsys.readouterr()
+    assert codes == {0, 1}

@@ -1,7 +1,14 @@
+import pytest
+
 import framegs.ggs as ggs
 from framegs.generate import example_frame, random_frame_corpus
 from framegs.iteration import iterate
-from framegs.verify import check_dependent_oracle, check_prefix_parseval, check_recurrences
+from framegs.verify import (
+    check_dependent_oracle,
+    check_prefix_parseval,
+    check_recurrences,
+    run_battery,
+)
 
 
 def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
@@ -39,3 +46,14 @@ def test_recurrence_check_fails_on_perturbed_updated_rows(monkeypatch):
     assert not check_recurrences().ok
     tr = iterate(fig3, max_iter=50, eps_delta=0.0, trace_steps=True)
     assert tr.recurrences.update_identity > 1e-12, tr.recurrences
+
+
+@pytest.mark.parametrize("seed, n_frames, message", [
+    (0, 0, "n_frames must be >= 1, got 0"),
+    (-1, 5, "seed must be >= 0, got -1"),
+], ids=["no-frames", "negative-seed"])
+def test_run_battery_rejects_out_of_range_arguments(seed, n_frames, message):
+    # an empty corpus would pass most checks on nothing, and numpy's
+    # generator refuses a negative seed deep inside a corpus
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_battery(seed, n_frames)
