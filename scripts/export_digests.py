@@ -17,7 +17,7 @@ trees and diffing the two shows what a differing digest changed:
     diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
             <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
 
-Besides the builtin examples, the calls read six input files that the
+Besides the builtin examples, the calls read seven input files that the
 script writes into a temporary directory, so both source trees read the
 same bytes:
 
@@ -38,12 +38,18 @@ same bytes:
 * a real 4x4 Gaussian frame whose row 3 is ``N1 - 0.5 N2 + 1e-9 N4``:
   it lies 1e-9 off the span of rows 1 and 2, and routed independent it
   leaves a prefix far enough from orthonormal that the exactly dependent
-  row 4 routes independent too, so ``run`` fails its Parseval check.
+  row 4 routes independent too, so ``run`` fails its Parseval check;
+* the real frame ``[[1e-200, 0], [0, 1e-200], [1e-200, 1e-200]]``, whose
+  squared norms all underflow, so that the pass counts every vector as
+  zero and ``run``, whose span re-measures such rows, fails its Parseval
+  check.
 
 The calls run with that directory as their working directory and name
 the files relatively, so no temporary path reaches the digests.  The
-last two calls pass an option out of its range, so they pin the one
-error line and the exit code 2 of a refused value.
+two calls before the last pass an option out of its range, so they pin
+the one error line and the exit code 2 of a refused value.  New calls
+go at the end of the list, so the digests of the earlier calls keep
+their line numbers.
 """
 
 import argparse
@@ -65,6 +71,7 @@ HEAVY = "heavy.json"
 HUGE = "huge.json"
 TINY = "tiny.json"
 NEAR = "near.json"
+UNDER = "under.json"
 
 CALLS = [
     *(["run", "--example", name, "--format", fmt] for name in EXAMPLES for fmt in ("json", "csv")),
@@ -93,11 +100,14 @@ CALLS = [
     # one error line that names the parameter (exit 2)
     ["iterate", "--example", "fig1", "--max-iter", "0"],
     ["verify", "--random-frames", "0"],
+    # every squared norm underflows, so the pass outputs zeros; a span that
+    # re-measures those rows sees the wrong output (exit 1)
+    ["run", "--input", UNDER, "--trace", "steps"],
 ]
 
 
 def _input_frames():
-    """The six input documents, keyed by file name."""
+    """The seven input documents, keyed by file name."""
     rng = np.random.default_rng(20160226)
     C = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
     for k in (5, 11, 30, 47):   # in the span of the rows before them
@@ -115,6 +125,7 @@ def _input_frames():
         HUGE: {"dim": 2, "field": "real", "vectors": [[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]},
         TINY: {"dim": 2, "field": "real", "vectors": [[1e-11, 0.0], [0.0, 1e-11]]},
         NEAR: {"dim": 4, "field": "real", "vectors": N.tolist()},
+        UNDER: {"dim": 2, "field": "real", "vectors": [[1e-200, 0.0], [0.0, 1e-200], [1e-200, 1e-200]]},
     }
 
 

@@ -180,6 +180,10 @@ def _span_basis(frame: FrameSeq) -> np.ndarray:
     is never formed (R-SVD, Golub & Van Loan, *Matrix Computations*, 8.6).
     """
     norms = frame.norms()
+    if not norms.all():   # a nonzero row whose square underflows: re-measure it scaled
+        scale = np.abs(frame.vectors).max(axis=1)
+        lost = (norms == 0.0) & (scale > 0.0)
+        norms[lost] = scale[lost] * _row_norms(frame.vectors[lost] / scale[lost, None])
     keep = norms > _zero_threshold(norms)
     U = frame.vectors[keep]           # the one n x d working copy
     U /= norms[keep, None]

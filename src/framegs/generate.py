@@ -31,12 +31,6 @@ def example_frame(name: str) -> FrameSeq:
     raise ValueError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
 
 
-def _rng(seed) -> "np.random.Generator":
-    # quoted: evaluating np.random at import would load numpy.random
-    # (tens of ms) in every process, used or not
-    return np.random.default_rng(seed)
-
-
 def _gaussian(rng, shape, field):
     if field == "complex":
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
@@ -56,7 +50,7 @@ def random_frame(
     n - n_dependent generic Gaussian vectors keep the sequence spanning
     whenever n - n_dependent >= dim.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if dim < 1 or n_vectors < 1:
         raise ValueError("dim and n_vectors must be positive")
     if not 0 <= n_dependent <= max(0, n_vectors - 1):
@@ -74,7 +68,7 @@ def random_onb_frame(seed, dim: int, n_zeros: int = 0, field: str = "real") -> F
     """Random zero-extended orthonormal basis: ``dim`` orthonormal
     vectors with ``n_zeros`` zero vectors spliced in at random
     positions."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     A = _gaussian(rng, (dim, dim), field)
     Q, _ = np.linalg.qr(A)
     rows = Q.T.copy()
@@ -90,7 +84,7 @@ def random_frame_corpus(seed, count: int, dependent_fraction: float = 0.3) -> li
     each frame real or complex with probability 1/2, and roughly
     ``dependent_fraction`` of the frames containing forced dependencies
     (spanning is preserved)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     frames = []
     for _ in range(count):
         d = int(rng.integers(2, 9))

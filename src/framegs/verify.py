@@ -10,7 +10,7 @@ verify`` and owns the ranges of its arguments; the acceptance tests call
 the same checks on their own corpora.  The battery exercises the pass,
 the iteration driver, and the validators against each other and against
 independent constructions (classical Gram-Schmidt, the canonical
-Parseval map, an SVD projection, closed-form decay).
+Parseval map, closed-form decay), and reads every rank from ``_span_basis``.
 """
 
 import math
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import PARSEVAL_TOL, FrameSeq, canonical_parseval, is_parseval, l2_distance
+from .frames import (PARSEVAL_TOL, FrameSeq, _span_basis, canonical_parseval, is_parseval,
+                     l2_distance, span_projection)
 from .generate import (
     EXAMPLE_NAMES,
     example_frame,
@@ -26,7 +27,7 @@ from .generate import (
     random_frame_corpus,
     random_onb_frame,
 )
-from .ggs import KIND_DEPENDENT, KIND_INDEPENDENT, _pass_array, ggs_pass, steps_of
+from .ggs import KIND_DEPENDENT, _pass_array, ggs_pass, steps_of
 from .iteration import DELTA_ONB, classify_limit, closed_form_last_dependent, iterate
 
 
@@ -177,8 +178,8 @@ def check_last_vector_stabilization(frames) -> CheckResult:
     predecessors, and over 20 iterations, every iterate recorded, no
     g_n^{(m)}, m >= 1, may lie farther than 1e-10 from g_n^{(1)} or from
     the normalized component of f_n orthogonal to span{f_1, ..., f_{n-1}}.
-    That span is taken from an SVD, independently of the Gram-Schmidt
-    steps of the pass."""
+    That span is taken with :func:`span_projection`, not from the pass;
+    with no predecessors the component is f_n itself."""
     worst = 0.0
     bad = 0
     for F in frames:
@@ -187,10 +188,8 @@ def check_last_vector_stabilization(frames) -> CheckResult:
         if n in tr.dependent_indices or n in tr.input_zero_indices:
             bad += 1
             continue
-        _, sv, vh = np.linalg.svd(F.vectors[: n - 1], full_matrices=False)
-        B = vh[sv > 1e-12 * sv.max(initial=0.0)]
         f_n = F.vectors[n - 1]
-        r = f_n - (B.conj() @ f_n) @ B
+        r = f_n - span_projection(FrameSeq(F.vectors[: n - 1])) @ f_n if n > 1 else f_n
         expected = r / np.linalg.norm(r)
         first = tr.snapshots[1].vectors[n - 1]
         for m in range(1, tr.iterations_run + 1):
@@ -250,7 +249,7 @@ def check_limit_classification(names) -> CheckResult:
             mismatches.append(name)
         worst_resid = max(worst_resid, rep.onb_residual)
         # every iterate is Parseval for the input's span: energy = its dimension
-        rank = tr.initial.n_vectors - len(tr.dependent_indices) - len(tr.input_zero_indices)
+        rank = len(_span_basis(tr.initial))
         sums = (tr.norms[1:] ** 2).sum(axis=1)
         worst_l2 = max(worst_l2, float(np.max(np.abs(sums - rank))))
     ok = not mismatches and worst_l2 <= 1e-9
@@ -299,12 +298,12 @@ def check_near_dependence_routing(cases) -> CheckResult:
 
 
 def check_l2_identity(frames) -> CheckResult:
-    # Parseval output must carry total energy equal to the span dimension,
-    # the number of steps the pass routes independent
+    # Parseval output must carry total energy equal to the dimension of the
+    # input's span, taken with the span rule, not counted from the routing
     worst = 0.0
     for F in frames:
-        G, kinds = ggs_pass(F)
-        worst = max(worst, abs(float((G.norms() ** 2).sum()) - kinds.count(KIND_INDEPENDENT)))
+        G, _ = ggs_pass(F)
+        worst = max(worst, abs(float((G.norms() ** 2).sum()) - len(_span_basis(F))))
     return _result("l2_energy_identity", worst, 1e-10, detail=f"{len(frames)} frames")
 
 

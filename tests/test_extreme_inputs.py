@@ -2,7 +2,9 @@
 
 Every input must end in exit 0, exit 1 (a failed check) or exit 2 with
 exactly one ``error: `` line on stderr; no exception may escape
-``cli.main`` and numpy may not emit a warning on the way.
+``cli.main`` and numpy may not emit a warning on the way.  An exit 0 of
+``run`` must mean a Parseval output for the input's span, judged by a
+numpy-only oracle.
 """
 
 import json
@@ -11,6 +13,7 @@ import warnings
 import numpy as np
 
 from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from framegs.frames import PARSEVAL_TOL
 
 N_INPUTS = 300
 COMMANDS = (
@@ -63,9 +66,35 @@ def _extreme_frame(rng) -> dict:
     return {"dim": d, "field": field, "vectors": vectors}
 
 
+def _rows(doc) -> np.ndarray:
+    V = np.array(doc["vectors"], dtype=float).reshape(len(doc["vectors"]), doc["dim"], -1)
+    return V[..., 0] + 1j * V[..., 1] if doc["field"] == "complex" else V[..., 0]
+
+
+def _oracle_gap(G, V) -> float:
+    """||S_G - P||_F with P the projection onto the row span of V, with no
+    framegs code on the route.  Each row is scaled by its largest entry,
+    so no square underflows or overflows; rows of norm at most 1e-12 times
+    the largest count as zero (the documented zero rule); the others are
+    normalized, and the span keeps singular values s > 1e-10 s[0]."""
+    scale = np.abs(V).max(axis=1)
+    nonzero = scale > 0.0
+    U = V[nonzero] / scale[nonzero, None]
+    P = np.zeros((V.shape[1], V.shape[1]), dtype=V.dtype)
+    if nonzero.any():
+        norms = scale[nonzero] * np.linalg.norm(U, axis=1)
+        U = U[norms > 1e-12 * norms.max()]
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        _, s, Wh = np.linalg.svd(U, full_matrices=False)
+        B = Wh[s > 1e-10 * s[0]]
+        P = B.T @ B.conj()
+    return float(np.linalg.norm(G.T @ G.conj() - P))
+
+
 def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(20161)
     inp, out = tmp_path / "frame.json", str(tmp_path / "out")
+    off = []   # exit 0 of run with an output off the oracle's span
     for i in range(N_INPUTS):
         doc = _extreme_frame(rng)
         inp.write_text(json.dumps(doc))
@@ -86,3 +115,9 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
             assert rc in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), case
             if rc == EXIT_INPUT_ERROR:
                 assert len(err) == 1 and err[0].startswith("error: "), f"{case}: {err}"
+            if rc == EXIT_OK and command[0] == "run":
+                with open(out, encoding="utf-8") as fh:
+                    gap = _oracle_gap(_rows(json.load(fh)["frame"]), _rows(doc))
+                if not gap <= PARSEVAL_TOL:
+                    off.append(f"input {i} {command}: gap {gap:.2e}")
+    assert not off, f"{len(off)} exit-0 outputs off the input's span: {off[:5]}"

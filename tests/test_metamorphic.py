@@ -24,6 +24,13 @@ EPS = np.finfo(np.float64).eps
 # counts it as zero: the iteration fails its zero-set prediction and its
 # routing drifts, in every rotation
 HUGE = FrameSeq(np.array([[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]))
+# inputs the pass routes wrongly, so that run exits 1 in every rotation:
+# a row 1e-9 off the span of its predecessors, two vectors below the
+# absolute routing rule, and rows whose squared norms underflow
+_N = np.random.default_rng(9).normal(size=(4, 4))
+_N[2] = _N[0] - 0.5 * _N[1] + 1e-9 * _N[3]
+MISROUTED = [FrameSeq(_N), FrameSeq(np.eye(2) * 1e-11),
+             FrameSeq(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) * 1e-200)]
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +131,22 @@ def test_cli_iterate_exit_code_unitary_covariance(corpus, tmp_path, capsys):
             path.write_text(json.dumps(G.to_dict()))
             rc.append(main(["iterate", "--input", str(path), "--max-iter", "100", "--eps-delta", "0",
                             "--trace", "steps", "--output", str(tmp_path / "out.json")]))
+        assert rc[1] == rc[0], i
+        codes.add(rc[0])
+    capsys.readouterr()
+    assert codes == {0, 1}
+
+
+def test_cli_run_exit_code_unitary_covariance(corpus, tmp_path, capsys):
+    # run judges the output against the span of its input, and a rotation
+    # moves both together, so the verdict is the same for F and F U
+    codes = set()
+    for i, (F, FU) in enumerate(_rotated_pairs([*corpus[:100], *MISROUTED], 16)):
+        rc = []
+        for G in (F, FU):
+            path = tmp_path / "frame.json"
+            path.write_text(json.dumps(G.to_dict()))
+            rc.append(main(["run", "--input", str(path), "--output", str(tmp_path / "out.json")]))
         assert rc[1] == rc[0], i
         codes.add(rc[0])
     capsys.readouterr()

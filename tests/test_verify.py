@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
 import framegs.ggs as ggs
+from framegs.frames import FrameSeq
 from framegs.generate import example_frame, random_frame_corpus
 from framegs.iteration import iterate
 from framegs.verify import (
     check_dependent_oracle,
+    check_l2_identity,
     check_prefix_parseval,
     check_recurrences,
     run_battery,
@@ -46,6 +49,14 @@ def test_recurrence_check_fails_on_perturbed_updated_rows(monkeypatch):
     assert not check_recurrences().ok
     tr = iterate(fig3, max_iter=50, eps_delta=0.0, trace_steps=True)
     assert tr.recurrences.update_identity > 1e-12, tr.recurrences
+
+
+def test_l2_identity_fails_on_a_misrouted_pass():
+    # the pass routes both vectors dependent and leaves an energy of 2e-22;
+    # the span of the input is R^2, so the energy must read 2, and a rank
+    # counted from the routing would have passed the check
+    res = check_l2_identity([FrameSeq(np.array([[1e-11, 0.0], [0.0, 1e-11]]))])
+    assert not res.ok and res.value == 2.0, res
 
 
 @pytest.mark.parametrize("seed, n_frames, message", [
