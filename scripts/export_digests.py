@@ -10,6 +10,22 @@ their exports, status lines and exit codes are byte-identical:
     PYTHONPATH=src python3 scripts/export_digests.py > b.txt
     diff a.txt b.txt
 
+``export_digests.txt``, beside this script, is the manifest: the output
+of the sources it is committed with.  A change that moves an export
+updates the lines of the calls it moves, so the manifest's diff declares
+the change.  ``--compare BASE HEAD`` checks two outputs taken on one
+machine, under a base tree and under this one, against the manifest:
+
+    python3 scripts/export_digests.py --compare a.txt b.txt --base-manifest <other checkout>/scripts/export_digests.txt
+
+It passes when every line of HEAD has the manifest's exit code and argv,
+when every call whose digest moved from BASE to HEAD is a line that the
+manifest changed or appended against the base's manifest, and when every
+changed line moved.  Digests are not compared with the manifest's: they
+hash printed floats, whose last bits follow the machine's BLAS and numpy
+build.  Without ``--base-manifest`` (a base that predates the manifest),
+a line counts as changed when its exit code or argv differs from BASE.
+
 ``--show N`` prints the bytes behind the N-th digest (1-based) instead:
 the N-th call's stdout followed by its stderr.  Running it under both
 trees and diffing the two shows what a differing digest changed:
@@ -33,20 +49,21 @@ same bytes:
   pass 2 counts it as zero: ``iterate`` fails its prediction and its
   routing drifts, while one pass is Parseval;
 * the real frame ``[[1e-11, 0], [0, 1e-11]]``, whose two vectors both
-  route dependent, so that no vector survives the iteration and ``run``
-  fails its Parseval check;
+  route dependent, so that no vector survives the iteration: ``run``
+  and ``iterate`` (call 14), whose verdicts read the span of the input,
+  not the routing, fail their checks;
 * a real 4x4 Gaussian frame whose row 3 is ``N1 - 0.5 N2 + 1e-9 N4``:
   it lies 1e-9 off the span of rows 1 and 2, and routed independent it
   leaves a prefix far enough from orthonormal that the exactly dependent
   row 4 routes independent too, so ``run`` fails its Parseval check;
 * the real frame ``[[1e-200, 0], [0, 1e-200], [1e-200, 1e-200]]``, whose
   squared norms all underflow, so that the pass counts every vector as
-  zero and ``run``, whose span re-measures such rows, fails its Parseval
-  check.
+  zero: ``run`` and ``iterate`` (call 28), whose span re-measures such
+  rows, fail their checks.
 
 The calls run with that directory as their working directory and name
-the files relatively, so no temporary path reaches the digests.  The
-two calls before the last pass an option out of its range, so they pin
+the files relatively, so no temporary path reaches the digests.  Calls
+25 and 26 pass an option out of its range, so they pin
 the one error line and the exit code 2 of a refused value.  New calls
 go at the end of the list, so the digests of the earlier calls keep
 their line numbers.
@@ -79,8 +96,8 @@ CALLS = [
     *(["iterate", "--example", "fig3", "--trace", "steps", "--format", fmt] for fmt in ("json", "csv")),
     ["iterate", "--example", "fig1", "--snapshot-stride", "1", "--max-iter", "200"],
     # the false branches of the limit report: a failed prediction with a
-    # drifting routing (exit 1), no survivors, then a run stopped before the
-    # survivors are near-ONB
+    # drifting routing (exit 1), no survivors of a nonzero span (exit 1),
+    # then a run stopped before the survivors are near-ONB
     ["iterate", "--input", HUGE, "--trace", "steps"],
     ["iterate", "--input", TINY, "--trace", "steps"],
     ["iterate", "--example", "fig3", "--max-iter", "3", "--eps-delta", "0", "--trace", "steps"],
@@ -103,6 +120,8 @@ CALLS = [
     # every squared norm underflows, so the pass outputs zeros; a span that
     # re-measures those rows sees the wrong output (exit 1)
     ["run", "--input", UNDER, "--trace", "steps"],
+    # no vector survives, while the span of the input is the plane (exit 1)
+    ["iterate", "--input", UNDER, "--trace", "steps"],
 ]
 
 
@@ -129,11 +148,49 @@ def _input_frames():
     }
 
 
+MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "export_digests.txt")
+
+
+def _lines(path) -> list[tuple[str, str]]:
+    """The (digest, "exit-code argv") pairs of a digest file."""
+    with open(path, encoding="utf-8") as fh:
+        return [tuple(line.rstrip("\n").split(" ", 1)) for line in fh]
+
+
+def compare(base_path, head_path, base_manifest_path=None) -> list[str]:
+    """What ``--compare`` finds wrong with the outputs at the two paths;
+    an empty list passes.  An appended call may move or not."""
+    base, head, manifest = _lines(base_path), _lines(head_path), _lines(MANIFEST)
+    if base_manifest_path is None:   # only what is machine-independent can declare
+        changed = {i for i, (b, m) in enumerate(zip(base, manifest)) if b[1] != m[1]}
+        appended = set()
+    else:
+        old = _lines(base_manifest_path)
+        changed = {i for i, (o, m) in enumerate(zip(old, manifest)) if o != m}
+        appended = set(range(len(old), len(manifest)))
+    wrong = [f"{len(head)} calls, the manifest has {len(manifest)}"] if len(head) != len(manifest) else []
+    for i, (b, h, m) in enumerate(zip(base, head, manifest)):
+        if h[1] != m[1]:
+            wrong.append(f"call {i + 1}: exit code and argv {h[1]!r}, the manifest has {m[1]!r}")
+        if b != h and i not in changed | appended:
+            wrong.append(f"call {i + 1}: moved, not declared in the manifest")
+        if b == h and i in changed:
+            wrong.append(f"call {i + 1}: declared in the manifest, did not move")
+    return wrong
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--show", type=int, metavar="N",
                         help="print the stdout and stderr of call N (1-based) instead of the digests")
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                        help="check two outputs against the manifest instead of running the calls")
+    parser.add_argument("--base-manifest", metavar="PATH", help="the manifest of the base tree")
     args = parser.parse_args()
+    if args.compare is not None:
+        wrong = compare(*args.compare, args.base_manifest)
+        print("\n".join(wrong) or "every moved export is declared in the manifest")
+        return 1 if wrong else 0
     if args.show is not None and not 1 <= args.show <= len(CALLS):
         parser.error(f"--show: expected a call number in [1, {len(CALLS)}]")
     env = dict(os.environ)

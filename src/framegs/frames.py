@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .linalg import _row_norms, as_field_array, hermitian_eigen
+from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen
 
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
@@ -172,13 +172,8 @@ def zero_indices(frame: FrameSeq) -> tuple[int, ...]:
     return tuple(int(i + 1) for i in np.flatnonzero(norms <= _zero_threshold(norms)))
 
 
-def _span_basis(frame: FrameSeq) -> np.ndarray:
-    """Orthonormal basis of the span of ``frame``, as the rows of Q: the
-    right singular vectors of the nonzero rows scaled to unit norm, cut at
-    ``s > DEP_TOL * s[0]``, a rule that shares nothing with the routing of
-    the pass.  The SVD is of the R factor of a QR, so the n x d left factor
-    is never formed (R-SVD, Golub & Van Loan, *Matrix Computations*, 8.6).
-    """
+def _unit_rows(frame: FrameSeq) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the rows that the zero rule keeps, and those rows at unit norm."""
     norms = frame.norms()
     if not norms.all():   # a nonzero row whose square underflows: re-measure it scaled
         scale = np.abs(frame.vectors).max(axis=1)
@@ -187,8 +182,32 @@ def _span_basis(frame: FrameSeq) -> np.ndarray:
     keep = norms > _zero_threshold(norms)
     U = frame.vectors[keep]           # the one n x d working copy
     U /= norms[keep, None]
+    return keep, U
+
+
+def _svd_span(U: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the unit rows ``U``: right singular vectors
+    cut at ``s > DEP_TOL * s[0]``, a rule that shares nothing with the
+    pass's routing, of the R factor of a QR (R-SVD, Golub & Van Loan, 8.6)."""
     _, s, Wh = np.linalg.svd(np.linalg.qr(U, mode="r"), full_matrices=False)
     return Wh[s > DEP_TOL * s[:1]]    # s[:1] is empty when every row is zero
+
+
+def _span_basis(frame: FrameSeq) -> np.ndarray:
+    """Orthonormal basis of the span of ``frame``, as the rows of Q."""
+    return _svd_span(_unit_rows(frame)[1])
+
+
+def _span_steps(frame: FrameSeq) -> tuple[int, ...]:
+    """1-based steps at which the span grows: their unit row lies farther than
+    ``DEP_TOL`` from the span of the unit rows before it, re-cut as it grows."""
+    keep, U = _unit_rows(frame)
+    steps, Q = [], U[:0]
+    for j, k in enumerate(np.flatnonzero(keep).tolist()):
+        if _l2_norm(U[j] - (Q.conj() @ U[j]) @ Q) > DEP_TOL:
+            steps.append(k + 1)
+            Q = _svd_span(U[: j + 1])
+    return tuple(steps)
 
 
 def dependency_profile(frame: FrameSeq) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .frames import DEP_TOL, FrameSeq, _coordinates
+from .frames import DEP_TOL, FrameSeq, _coordinates, _span_steps
 from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, steps_of
 from .linalg import _l2_norm, _row_norms, as_field_array
 
@@ -77,8 +77,8 @@ class IterationTrace:
     ``snapshots`` maps iteration number to the frame at that point;
     0 and M are always present, intermediate iterations appear on the
     snapshot stride.  ``dependent_indices`` and ``input_zero_indices``
-    are the dependent and zero steps of the first pass, the routing whose
-    vectors the limit theorem says vanish.  ``step_traces`` and
+    are the dependent and zero steps of the first pass, kept for the
+    export only: no verdict reads the routing.  ``step_traces`` and
     ``recurrences`` are present only when step tracing was requested:
     ``step_traces`` maps iteration number m >= 1 to the branch kind of
     each step of the pass that produced G_m, the kinds
@@ -290,7 +290,10 @@ def closed_form_last_dependent(f, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     arr = as_field_array(f, "f")
-    nf2 = float(np.linalg.norm(arr)) ** 2
+    with np.errstate(over="ignore"):   # a squared norm that overflows is refused below
+        nf2 = float(np.linalg.norm(arr)) ** 2
+    if not math.isfinite(nf2):
+        raise NonFiniteError("f: squared norm is not finite")
     if nf2 == 0.0:
         raise ValueError("closed_form_last_dependent requires a nonzero vector")
     return arr / math.sqrt(1.0 + m * nf2)
@@ -305,12 +308,16 @@ def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> Li
     that goes stationary after very few iterations sits at a fixed point
     whose norms cluster at 0 and 1; without the cap every vector of an
     orthonormal input would count as zero.  ``prediction_match`` compares
-    the observed zero set against the routing of the first pass: its
-    dependent steps together with the input's zero vectors.
+    the observed zero set against every index but the steps at which the
+    span of the input's prefix grows (``frames._span_steps``), a rule that
+    shares nothing with the routing of the pass.
     """
     M = trace.iterations_run
     if delta_zero is None:
         delta_zero = min(2.0 / math.sqrt(M), 0.5)
+    elif not 0.0 <= delta_zero < math.inf:
+        raise ValueError(f"delta_zero must be finite and >= 0, got {delta_zero}")
+    steps = _span_steps(trace.initial)
     final = trace.final
     final_norms = trace.norms[M]
     zero_idx = tuple(int(i + 1) for i in np.flatnonzero(final_norms <= delta_zero))
@@ -323,9 +330,8 @@ def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> Li
         near_onb = onb_residual <= DELTA_ONB
     else:
         onb_residual = 0.0
-        # the empty set is a basis only of the zero span
-        near_onb = len(trace.input_zero_indices) == final_norms.shape[0]
-    predicted = tuple(sorted(set(trace.dependent_indices) | set(trace.input_zero_indices)))
+        near_onb = not steps   # the empty set is a basis only of the zero span
+    predicted = tuple(k for k in range(1, final_norms.shape[0] + 1) if k not in steps)
     return LimitReport(
         near_onb=near_onb,
         iterations_run=M,

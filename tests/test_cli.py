@@ -446,6 +446,16 @@ class TestIterate:
         assert rep["recurrences"]["pattern_consistent"] is False
         assert rc == EXIT_CHECK_FAILED
 
+    def test_input_the_pass_misroutes_exits_nonzero(self, tmp_path, capsys):
+        # the limit is all zero, while the span of either input is the plane
+        for vectors in ([[1e-11, 0.0], [0.0, 1e-11]], [[1e-200, 0.0], [0.0, 1e-200], [1e-200, 1e-200]]):
+            inp = write_frame(tmp_path / "frame.json", 2, "real", vectors)
+            out = tmp_path / "trace.json"
+            assert main(["iterate", "--input", inp, "--output", str(out)]) == EXIT_CHECK_FAILED
+            rep = json.loads(out.read_text())["limit_report"]
+            assert rep["surviving_indices"] == [] and rep["prediction_match"] is False
+            assert "near-ONB: False" in capsys.readouterr().err
+
     def test_onb_stops_early(self, tmp_path, capsys):
         inp = write_frame(tmp_path / "onb.json", 2, "real", [[1.0, 0.0], [0.0, 1.0]])
         rc = main(["iterate", "--input", inp, "--output", str(tmp_path / "t.json")])

@@ -3,8 +3,9 @@
 Every input must end in exit 0, exit 1 (a failed check) or exit 2 with
 exactly one ``error: `` line on stderr; no exception may escape
 ``cli.main`` and numpy may not emit a warning on the way.  An exit 0 of
-``run`` must mean a Parseval output for the input's span, judged by a
-numpy-only oracle.
+``run`` must mean a Parseval output for the input's span, and an exit 0
+of ``iterate`` a limit whose survivors are the steps at which the rank of
+the input's prefix grows, both judged by numpy-only oracles.
 """
 
 import json
@@ -71,30 +72,47 @@ def _rows(doc) -> np.ndarray:
     return V[..., 0] + 1j * V[..., 1] if doc["field"] == "complex" else V[..., 0]
 
 
-def _oracle_gap(G, V) -> float:
-    """||S_G - P||_F with P the projection onto the row span of V, with no
-    framegs code on the route.  Each row is scaled by its largest entry,
-    so no square underflows or overflows; rows of norm at most 1e-12 times
-    the largest count as zero (the documented zero rule); the others are
-    normalized, and the span keeps singular values s > 1e-10 s[0]."""
+def _unit_rows(V) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based indices of the rows of V that are not zero, and those
+    rows normalized, with no framegs code on the route.  Each row is
+    scaled by its largest entry, so no square underflows or overflows;
+    rows of norm at most 1e-12 times the largest count as zero (the
+    documented zero rule)."""
     scale = np.abs(V).max(axis=1)
-    nonzero = scale > 0.0
-    U = V[nonzero] / scale[nonzero, None]
-    P = np.zeros((V.shape[1], V.shape[1]), dtype=V.dtype)
-    if nonzero.any():
-        norms = scale[nonzero] * np.linalg.norm(U, axis=1)
-        U = U[norms > 1e-12 * norms.max()]
+    idx = np.flatnonzero(scale > 0.0)
+    U = V[idx] / scale[idx, None]
+    if idx.size:
+        norms = scale[idx] * np.linalg.norm(U, axis=1)
+        keep = norms > 1e-12 * norms.max()
+        idx, U = idx[keep], U[keep]
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        _, s, Wh = np.linalg.svd(U, full_matrices=False)
-        B = Wh[s > 1e-10 * s[0]]
-        P = B.T @ B.conj()
-    return float(np.linalg.norm(G.T @ G.conj() - P))
+    return idx, U
+
+
+def _span(U) -> np.ndarray:
+    """Orthonormal rows spanning the unit rows U: singular values s > 1e-10 s[0]."""
+    _, s, Wh = np.linalg.svd(U, full_matrices=False)
+    return Wh[s > 1e-10 * s[:1]]
+
+
+def _oracle_gap(G, V) -> float:
+    """||S_G - P||_F with P the projection onto the span of V's unit rows."""
+    B = _span(_unit_rows(V)[1])
+    return float(np.linalg.norm(G.T @ G.conj() - B.T @ B.conj()))
+
+
+def _oracle_survivors(V) -> list[int]:
+    """1-based steps at which the rank of the prefix of V's unit rows grows."""
+    idx, U = _unit_rows(V)
+    ranks = [0] + [len(_span(U[: j + 1])) for j in range(len(U))]
+    return [int(k) + 1 for j, k in enumerate(idx) if ranks[j + 1] > ranks[j]]
 
 
 def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(20161)
     inp, out = tmp_path / "frame.json", str(tmp_path / "out")
     off = []   # exit 0 of run with an output off the oracle's span
+    wrong = []   # exit 0 of iterate with survivors other than the oracle's
     for i in range(N_INPUTS):
         doc = _extreme_frame(rng)
         inp.write_text(json.dumps(doc))
@@ -115,9 +133,17 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
             assert rc in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), case
             if rc == EXIT_INPUT_ERROR:
                 assert len(err) == 1 and err[0].startswith("error: "), f"{case}: {err}"
-            if rc == EXIT_OK and command[0] == "run":
-                with open(out, encoding="utf-8") as fh:
-                    gap = _oracle_gap(_rows(json.load(fh)["frame"]), _rows(doc))
+            if rc != EXIT_OK:
+                continue
+            with open(out, encoding="utf-8") as fh:
+                result = json.load(fh)
+            if command[0] == "run":
+                gap = _oracle_gap(_rows(result["frame"]), _rows(doc))
                 if not gap <= PARSEVAL_TOL:
                     off.append(f"input {i} {command}: gap {gap:.2e}")
+            else:
+                survivors = result["limit_report"]["surviving_indices"]
+                if survivors != _oracle_survivors(_rows(doc)):
+                    wrong.append(f"input {i} {command}: survivors {survivors}")
     assert not off, f"{len(off)} exit-0 outputs off the input's span: {off[:5]}"
+    assert not wrong, f"{len(wrong)} exit-0 limits off the oracle's survivors: {wrong[:5]}"

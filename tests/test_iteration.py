@@ -136,6 +136,9 @@ class TestClosedForm:
             closed_form_last_dependent(np.array([1.0, 0.0]), 0)
         with pytest.raises(ValueError):
             closed_form_last_dependent(np.zeros(2), 3)
+        # ||f||^2 overflows: refused, with no numpy warning, as the pass refuses it
+        with pytest.raises(NonFiniteError, match="squared norm is not finite"):
+            closed_form_last_dependent(np.array([1e200, 0.0]), 3)
 
 
 class TestStabilizedLast:
@@ -358,6 +361,12 @@ class TestClassifyLimit:
             )
             assert set(rep.zero_indices) & set(rep.surviving_indices) == set()
 
+    @pytest.mark.parametrize("delta_zero", [math.nan, -1e-3, math.inf])
+    def test_delta_zero_out_of_range(self, delta_zero):
+        tr = iterate(FIG1, max_iter=10, eps_delta=0.0)
+        with pytest.raises(ValueError, match=f"delta_zero must be finite and >= 0, got {delta_zero}"):
+            classify_limit(tr, delta_zero=delta_zero)
+
     def test_explicit_delta_zero(self):
         tr = iterate(FIG1, max_iter=10, eps_delta=0.0)
         rep = classify_limit(tr, delta_zero=1e-12)
@@ -366,13 +375,19 @@ class TestClassifyLimit:
         assert not rep.prediction_match
 
     def test_no_survivor_is_not_a_basis_of_a_nonzero_span(self):
-        # both vectors fall below the absolute part of the dependence rule,
-        # DEP_TOL * max(1, ||f||), and route dependent on an empty prefix
+        # the pass misroutes both inputs, so nothing survives: at 1e-11 both
+        # vectors fall below the absolute part of the dependence rule,
+        # DEP_TOL * max(1, ||f||), and at 1e-200 every squared norm
+        # underflows, so the pass counts every vector zero.  The span of
+        # either input is the plane, so the prediction fails too
         tiny = FrameSeq(np.array([[1e-11, 0.0], [0.0, 1e-11]]))
-        tr = iterate(tiny, max_iter=50, eps_delta=0.0)
-        rep = classify_limit(tr)
-        assert rep.surviving_indices == ()
-        assert not rep.near_onb
+        under = FrameSeq(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) * 1e-200)
+        for F in (tiny, under):
+            tr = iterate(F, max_iter=50, eps_delta=0.0)
+            rep = classify_limit(tr)
+            assert rep.surviving_indices == ()
+            assert not rep.near_onb
+            assert not rep.prediction_match
 
     def test_all_zero_frame_has_the_empty_basis(self):
         tr = iterate(FrameSeq(np.zeros((3, 2))), max_iter=5)
