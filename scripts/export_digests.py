@@ -13,18 +13,19 @@ their exports, status lines and exit codes are byte-identical:
 ``export_digests.txt``, beside this script, is the manifest: the output
 of the sources it is committed with.  A change that moves an export
 updates the lines of the calls it moves, so the manifest's diff declares
-the change.  ``--compare BASE HEAD`` checks two outputs taken on one
-machine, under a base tree and under this one, against the manifest:
+the change.  ``--compare BASE HEAD BASE_MANIFEST`` checks two outputs
+taken on one machine, under a base tree and under this one, against the
+manifest and the base tree's manifest:
 
-    python3 scripts/export_digests.py --compare a.txt b.txt --base-manifest <other checkout>/scripts/export_digests.txt
+    python3 scripts/export_digests.py --compare a.txt b.txt <other checkout>/scripts/export_digests.txt
 
 It passes when every line of HEAD has the manifest's exit code and argv,
 when every call whose digest moved from BASE to HEAD is a line that the
 manifest changed or appended against the base's manifest, and when every
 changed line moved.  Digests are not compared with the manifest's: they
 hash printed floats, whose last bits follow the machine's BLAS and numpy
-build.  Without ``--base-manifest`` (a base that predates the manifest),
-a line counts as changed when its exit code or argv differs from BASE.
+build.  A base manifest that does not exist reads as empty, so every line
+counts as appended.
 
 ``--show N`` prints the bytes behind the N-th digest (1-based) instead:
 the N-th call's stdout followed by its stderr.  Running it under both
@@ -157,22 +158,18 @@ def _lines(path) -> list[tuple[str, str]]:
         return [tuple(line.rstrip("\n").split(" ", 1)) for line in fh]
 
 
-def compare(base_path, head_path, base_manifest_path=None) -> list[str]:
-    """What ``--compare`` finds wrong with the outputs at the two paths;
-    an empty list passes.  An appended call may move or not."""
-    base, head, manifest = _lines(base_path), _lines(head_path), _lines(MANIFEST)
-    if base_manifest_path is None:   # only what is machine-independent can declare
-        changed = {i for i, (b, m) in enumerate(zip(base, manifest)) if b[1] != m[1]}
-        appended = set()
-    else:
-        old = _lines(base_manifest_path)
-        changed = {i for i, (o, m) in enumerate(zip(old, manifest)) if o != m}
-        appended = set(range(len(old), len(manifest)))
+def compare(base_path, head_path, base_manifest_path, manifest_path) -> list[str]:
+    """What ``--compare`` finds wrong with the digest outputs of base and
+    head, judged by the manifest against the base's; an empty list passes.
+    An appended call may move or not."""
+    base, head, manifest = _lines(base_path), _lines(head_path), _lines(manifest_path)
+    old = _lines(base_manifest_path) if os.path.exists(base_manifest_path) else []
+    changed = {i for i, (o, m) in enumerate(zip(old, manifest)) if o != m}
     wrong = [f"{len(head)} calls, the manifest has {len(manifest)}"] if len(head) != len(manifest) else []
     for i, (b, h, m) in enumerate(zip(base, head, manifest)):
         if h[1] != m[1]:
             wrong.append(f"call {i + 1}: exit code and argv {h[1]!r}, the manifest has {m[1]!r}")
-        if b != h and i not in changed | appended:
+        if b != h and i < len(old) and i not in changed:
             wrong.append(f"call {i + 1}: moved, not declared in the manifest")
         if b == h and i in changed:
             wrong.append(f"call {i + 1}: declared in the manifest, did not move")
@@ -183,12 +180,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--show", type=int, metavar="N",
                         help="print the stdout and stderr of call N (1-based) instead of the digests")
-    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
-                        help="check two outputs against the manifest instead of running the calls")
-    parser.add_argument("--base-manifest", metavar="PATH", help="the manifest of the base tree")
+    parser.add_argument("--compare", nargs=3, metavar=("BASE", "HEAD", "BASE_MANIFEST"),
+                        help="check two outputs against the manifest and the base's instead of running the calls")
     args = parser.parse_args()
     if args.compare is not None:
-        wrong = compare(*args.compare, args.base_manifest)
+        wrong = compare(*args.compare, MANIFEST)
         print("\n".join(wrong) or "every moved export is declared in the manifest")
         return 1 if wrong else 0
     if args.show is not None and not 1 <= args.show <= len(CALLS):

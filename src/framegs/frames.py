@@ -186,9 +186,8 @@ def _unit_rows(frame: FrameSeq) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _svd_span(U: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the unit rows ``U``: right singular vectors
-    cut at ``s > DEP_TOL * s[0]``, a rule that shares nothing with the
-    pass's routing, of the R factor of a QR (R-SVD, Golub & Van Loan, 8.6)."""
+    """Orthonormal rows spanning the unit rows ``U``, cut at ``s > DEP_TOL * s[0]``
+    and not by the pass's routing: an R-SVD (Golub & Van Loan, 8.6)."""
     _, s, Wh = np.linalg.svd(np.linalg.qr(U, mode="r"), full_matrices=False)
     return Wh[s > DEP_TOL * s[:1]]    # s[:1] is empty when every row is zero
 
@@ -199,14 +198,16 @@ def _span_basis(frame: FrameSeq) -> np.ndarray:
 
 
 def _span_steps(frame: FrameSeq) -> tuple[int, ...]:
-    """1-based steps at which the span grows: their unit row lies farther than
-    ``DEP_TOL`` from the span of the unit rows before it, re-cut as it grows."""
+    """1-based steps at which the SVD span of the prefix's unit rows grows, re-cut
+    after each unit row that lies farther than ``DEP_TOL`` from the span before it."""
     keep, U = _unit_rows(frame)
     steps, Q = [], U[:0]
     for j, k in enumerate(np.flatnonzero(keep).tolist()):
         if _l2_norm(U[j] - (Q.conj() @ U[j]) @ Q) > DEP_TOL:
-            steps.append(k + 1)
-            Q = _svd_span(U[: j + 1])
+            Qn = _svd_span(U[: j + 1])
+            if len(Qn) > len(Q):   # the cut, relative to s[0], may keep the span as it was
+                steps.append(k + 1)
+            Q = Qn
     return tuple(steps)
 
 

@@ -308,9 +308,8 @@ def classify_limit(trace: IterationTrace, delta_zero: float | None = None) -> Li
     that goes stationary after very few iterations sits at a fixed point
     whose norms cluster at 0 and 1; without the cap every vector of an
     orthonormal input would count as zero.  ``prediction_match`` compares
-    the observed zero set against every index but the steps at which the
-    span of the input's prefix grows (``frames._span_steps``), a rule that
-    shares nothing with the routing of the pass.
+    the observed zero set against every index but the input's span steps
+    (``frames._span_steps``), which share nothing with the pass's routing.
     """
     M = trace.iterations_run
     if delta_zero is None:

@@ -17,6 +17,7 @@ from framegs.frames import (
     is_parseval,
     l2_distance,
     _span_basis,
+    _span_steps,
     span_projection,
     zero_indices,
 )
@@ -449,3 +450,13 @@ def test_span_projection_matches_svd_oracle():
         assert _span_basis(FrameSeq(V)).shape[0] == rank, (V.shape, V.dtype)
         assert np.linalg.norm(span_projection(FrameSeq(V)) - P0) <= 1e-13, (V.shape, V.dtype)
     assert _span_basis(FrameSeq(two_scales)).shape[0] == 2
+
+
+def test_span_steps_count_the_span_rank():
+    # row 2 lies 1.5e-10 from row 1, past DEP_TOL, but the relative cut at
+    # DEP_TOL * s[0] (s[0] = sqrt(2)) keeps one direction, so it is no step,
+    # and copies of it are none either
+    edge = np.array([[1.0, 0.0], [1.0, 1.5e-10]])
+    for V in [*_tall_frames(), edge, edge[[0, 1, 1, 1, 1]]]:
+        assert len(_span_steps(FrameSeq(V))) == len(_span_basis(FrameSeq(V))), (V.shape, V.dtype)
+    assert _span_steps(FrameSeq(edge[[0, 1, 1, 1, 1]])) == (1,)
