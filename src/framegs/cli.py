@@ -104,6 +104,8 @@ def load_input_frame(args: argparse.Namespace) -> FrameSeq:
         raise InputError(
             f"malformed JSON in {args.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:   # not UTF-8, or nested too deep
+        raise InputError(f"malformed JSON in {args.input}: {exc}") from exc
     try:
         return FrameSeq.from_dict(data)
     except (ValueError, FrameError) as exc:
@@ -116,8 +118,11 @@ def _emit(text: str, path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:   # a directory, or a missing parent
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_dumps(obj, level: int = 0) -> str:

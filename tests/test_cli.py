@@ -272,21 +272,33 @@ class TestRunInputErrors:
             '{"dim": 2, "field": "real", "vectors": [[null, 0.0]]}',
             '{"dim": 2, "field": "real", "vectors": [[1, true], [0, 1]]}',     # numpy reads 1
             '{"dim": 1, "field": "complex", "vectors": [[[1.0, false]]]}',     # numpy reads 0.0
+            b'\xff\xfe{"dim": 1, "field": "real", "vectors": [[1.0]]}',       # not UTF-8
+            "[" * 100000 + "]" * 100000,                                       # past the parser's depth
         ],
         ids=["dim-1e400", "dim-2.5", "dim-2.0", "dim-true", "dim-string", "huge-int-real", "huge-int-complex",
              "string-real", "string-complex", "string-mixed-real", "bool-real", "null-real",
-             "bool-mixed-real", "bool-mixed-complex"],
+             "bool-mixed-real", "bool-mixed-complex", "not-utf8", "deep-array"],
     )
     def test_raw_json_rejected_with_one_line(self, tmp_path, capsys, text):
         # write_frame writes an int dim and float entries, so these files
-        # are written as text
+        # are written as text, or as bytes
         inp = tmp_path / "raw.json"
-        inp.write_text(text)
+        inp.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["run", "--input", str(inp)]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "raw.json" in err[0], err
+
+    @pytest.mark.parametrize("command", ["run", "iterate"])
+    @pytest.mark.parametrize("output", [".", "missing/out.json"], ids=["directory", "missing-parent"])
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys, command, output):
+        path = str(tmp_path / output)
+        assert main([command, "--example", "fig1", "--output", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: "), err
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("s", [1e155, 1e200])

@@ -5,7 +5,9 @@ exactly one ``error: `` line on stderr; no exception may escape
 ``cli.main`` and numpy may not emit a warning on the way.  An exit 0 of
 ``run`` must mean a Parseval output for the input's span, and an exit 0
 of ``iterate`` a limit whose survivors are the steps at which the rank of
-the input's prefix grows, both judged by numpy-only oracles.
+the input's prefix grows, both judged by ``numpy_oracle``.  Exact
+transforms of an input (a zero row, the complex embedding, a signed
+coordinate permutation) leave the exit code of either command unchanged.
 """
 
 import json
@@ -15,6 +17,8 @@ import numpy as np
 
 from framegs.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from framegs.frames import PARSEVAL_TOL
+
+import numpy_oracle
 
 N_INPUTS = 300
 COMMANDS = (
@@ -33,8 +37,8 @@ def _gaussian(rng, shape, field):
     return rng.standard_normal(shape)
 
 
-def _extreme_frame(rng) -> dict:
-    """A frame document with n <= 20 vectors in dimension d <= 8, entries
+def _extreme_frame(rng) -> np.ndarray:
+    """The rows of a frame with n <= 20 vectors in dimension d <= 8, entries
     from 1e-300 to 1e200 in magnitude, and rows of signed zeros, exact
     dependents and near-dependents (gaps 1e-12 to 1e-3)."""
     field = "complex" if rng.random() < 0.5 else "real"
@@ -60,11 +64,24 @@ def _extreme_frame(rng) -> dict:
         V = V * 10.0 ** rng.uniform(-300, 200)
     else:   # one magnitude per row
         V = V * 10.0 ** rng.uniform(-300, 200, size=(n, 1))
-    if field == "complex":
-        vectors = np.stack([V.real, V.imag], axis=-1).tolist()
-    else:
-        vectors = V.tolist()
-    return {"dim": d, "field": field, "vectors": vectors}
+    return V
+
+
+def _sweep():
+    """The N_INPUTS extreme frames of the seeded sweep."""
+    rng = np.random.default_rng(20161)
+    for _ in range(N_INPUTS):
+        yield _extreme_frame(rng)
+        # this draw once picked a routing tolerance for the input; it stays
+        # so that the generator's stream, and so each input, is unchanged
+        rng.integers(7)
+
+
+def _document(V) -> dict:
+    if np.iscomplexobj(V):
+        return {"dim": V.shape[1], "field": "complex",
+                "vectors": np.stack([V.real, V.imag], axis=-1).tolist()}
+    return {"dim": V.shape[1], "field": "real", "vectors": V.tolist()}
 
 
 def _rows(doc) -> np.ndarray:
@@ -72,53 +89,13 @@ def _rows(doc) -> np.ndarray:
     return V[..., 0] + 1j * V[..., 1] if doc["field"] == "complex" else V[..., 0]
 
 
-def _unit_rows(V) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based indices of the rows of V that are not zero, and those
-    rows normalized, with no framegs code on the route.  Each row is
-    scaled by its largest entry, so no square underflows or overflows;
-    rows of norm at most 1e-12 times the largest count as zero (the
-    documented zero rule)."""
-    scale = np.abs(V).max(axis=1)
-    idx = np.flatnonzero(scale > 0.0)
-    U = V[idx] / scale[idx, None]
-    if idx.size:
-        norms = scale[idx] * np.linalg.norm(U, axis=1)
-        keep = norms > 1e-12 * norms.max()
-        idx, U = idx[keep], U[keep]
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-    return idx, U
-
-
-def _span(U) -> np.ndarray:
-    """Orthonormal rows spanning the unit rows U: singular values s > 1e-10 s[0]."""
-    _, s, Wh = np.linalg.svd(U, full_matrices=False)
-    return Wh[s > 1e-10 * s[:1]]
-
-
-def _oracle_gap(G, V) -> float:
-    """||S_G - P||_F with P the projection onto the span of V's unit rows."""
-    B = _span(_unit_rows(V)[1])
-    return float(np.linalg.norm(G.T @ G.conj() - B.T @ B.conj()))
-
-
-def _oracle_survivors(V) -> list[int]:
-    """1-based steps at which the rank of the prefix of V's unit rows grows."""
-    idx, U = _unit_rows(V)
-    ranks = [0] + [len(_span(U[: j + 1])) for j in range(len(U))]
-    return [int(k) + 1 for j, k in enumerate(idx) if ranks[j + 1] > ranks[j]]
-
-
 def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
-    rng = np.random.default_rng(20161)
     inp, out = tmp_path / "frame.json", str(tmp_path / "out")
     off = []   # exit 0 of run with an output off the oracle's span
     wrong = []   # exit 0 of iterate with survivors other than the oracle's
-    for i in range(N_INPUTS):
-        doc = _extreme_frame(rng)
+    for i, V in enumerate(_sweep()):
+        doc = _document(V)
         inp.write_text(json.dumps(doc))
-        # this draw once picked a routing tolerance for the input; it stays
-        # so that the generator's stream, and so each input, is unchanged
-        rng.integers(7)
         for command in COMMANDS:
             argv = [*command, "--input", str(inp), "--output", out]
             case = f"input {i} ({doc['field']} {len(doc['vectors'])}x{doc['dim']}), {argv}"
@@ -138,12 +115,44 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
             with open(out, encoding="utf-8") as fh:
                 result = json.load(fh)
             if command[0] == "run":
-                gap = _oracle_gap(_rows(result["frame"]), _rows(doc))
+                gap = numpy_oracle.parseval_gap(_rows(result["frame"]), V)
                 if not gap <= PARSEVAL_TOL:
                     off.append(f"input {i} {command}: gap {gap:.2e}")
             else:
                 survivors = result["limit_report"]["surviving_indices"]
-                if survivors != _oracle_survivors(_rows(doc)):
+                if tuple(survivors) != numpy_oracle.span_steps(V):
                     wrong.append(f"input {i} {command}: survivors {survivors}")
     assert not off, f"{len(off)} exit-0 outputs off the input's span: {off[:5]}"
     assert not wrong, f"{len(wrong)} exit-0 limits off the oracle's survivors: {wrong[:5]}"
+
+
+def _transforms(V, rng):
+    """Exact transforms of the rows V, by name: a zero row inserted at n // 2,
+    the complex embedding of a real frame, and a signed permutation of the
+    coordinates, a unitary that rounds nothing (a dense one does at 1e154)."""
+    yield "zero row", np.insert(V, len(V) // 2, 0.0, axis=0)
+    if not np.iscomplexobj(V):
+        yield "complex", V.astype(complex)
+    yield "signed permutation", -V[:, rng.permutation(V.shape[1])]
+
+
+def test_exit_codes_survive_exact_transforms(tmp_path, capsys):
+    # exit codes only: under a zero row, iterate's final iterate can move in
+    # its last bits, because the prefix products gain a term
+    rng = np.random.default_rng(20162)
+    inp, out = tmp_path / "frame.json", str(tmp_path / "out")
+
+    def exit_codes(V):
+        inp.write_text(json.dumps(_document(V)))
+        return [main([*command, "--input", str(inp), "--output", out])
+                for command in (["run"], ["iterate", "--max-iter", "30"])]
+
+    moved = []
+    for i, V in enumerate(_sweep()):
+        want = exit_codes(V)
+        for name, W in _transforms(V, rng):
+            got = exit_codes(W)
+            if got != want:
+                moved.append(f"input {i}, {name}: exits {want} -> {got}")
+        capsys.readouterr()
+    assert not moved, f"{len(moved)} exit codes moved under an exact transform: {moved[:5]}"

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from framegs.frames import (
 )
 from framegs.generate import example_frame, random_frame, random_frame_corpus
 from framegs.ggs import KIND_INDEPENDENT, KIND_ZERO, ggs_pass
+
+import numpy_oracle
 
 RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
@@ -138,6 +143,17 @@ class TestFrameBounds:
     def test_fig1(self):
         assert frame_bounds(FIG1) == pytest.approx((1.0, 2.0), abs=1e-12)
 
+    def test_matches_singular_values(self):
+        # the bounds from the squared extreme singular values of the rows,
+        # A = 0 below d rows: the gate of an SVD route for frame_bounds
+        frames = [F.vectors for F in random_frame_corpus(31, 200)] + _tall_frames()
+        frames += [random_frame(11, d, n, field, n // 4).vectors
+                   for field in ("real", "complex") for d, n in ((64, 200), (8, 6))]
+        for V in frames:
+            a, b = numpy_oracle.bounds(V)
+            A, B = frame_bounds(FrameSeq(V))
+            assert abs(A - a) <= 1e-13 * b and abs(B - b) <= 1e-13 * b, (V.shape, V.dtype)
+
 
 class TestIsParseval:
     def test_onb_true(self):
@@ -215,16 +231,8 @@ class TestCanonicalParseval:
     def test_l2_identity(self):
         for F in random_frame_corpus(24, 25):
             G = canonical_parseval(F)
-            rank = F.n_vectors - len(dependency_profile(F)) - len(zero_indices(F))
+            rank = len(numpy_oracle.span_basis(F.vectors))
             assert abs(float((G.norms() ** 2).sum()) - rank) <= 1e-10
-
-    @staticmethod
-    def _polar_factor(V):
-        """U_r Vh_r from an SVD of the rows: the canonical Parseval frame
-        by a route that shares no code with the package."""
-        U, s, Vh = np.linalg.svd(V, full_matrices=False)
-        r = int((s > 1e-10 * s[0]).sum())
-        return U[:, :r] @ Vh[:r]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
@@ -239,7 +247,7 @@ class TestCanonicalParseval:
         Q = _span_basis(F)
         assert Q.shape[0] == min(d, n - n_dependent)   # below d: the span-coordinates path
         G = canonical_parseval(F)
-        assert np.linalg.norm(G.vectors - self._polar_factor(F.vectors)) <= 1e-10
+        assert np.linalg.norm(G.vectors - numpy_oracle.polar_factor(F.vectors)) <= 1e-10
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-7, 1e-9])
@@ -249,7 +257,7 @@ class TestCanonicalParseval:
         dtype = complex if field == "complex" else float
         F = FrameSeq(np.array([[1.0, 0.0], [1.0, gamma]], dtype=dtype))
         C = canonical_parseval(F)
-        assert np.linalg.norm(C.vectors - self._polar_factor(F.vectors)) <= 1e-12
+        assert np.linalg.norm(C.vectors - numpy_oracle.polar_factor(F.vectors)) <= 1e-12
         assert is_parseval(C, span=F).ok
 
 
@@ -319,39 +327,13 @@ class TestDependencyProfile:
                 V = F.vectors.copy()
                 V[i % len(V)] = 0.0
                 for W in (F.vectors, V):
-                    want_zero = _oracle_zero_rows(W)
-                    want_dep = _oracle_dependent_rows(W)
+                    want_zero = numpy_oracle.zero_rows(W)
+                    want_dep = numpy_oracle.dependent_rows(W)
                     assert zero_indices(FrameSeq(W)) == want_zero, (seed, i)
                     assert dependency_profile(FrameSeq(W)) == want_dep, (seed, i)
                     n_dependent += len(want_dep)
                     n_zero += len(want_zero)
         assert n_dependent > 5000 and n_zero == 750, (n_dependent, n_zero)
-
-
-def _oracle_zero_rows(V):
-    """1-based indices of rows whose norm is at most 1e-12 times the
-    largest row norm (or 1e-12 when every row vanishes)."""
-    norms = np.linalg.norm(V, axis=1)
-    scale = norms.max()
-    return tuple(int(i + 1) for i in np.flatnonzero(norms <= 1e-12 * (scale if scale > 0 else 1.0)))
-
-
-def _oracle_dependent_rows(V):
-    """1-based indices of the nonzero rows that add no rank to the rows
-    before them, the rank of each prefix counted from its singular values
-    (those above 1e-8 times the largest)."""
-    zeros = set(_oracle_zero_rows(V))
-    out = []
-    rank = 0
-    for k in range(1, V.shape[0] + 1):
-        if k in zeros:
-            continue
-        s = np.linalg.svd(V[:k], compute_uv=False)
-        r = int((s > 1e-8 * s[0]).sum()) if s[0] > 0.0 else 0
-        if r == rank:
-            out.append(k)
-        rank = r
-    return tuple(out)
 
 
 class TestZeroIndices:
@@ -410,7 +392,7 @@ def test_span_projection_is_projection():
         P = span_projection(FrameSeq(V))
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
         np.testing.assert_allclose(P, P.conj().T, atol=1e-13)
-        assert np.trace(P).real == pytest.approx(np.linalg.matrix_rank(V), abs=1e-10)
+        assert np.trace(P).real == pytest.approx(len(numpy_oracle.span_basis(V)), abs=1e-10)
 
 
 def _tall_frames():
@@ -430,25 +412,14 @@ def _tall_frames():
     return frames
 
 
-def _oracle_projection(V):
-    """Projection onto the row span of ``V``: the right singular vectors of
-    its nonzero rows at unit norm, cut at ``DEP_TOL`` relative; numpy only,
-    with a plain SVD in place of the QR route."""
-    norms = np.linalg.norm(V, axis=1)
-    U = V[norms > ZERO_REL_TOL * norms.max()]
-    _, s, Wh = np.linalg.svd(U / np.linalg.norm(U, axis=1)[:, None])
-    B = Wh[: int((s > DEP_TOL * s[0]).sum())]
-    return B.T @ B.conj(), B.shape[0]
-
-
 def test_span_projection_matches_svd_oracle():
     # [[1, 0], [0, 1e-11]] spans the plane: the cut is per unit row, not
     # relative to the largest row
     two_scales = np.array([[1.0, 0.0], [0.0, 1e-11]])
     for V in [*_tall_frames(), two_scales]:
-        P0, rank = _oracle_projection(V)
+        rank = len(numpy_oracle.span_basis(V))
         assert _span_basis(FrameSeq(V)).shape[0] == rank, (V.shape, V.dtype)
-        assert np.linalg.norm(span_projection(FrameSeq(V)) - P0) <= 1e-13, (V.shape, V.dtype)
+        assert np.linalg.norm(span_projection(FrameSeq(V)) - numpy_oracle.projection(V)) <= 1e-13, (V.shape, V.dtype)
     assert _span_basis(FrameSeq(two_scales)).shape[0] == 2
 
 
@@ -457,6 +428,18 @@ def test_span_steps_count_the_span_rank():
     # DEP_TOL * s[0] (s[0] = sqrt(2)) keeps one direction, so it is no step,
     # and copies of it are none either
     edge = np.array([[1.0, 0.0], [1.0, 1.5e-10]])
-    for V in [*_tall_frames(), edge, edge[[0, 1, 1, 1, 1]]]:
-        assert len(_span_steps(FrameSeq(V))) == len(_span_basis(FrameSeq(V))), (V.shape, V.dtype)
+    corpus = [F.vectors for F in random_frame_corpus(29, 250, dependent_fraction=0.5)]
+    for V in [*_tall_frames(), edge, edge[[0, 1, 1, 1, 1]], *corpus]:
+        steps = _span_steps(FrameSeq(V))
+        assert len(steps) == len(_span_basis(FrameSeq(V))), (V.shape, V.dtype)
+        assert steps == numpy_oracle.span_steps(V), (V.shape, V.dtype)
     assert _span_steps(FrameSeq(edge[[0, 1, 1, 1, 1]])) == (1,)
+
+
+def test_numpy_oracle_is_independent_of_framegs():
+    # a fresh process, since this one has imported framegs already
+    code = "import sys, numpy_oracle; print(sorted(m for m in sys.modules if m.startswith('framegs')))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=os.path.dirname(numpy_oracle.__file__),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n", proc.stdout
+    assert (numpy_oracle.ZERO_RTOL, numpy_oracle.RANK_RTOL) == (ZERO_REL_TOL, DEP_TOL)

@@ -28,6 +28,8 @@ from framegs.ggs import (
 )
 from framegs.iteration import iterate
 
+import numpy_oracle
+
 RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
 
@@ -265,14 +267,6 @@ class TestFieldsAndScales:
             ggs_pass(F)
 
 
-def _svd_parseval_gap(G, V):
-    """||S_G - P||_F with P the projection onto the row span of V, its
-    rank read from V's singular values: no framegs code on this route."""
-    _, s, Vh = np.linalg.svd(V, full_matrices=False)
-    B = Vh[: int((s > 1e-8 * s[0]).sum())]
-    return float(np.linalg.norm(G.T @ G.conj() - B.T @ B.conj()))
-
-
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_heavily_dependent_output_is_parseval_for_input_span(field, tmp_path, capsys):
     # 18 of 20 vectors in the span of their predecessors: the pass shrinks
@@ -283,7 +277,7 @@ def test_heavily_dependent_output_is_parseval_for_input_span(field, tmp_path, ca
         G, _ = ggs_pass(F)
         chk = is_parseval(G, span=F)
         assert chk.ok, (seed, chk.residual)
-        assert _svd_parseval_gap(G.vectors, F.vectors) <= 1e-10, seed
+        assert numpy_oracle.parseval_gap(G.vectors, F.vectors) <= 1e-10, seed
     inp = tmp_path / "frame.json"
     for seed in (13, 14, 15):   # own-span residuals of about 1 in both fields
         inp.write_text(json.dumps(random_frame(seed, 7, 20, field, 18).to_dict()))
@@ -305,7 +299,7 @@ def test_exit_zero_means_a_parseval_output(scale, tmp_path, capsys):
         assert exits[-1] in (EXIT_OK, EXIT_CHECK_FAILED), i
         if exits[-1] == EXIT_OK:
             G = FrameSeq.from_dict(json.loads(out.read_text())["frame"])
-            assert _svd_parseval_gap(G.vectors, V) <= 1e-10, i
+            assert numpy_oracle.parseval_gap(G.vectors, V) <= 1e-10, i
     capsys.readouterr()
     if scale >= 1e-6:
         assert exits.count(EXIT_OK) == len(exits), exits
