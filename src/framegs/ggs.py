@@ -28,16 +28,84 @@ KIND_INDEPENDENT = "independent"
 KIND_DEPENDENT = "dependent"
 
 
-def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: np.ndarray):
-    """In-place dependent-branch update of rows G[:k] followed by the
-    assignment of row k.  ``w[i] = <g_i, f>`` are the coefficients of the
-    rows before the update; the caller has them from routing f."""
+def _shrink_factors(nf: float) -> tuple[float, float]:
+    """``(s, c)`` of a dependent step for a vector of norm ``nf``: the
+    step appends ``s * f`` and maps every earlier row g to
+    ``g + c * <g, f> * f``, with ``s = 1/sqrt(1 + nf^2)`` and
+    ``c = (s - 1)/nf^2``."""
     nf2 = nf * nf
     shrink = 1.0 / math.sqrt(1.0 + nf2)
-    cfac = (shrink - 1.0) / nf2
+    return shrink, (shrink - 1.0) / nf2
+
+
+def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: np.ndarray,
+                            buf: np.ndarray):
+    """In-place dependent-branch update of rows G[:k] followed by the
+    assignment of row k.  ``w[i] = <g_i, f>`` are the coefficients of the
+    rows before the update; the caller has them from routing f.  ``buf``
+    is scratch of at least k rows of G's width and type that takes the
+    update's product, so that a pass allocates it once."""
+    shrink, cfac = _shrink_factors(nf)
     # not np.multiply.outer, which rounds differently on complex (1, 1) operands
-    G[:k] += (cfac * w)[:, None] * f[None, :]
+    G[:k] += np.multiply((cfac * w)[:, None], f, out=buf[:k])
     np.multiply(f, shrink, out=G[k])
+
+
+_TAIL_BLOCK = 32   # tail steps per block of _tail_product; 16 and 64 time the same at d = 128
+
+
+def _tail_product(G: np.ndarray, V: np.ndarray, head: np.ndarray, rows, tail: list[int],
+                  nfs: list[float]):
+    """Write the pass's output for a tail of dependent steps into ``G``.
+
+    Step k of ``tail`` maps every earlier row through the same
+    contraction ``A_k = I + c_k f_k^H f_k`` (rows times matrices) and
+    appends ``s_k f_k`` (:func:`_shrink_factors`).  So row k ends as
+    ``s_k r_k`` with ``r_k = f_k M_k``, where M_k is the product of the
+    contractions of the tail steps after k, and a head row as itself times
+    the product M of all of them.  Every A_k is Hermitian with eigenvalues
+    s_k and 1, so no M_k grows past norm 1.
+
+    M is built backward, the product from step k on being
+    ``A_k M_k = M_k + c_k f_k^H r_k``, in blocks of ``_TAIL_BLOCK`` steps
+    (compact WY, Schreiber and Van Loan, SISC 1989).  Within a block,
+    ``r_j = f_j M + sum_i c_i <f_j, f_i> r_i`` over the block's later
+    steps i, with M the product after the block.  Each term has norm at
+    most ``||f_j||``, so substituting backward through the block stays
+    accurate.  The block then adds ``sum_i c_i f_i^H r_i`` to M.  A step
+    costs O(d^2) instead of the O(k d) of updating every earlier row, and
+    the arithmetic is matrix products.
+
+    ``head`` holds the rows before the tail, and ``rows`` indexes its
+    nonzero ones: zero rows are left as they are in G, so they keep their
+    exact +0.0.  ``nfs[k]`` is the norm of ``V[k]``.  The first tail step
+    whose squared norm overflows raises, before any arithmetic."""
+    for k in tail:
+        if not math.isfinite(nfs[k] * nfs[k]):
+            raise NonFiniteError(f"step {k + 1}: squared norm overflows")
+    is_complex = V.dtype.kind == "c"
+    sc = np.array([_shrink_factors(nfs[k]) for k in tail])
+    idx = np.array(tail)   # indexes faster than the list
+    M = None   # the identity, until the block of the last steps is done
+    for stop in range(len(tail), 0, -_TAIL_BLOCK):
+        start = max(0, stop - _TAIL_BLOCK)
+        steps = idx[start:stop]
+        F = V[steps]
+        Fh = F.conj().T if is_complex else F.T
+        c = sc[start:stop, 1]
+        R = F.copy() if M is None else F.dot(M)
+        if len(steps) > 1:
+            U = F.dot(Fh) * c   # U[j, i] = c_i <f_j, f_i>
+            for j in range(len(steps) - 2, -1, -1):
+                R[j] += U[j, j + 1:].dot(R[j + 1:])
+        G[steps] = R * sc[start:stop, :1]
+        W = (Fh * c).dot(R)
+        if M is None:
+            M = W
+            M.ravel()[:: M.shape[0] + 1] += 1.0
+        else:
+            M += W
+    G[rows] = head[rows].dot(M)
 
 
 def _pass_array(
@@ -56,11 +124,25 @@ def _pass_array(
     ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a caller that
     has them already saves the kernel recomputing them.
 
-    Full-rank fast path.  After min(n, d) independent routes the outputs
-    span the whole space, so every later nonzero vector is dependent
-    without a residual test: its residual could only be roundoff.  Such a
-    step computes only the inner products ``coeffs`` its update needs;
-    it forms neither the residual ``g`` nor its norm.
+    Full rank.  After min(n, d) independent routes the outputs span the
+    whole space, so every later nonzero vector is dependent without a
+    residual test: its residual could only be roundoff.  These steps, the
+    tail, form neither a residual nor its norm, and the pass computes
+    them backward as one product of d x d contractions
+    (:func:`_tail_product`), O(d^2) a step where updating every earlier
+    row costs O(k d).  A tail step whose squared norm overflows raises
+    before any of the tail's arithmetic, at the step where the update
+    step by step would.
+
+    Hooks only observe.  With ``on_step`` given, the tail also runs step
+    by step, with the residual skipped the same way, so that each call
+    sees the rows, ``w`` and ``before`` of the single-step update; the
+    returned rows are still the backward product, from a copy of the rows
+    taken at full rank, so a hook moves no byte of the output.  The two
+    agree to roundoff: no entry differs by more than n·eps/3 on the 728
+    frames of the kernel's equivalence tests.  Before full rank, and on a
+    frame without a nonzero tail step, the output is the step-by-step
+    arithmetic in every bit, and zero rows stay +0.0 throughout.
 
     The residual-norm finiteness check therefore runs only while
     independent routes remain.  After full rank it could not fire:
@@ -71,14 +153,15 @@ def _pass_array(
     * So, with finite input norms, ``|coeffs[j]| <= ||f||``; the
       residual, roundoff against ``||f||``, would have a finite norm; and
       each entry ``cfac * w[i] * f[j]`` of the update, with ``|cfac| <=
-      1/||f||^2``, is bounded by 1.
+      1/||f||^2``, is bounded by 1.  The backward product is bounded the
+      same way: each of its factors has norm 1.
     * An input whose squared norm overflows already stops at the
       input-norm check: entries s of 1e155 or 1e200 on the third vector
       of ``[[1e150, 0], [0, 1e150], [s, s]]`` raise ``step 3: input
       vector norm is not finite``, while s = 1e153 passes with that
       vector routed dependent after full rank.
 
-    The ``nf * nf`` overflow check stays on the dependent branch.
+    The ``nf * nf`` overflow check stays on every dependent step.
 
     Those checks raise :class:`NonFiniteError` on every overflow the
     pass can meet, but numpy warns first when a product or sum inside
@@ -117,9 +200,12 @@ def _pass_array(
         with np.errstate(over="ignore"):  # _zero_threshold raises on overflow
             norms = _row_norms(V)
     zthresh = _zero_threshold(norms)
+    nfs = norms.tolist()
     free = min(n, d)   # independent routes left
+    k0 = n             # the first step after full rank
+    buf = head = None  # update scratch; G[:k0] at full rank, kept when hooked
     kinds = []
-    for k, nf in enumerate(norms.tolist()):
+    for k, nf in enumerate(nfs):
         if nf <= zthresh:
             kinds.append(KIND_ZERO)
             if on_step is not None:
@@ -142,17 +228,31 @@ def _pass_array(
                 free -= 1
                 np.divide(g, rn, out=G[k])
                 kinds.append(KIND_INDEPENDENT)
+                if not free:
+                    k0 = k + 1
+                    if on_step is None:
+                        break
+                    head = G[:k0].copy()
                 if on_step is not None:
                     on_step(k, KIND_INDEPENDENT, G, None, None)
                 continue
         if not math.isfinite(nf * nf):
             raise NonFiniteError(f"step {k + 1}: squared norm overflows")
+        if buf is None:
+            buf = np.empty_like(G)
         before = _row_norms(prefix) if on_step is not None else None
         w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
-        _apply_dependent_update(G, k, f, nf, w)
+        _apply_dependent_update(G, k, f, nf, w, buf)
         kinds.append(KIND_DEPENDENT)
         if on_step is not None:
             on_step(k, KIND_DEPENDENT, G, w, before)
+    tail = [k for k in range(k0, n) if nfs[k] > zthresh]
+    if on_step is None:
+        kinds.extend(KIND_DEPENDENT if nf > zthresh else KIND_ZERO for nf in nfs[k0:])
+    if tail:
+        rows = (slice(k0) if KIND_ZERO not in kinds[:k0]
+                else [i for i, kind in enumerate(kinds[:k0]) if kind != KIND_ZERO])
+        _tail_product(G, V, G[:k0] if head is None else head, rows, tail, nfs)
     return G, tuple(kinds)
 
 

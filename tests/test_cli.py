@@ -422,6 +422,30 @@ class TestIterate:
         assert rr["pattern_consistent"] is True
         assert rr["update_identity"] <= 1e-12
 
+    @pytest.mark.parametrize("source", ["fig3", "complex"])
+    def test_step_tracing_moves_no_export_byte(self, source, tmp_path, capsys):
+        # a traced pass runs its steps after full rank one by one for the
+        # recurrence observer, and returns the same rows as an untraced one;
+        # the JSON export only adds the recurrence report
+        if source == "fig3":
+            frame = ["--example", "fig3"]
+        else:   # 24 vectors in C^6, 17 of them after full rank
+            frame = ["--input", write_frame(tmp_path / "frame.json", 6, "complex",
+                                            random_frame(3, 6, 24, "complex", 6).to_dict()["vectors"])]
+        for fmt in ("json", "csv"):
+            exports = []
+            for trace in ("none", "steps"):
+                out = tmp_path / f"trace.{fmt}"
+                assert main(["iterate", *frame, "--max-iter", "40", "--eps-delta", "0",
+                             "--trace", trace, "--format", fmt, "--output", str(out)]) == EXIT_OK
+                exports.append(out.read_text())
+            if fmt == "json":
+                doc = json.loads(exports[1])
+                assert doc["limit_report"].pop("recurrences")["pattern_consistent"] is True
+                exports[1] = json.dumps(doc, indent=2, sort_keys=True)
+            assert exports[0] == exports[1]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("trace", ["none", "steps"])
     def test_failed_check_exits_nonzero(self, tmp_path, trace):
         inp = write_frame(tmp_path / "huge.json", 2, "real", HUGE_VECTORS)
@@ -620,8 +644,8 @@ class TestVerify:
 
         exact = ggs._apply_dependent_update
 
-        def perturbed(G, k, f, nf, w):
-            exact(G, k, f, nf, w)
+        def perturbed(G, k, f, nf, w, buf):
+            exact(G, k, f, nf, w, buf)
             G[k, 0] += 1e-6
 
         monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)

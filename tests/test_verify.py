@@ -22,8 +22,8 @@ def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
 
     exact = ggs._apply_dependent_update
 
-    def perturbed(G, k, f, nf, w):
-        exact(G, k, f, nf, w)
+    def perturbed(G, k, f, nf, w, buf):
+        exact(G, k, f, nf, w, buf)
         G[k, 0] += 1e-6
 
     monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)
@@ -41,8 +41,8 @@ def test_recurrence_check_fails_on_perturbed_updated_rows(monkeypatch):
 
     exact = ggs._apply_dependent_update
 
-    def perturbed(G, k, f, nf, w):
-        exact(G, k, f, nf, w)
+    def perturbed(G, k, f, nf, w, buf):
+        exact(G, k, f, nf, w, buf)
         G[:k] *= 1.0 + 1e-6
 
     monkeypatch.setattr(ggs, "_apply_dependent_update", perturbed)
