@@ -13,6 +13,14 @@ identity, so inputs that do not span the ambient space are first-class
 citizens.  Every span is the SVD span of the unit-normalized nonzero
 rows at ``DEP_TOL``: it shares no rule with the routing of the pass
 (``dependency_profile``), so a misrouted pass fails ``is_parseval``.
+
+A frame whose operator S passes a Cholesky certificate spans the whole
+space, and its span basis is the identity with no factorization of the
+rows: n >= d, tr(S) finite and above ``tiny / eps``, and
+``cholesky(S - tau tr(S) I)`` succeeding with tau = 1e-6.  Then the
+unit rows U have sigma_min(U) / sigma_max(U) >= ~sqrt(tau / n), far
+above ``DEP_TOL``, so the SVD cut would keep all d directions too.
+Every other frame takes the R-SVD (see ``_span_basis``).
 """
 
 import itertools
@@ -28,6 +36,7 @@ from .linalg import _l2_norm, _row_norms, as_field_array, hermitian_eigen
 DEP_TOL = 1e-10       # relative residual below which a vector counts as dependent
 ZERO_REL_TOL = 1e-12  # relative norm below which a vector counts as zero
 PARSEVAL_TOL = 1e-10  # Frobenius distance within which is_parseval holds
+_TRACE_FLOOR = 2.0 ** -970  # tiny / eps, about 1e-292: see _span_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +150,18 @@ def frame_operator(frame: FrameSeq) -> np.ndarray:
     return V.T @ V.conj()
 
 
+def _quiet_operator(frame: FrameSeq) -> np.ndarray:
+    """:func:`frame_operator` without a numpy warning: an entry that
+    overflows reads inf or NaN, and each caller checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frame_operator(frame)
+
+
 def frame_bounds(frame: FrameSeq) -> FrameBounds:
     """Optimal bounds (A, B): smallest and largest eigenvalue of the frame
     operator.  A == 0 signals a sequence that does not span the ambient
     space."""
-    with np.errstate(over="ignore", invalid="ignore"):  # hermitian_eigen rejects inf and NaN
-        S = frame_operator(frame)
-    w = hermitian_eigen(S)
+    w = hermitian_eigen(_quiet_operator(frame))   # rejects inf and NaN
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=float(w[-1]))
 
 
@@ -192,8 +206,39 @@ def _svd_span(U: np.ndarray) -> np.ndarray:
     return Wh[s > DEP_TOL * s[:1]]    # s[:1] is empty when every row is zero
 
 
-def _span_basis(frame: FrameSeq) -> np.ndarray:
-    """Orthonormal basis of the span of ``frame``, as the rows of Q."""
+def _span_basis(frame: FrameSeq, S: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal basis of the span of ``frame``, as the rows of Q: the
+    d x d identity when the frame operator ``S`` (formed here unless given)
+    certifies a full span, else the R-SVD span of the unit rows.
+
+    The certificate needs n >= d, a finite S, tr(S) above ``tiny / eps``
+    and a floating-point Cholesky of ``S - tau tr(S) I`` that succeeds,
+    with tau = 1e-6.  Its success proves lambda_min(S) >= ~tau tr(S)
+    (Demmel, LAPACK WN 14, 1989; Rump, BIT 2006): the factorization and
+    the product forming S err by about (n + d) eps tr(S), negligible for
+    n + d well below tau / eps.  Above the floor, products that underflow
+    lose at most n d eps^2 tr(S) / 2.  Dropping the rows that the zero
+    rule removes lowers lambda_min by at most n 1e-24 tr(S).  Dividing
+    each row by its norm, at most sqrt(tr(S)), gives unit rows U with
+    sigma_min(U)^2 >= tau and sigma_max(U)^2 <= n, so
+    sigma_min(U) / sigma_max(U) >= ~sqrt(tau / n), above ``DEP_TOL`` for
+    every n below 1e14: the cut at ``DEP_TOL * s[0]`` would keep all d
+    directions.  Every other frame (n < d, rank-deficient, condition
+    number above ~1e3, an operator that overflows or underflows) takes
+    the R-SVD with the same bits as without the certificate.
+    """
+    n, d = frame.vectors.shape
+    if n >= d:
+        if S is None:
+            S = _quiet_operator(frame)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = float(np.trace(S).real)
+        if _TRACE_FLOOR < t < math.inf and np.isfinite(S).all():
+            try:
+                np.linalg.cholesky(S - (1e-6 * t) * np.eye(d))
+                return np.eye(d, dtype=frame.vectors.dtype)
+            except np.linalg.LinAlgError:
+                pass
     return _svd_span(_unit_rows(frame)[1])
 
 
@@ -233,14 +278,17 @@ def is_parseval(frame: FrameSeq, span: FrameSeq | None = None) -> ParsevalCheck:
     distance ``PARSEVAL_TOL`` of the projection onto the span of
     ``span``, by default ``frame`` itself, which suits an arbitrary frame.
     A pass output G is judged with ``span=F``, its input: one pass makes
-    G a Parseval frame for span(F), however far it shrank G's rows.
+    G a Parseval frame for span(F), however far it shrank G's rows.  A
+    frame operator that overflows raises :class:`NonFiniteError`.
     """
     span = frame if span is None else span
     if span.dim != frame.dim:
         raise DimensionMismatchError(f"span has dimension {span.dim}, frame has {frame.dim}")
-    S = frame_operator(frame)
-    P = span_projection(span)
-    residual = float(np.linalg.norm(S - P))
+    S = _quiet_operator(frame)
+    if not np.isfinite(S).all():
+        raise NonFiniteError("frame operator is not finite")
+    Q = _span_basis(span, S if span is frame else None)
+    residual = float(np.linalg.norm(S - Q.T @ Q.conj()))
     return ParsevalCheck(ok=residual <= PARSEVAL_TOL, residual=residual)
 
 

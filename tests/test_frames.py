@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from framegs import frames
 from framegs.errors import DimensionMismatchError, NonFiniteError
 from framegs.frames import (
     DEP_TOL,
@@ -21,6 +22,8 @@ from framegs.frames import (
     l2_distance,
     _span_basis,
     _span_steps,
+    _svd_span,
+    _unit_rows,
     span_projection,
     zero_indices,
 )
@@ -195,6 +198,35 @@ class TestIsParseval:
     def test_span_of_another_dimension_raises(self):
         with pytest.raises(DimensionMismatchError, match="dimension 3"):
             is_parseval(FIG1, span=FrameSeq(np.eye(3)))
+
+    @pytest.mark.parametrize("rows", [[[1e200, 0.0], [0.0, 1.0]], [[1e155, 1e155], [0.0, 1.0]]],
+                             ids=["entry", "cross-term"])
+    def test_overflowing_operator_raises_like_the_bounds(self, rows):
+        # the frame operator overflows: no numpy warning, and the three
+        # consumers of the operator raise alike
+        F = FrameSeq(np.array(rows))
+        for check in (is_parseval, frame_bounds, zero_indices):
+            with pytest.raises(NonFiniteError):
+                check(F)
+        with pytest.raises(NonFiniteError):   # the span's operator, formed for its certificate
+            is_parseval(FrameSeq(np.eye(2)), span=F)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("d, n", [(64, 200), (128, 1000)])
+    def test_residual_matches_the_oracle_gap_at_large_shapes(self, field, d, n):
+        # oneshot-large's shapes; at d = 128 the oracle's own SVD projection
+        # lies 2.1-2.3e-14 from the identity, so it resolves no finer there
+        F = random_frame(5, d, n, field, n // 4)
+        G, _ = ggs_pass(F)
+        V, W = F.vectors, G.vectors
+        tol = 1e-14 if d <= 64 else 4e-14
+        assert abs(is_parseval(G).residual - numpy_oracle.parseval_gap(W, W)) <= tol
+        assert abs(is_parseval(G, span=F).residual - numpy_oracle.parseval_gap(W, V)) <= tol
+        # both spans are the whole space, whose projection is exactly I
+        assert len(numpy_oracle.span_basis(W)) == len(numpy_oracle.span_basis(V)) == d
+        exact = np.linalg.norm(W.T @ W.conj() - np.eye(d))
+        assert abs(is_parseval(G).residual - exact) <= 1e-14
+        assert abs(is_parseval(G, span=F).residual - exact) <= 1e-14
 
 
 class TestCanonicalParseval:
@@ -434,6 +466,108 @@ def test_span_steps_count_the_span_rank():
         assert len(steps) == len(_span_basis(FrameSeq(V))), (V.shape, V.dtype)
         assert steps == numpy_oracle.span_steps(V), (V.shape, V.dtype)
     assert _span_steps(FrameSeq(edge[[0, 1, 1, 1, 1]])) == (1,)
+
+
+class _Declined(Exception):
+    pass
+
+
+def _certified(F) -> bool:
+    """Whether ``_span_basis`` certifies F as spanning, read by making the
+    R-SVD fallback's first call raise; a certified basis is the identity."""
+    def declined(frame):
+        raise _Declined
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames, "_unit_rows", declined)
+        try:
+            Q = _span_basis(F)
+        except _Declined:
+            return False
+    np.testing.assert_array_equal(Q, np.eye(F.dim))
+    return True
+
+
+def test_span_certificate_is_sound():
+    # wherever the Cholesky certificate accepts, the rows span the space by
+    # the oracle and the projection is the oracle's; the conditioning sweep
+    # crosses the certificate's edge near a condition number of 1e3 and the
+    # oracle's rank cut near 1e10
+    rng = np.random.default_rng(43)
+    base = [F.vectors for F in random_frame_corpus(31, 200)] + _tall_frames()
+    base += [random_frame(11, d, n, field, n // 4).vectors
+             for field in ("real", "complex") for d, n in ((64, 200), (8, 6))]
+    base += [F.vectors for F in random_frame_corpus(44, 100, dependent_fraction=0.6)]
+    for cond_exp in np.arange(0.0, 13.0, 0.5):
+        for field in ("real", "complex"):
+            n, d = int(rng.integers(6, 40)), int(rng.integers(2, 6))
+            A = rng.normal(size=(n, d))
+            A = A + 1j * rng.normal(size=(n, d)) if field == "complex" else A
+            Uq, _, Wh = np.linalg.svd(A, full_matrices=False)
+            base.append((Uq * np.logspace(0, -cond_exp, d)) @ Wh)
+    accepted = declined = 0
+    for V in base:
+        for scale in (1.0, 1e100, 1e-100, 1e150, 1e-150):
+            Vs = V * scale
+            F = FrameSeq(Vs)
+            if not _certified(F):
+                declined += 1
+                continue
+            accepted += 1
+            assert numpy_oracle.span_basis(Vs).shape[0] == F.dim, (Vs.shape, scale)
+            gap = np.linalg.norm(span_projection(F) - numpy_oracle.projection(Vs))
+            assert gap <= 1e-13, (Vs.shape, scale, gap)
+    assert accepted > 1000 and declined > 100, (accepted, declined)
+
+
+def _refused_frames():
+    rng = np.random.default_rng(47)
+    repeated = rng.normal(size=(10, 4))
+    repeated[:, 3] = repeated[:, 0]
+    repeated_complex = repeated + 1j * rng.normal(size=(10, 4))
+    repeated_complex[:, 3] = repeated_complex[:, 0]
+    Uq, _ = np.linalg.qr(rng.normal(size=(20, 5)))
+    Wq, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    ill = (Uq * np.logspace(0, -4, 5)) @ Wq            # condition number 1e4
+    return {
+        "n-below-d": rng.normal(size=(3, 5)),
+        "repeated-column": repeated,
+        "repeated-column-complex": repeated_complex,
+        "condition-1e4": ill,
+        "rows-1e-160": 1e-160 * rng.normal(size=(10, 3)),     # products subnormal
+        "rows-1e160": 1e160 * rng.normal(size=(10, 3)),       # squares overflow
+        "operator-overflows": 1e153 * np.ones((400, 2)) + 1e152 * np.eye(400, 2),
+        "all-zero": np.zeros((6, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_refused_frames()))
+def test_span_certificate_declines_with_the_fallback_bits(name):
+    V = _refused_frames()[name]
+    F = FrameSeq(V)
+    try:
+        want = _svd_span(_unit_rows(F)[1])
+    except NonFiniteError as exc:       # squared row norms overflow: the fallback's error
+        assert not _certified(F)
+        with pytest.raises(NonFiniteError) as info:
+            _span_basis(F)
+        assert str(info.value) == str(exc)
+        return
+    assert not _certified(F)
+    got = _span_basis(F)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_span_certificate_declines_a_nan_operator():
+    # numpy's Cholesky returns NaN factors without raising, so an operator
+    # with a NaN entry and a finite trace must decline before it
+    F = FrameSeq(np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]]))
+    want = _svd_span(_unit_rows(F)[1])
+    assert not np.array_equal(want, np.eye(2))
+    S = frame_operator(F)
+    S[0, 1] = S[1, 0] = np.nan
+    assert _span_basis(F, S).tobytes() == want.tobytes()
 
 
 def test_numpy_oracle_is_independent_of_framegs():
