@@ -46,9 +46,10 @@ same bytes:
   so that ``run`` must judge it against the input's span, not the
   output's own;
 * the real frame ``[[10, 0], [0, 10], [2e12, 0]]``, whose dependent third
-  vector shrinks the parallel first output row to about 5e-13, so that
-  pass 2 counts it as zero: ``iterate`` fails its prediction and its
-  routing drifts, while one pass is Parseval;
+  vector shrinks the parallel first output row to about 5e-13, under the
+  zero rule of pass 2: ``iterate`` replays pass 1's routing to the
+  predicted limit, and its traced run reports the drift, while one pass
+  is Parseval;
 * the real frame ``[[1e-11, 0], [0, 1e-11]]``, whose two vectors both
   route dependent, so that no vector survives the iteration: ``run``
   and ``iterate`` (call 14), whose verdicts read the span of the input,
@@ -96,8 +97,8 @@ CALLS = [
     *(["run", "--example", name, "--trace", "steps"] for name in EXAMPLES),
     *(["iterate", "--example", "fig3", "--trace", "steps", "--format", fmt] for fmt in ("json", "csv")),
     ["iterate", "--example", "fig1", "--snapshot-stride", "1", "--max-iter", "200"],
-    # the false branches of the limit report: a failed prediction with a
-    # drifting routing (exit 1), no survivors of a nonzero span (exit 1),
+    # the false branches of the limit report: a replay that drifts while
+    # the prediction holds (exit 1), no survivors of a nonzero span (exit 1),
     # then a run stopped before the survivors are near-ONB
     ["iterate", "--input", HUGE, "--trace", "steps"],
     ["iterate", "--input", TINY, "--trace", "steps"],

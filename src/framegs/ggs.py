@@ -32,10 +32,12 @@ def _shrink_factors(nf: float) -> tuple[float, float]:
     """``(s, c)`` of a dependent step for a vector of norm ``nf``: the
     step appends ``s * f`` and maps every earlier row g to
     ``g + c * <g, f> * f``, with ``s = 1/sqrt(1 + nf^2)`` and
-    ``c = (s - 1)/nf^2``."""
+    ``c = (s - 1)/nf^2``, or its limit -1/2 where ``nf^2`` is 0: a replayed
+    dependent step can meet a row that roundoff made zero, and the step
+    is then the identity."""
     nf2 = nf * nf
     shrink = 1.0 / math.sqrt(1.0 + nf2)
-    return shrink, (shrink - 1.0) / nf2
+    return shrink, (shrink - 1.0) / nf2 if nf2 else -0.5
 
 
 def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: np.ndarray,
@@ -54,7 +56,7 @@ def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: 
 _TAIL_BLOCK = 32   # tail steps per block of _tail_product; 16 and 64 time the same at d = 128
 
 
-def _tail_product(G: np.ndarray, V: np.ndarray, head: np.ndarray, rows, tail: list[int],
+def _tail_product(G: np.ndarray, V: np.ndarray, head: np.ndarray, rows, tail: np.ndarray,
                   nfs: list[float]):
     """Write the pass's output for a tail of dependent steps into ``G``.
 
@@ -76,20 +78,21 @@ def _tail_product(G: np.ndarray, V: np.ndarray, head: np.ndarray, rows, tail: li
     costs O(d^2) instead of the O(k d) of updating every earlier row, and
     the arithmetic is matrix products.
 
-    ``head`` holds the rows before the tail, and ``rows`` indexes its
-    nonzero ones: zero rows are left as they are in G, so they keep their
-    exact +0.0.  ``nfs[k]`` is the norm of ``V[k]``.  The first tail step
-    whose squared norm overflows raises, before any arithmetic."""
-    for k in tail:
+    ``tail`` is the index array of the tail's steps.  ``head`` holds the
+    rows before the tail, and ``rows`` indexes its nonzero ones: zero rows
+    are left as they are in G, so they keep their exact +0.0.  ``nfs[k]``
+    is the norm of ``V[k]``.  The first tail step whose squared norm
+    overflows raises, before any arithmetic."""
+    ks = tail.tolist()
+    for k in ks:
         if not math.isfinite(nfs[k] * nfs[k]):
             raise NonFiniteError(f"step {k + 1}: squared norm overflows")
     is_complex = V.dtype.kind == "c"
-    sc = np.array([_shrink_factors(nfs[k]) for k in tail])
-    idx = np.array(tail)   # indexes faster than the list
+    sc = np.array([_shrink_factors(nfs[k]) for k in ks])
     M = None   # the identity, until the block of the last steps is done
     for stop in range(len(tail), 0, -_TAIL_BLOCK):
         start = max(0, stop - _TAIL_BLOCK)
-        steps = idx[start:stop]
+        steps = tail[start:stop]
         F = V[steps]
         Fh = F.conj().T if is_complex else F.T
         c = sc[start:stop, 1]
@@ -108,8 +111,35 @@ def _tail_product(G: np.ndarray, V: np.ndarray, head: np.ndarray, rows, tail: li
     G[rows] = head[rows].dot(M)
 
 
+def _tail_of(kinds: tuple[str, ...], k0: int):
+    """The index array of the nonzero steps of ``kinds`` from ``k0`` on,
+    the tail of :func:`_tail_product`, and the index of the nonzero rows
+    before ``k0``, which it maps."""
+    tail = np.array([k for k in range(k0, len(kinds)) if kinds[k] != KIND_ZERO], dtype=np.intp)
+    rows = (slice(k0) if KIND_ZERO not in kinds[:k0]
+            else [k for k in range(k0) if kinds[k] != KIND_ZERO])
+    return tail, rows
+
+
+class _Plan:
+    """The routing of one pass, for :func:`_pass_array` to replay on
+    later passes: the ``kinds`` of its steps, and the ``tail`` and
+    ``rows`` of :func:`_tail_of` at its first step after full rank.
+    ``drift`` is set by a hooked replay whose margin fails."""
+
+    __slots__ = ("kinds", "tail", "rows", "drift")
+
+    def __init__(self, kinds: tuple[str, ...], d: int):
+        indep = [k for k, kind in enumerate(kinds) if kind == KIND_INDEPENDENT]
+        full = min(len(kinds), d)   # independent steps that reach full rank
+        k0 = indep[full - 1] + 1 if len(indep) == full else len(kinds)
+        self.kinds = kinds
+        self.tail, self.rows = _tail_of(kinds, k0)
+        self.drift = False
+
+
 def _pass_array(
-    V: np.ndarray, on_step=None, norms=None
+    V: np.ndarray, on_step=None, norms=None, plan=None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Array-level pass kernel.  Returns the output rows and the branch
     each step took, one of ``KIND_ZERO``, ``KIND_INDEPENDENT``,
@@ -133,6 +163,20 @@ def _pass_array(
     row costs O(k d).  A tail step whose squared norm overflows raises
     before any of the tail's arithmetic, at the step where the update
     step by step would.
+
+    Replay.  With ``plan``, a :class:`_Plan` of an earlier pass, the pass
+    takes that pass's kinds instead of routing: zero steps write nothing,
+    independent steps normalize their residual with no threshold test,
+    dependent steps before full rank take the update with no residual, and
+    the tail is the plan's.  The arithmetic of each branch is the routed
+    one, so where routing would take the same branches the output, the
+    returned kinds and every hook call are the routed pass's in every bit.
+    A replayed independent residual that is 0 or not finite is never
+    divided by: the kernel returns ``(None, None)``, and the caller routes
+    the pass instead.  Only a hooked replay measures its margin to
+    routing: a planned nonzero step under the zero rule, or an independent
+    one whose residual is at most the routing threshold, sets
+    ``plan.drift``.
 
     Hooks only observe.  With ``on_step`` given, the tail also runs step
     by step, with the residual skipped the same way, so that each call
@@ -199,14 +243,22 @@ def _pass_array(
     if norms is None:
         with np.errstate(over="ignore"):  # _zero_threshold raises on overflow
             norms = _row_norms(V)
-    zthresh = _zero_threshold(norms)
     nfs = norms.tolist()
+    route = None if plan is None else plan.kinds
+    if route is None or on_step is not None:   # a replay reads the zero rule as a margin only
+        zthresh = _zero_threshold(norms)
     free = min(n, d)   # independent routes left
     k0 = n             # the first step after full rank
     buf = head = None  # update scratch; G[:k0] at full rank, kept when hooked
     kinds = []
     for k, nf in enumerate(nfs):
-        if nf <= zthresh:
+        if route is None:   # None: the residual decides
+            kind = KIND_ZERO if nf <= zthresh else None if free else KIND_DEPENDENT
+        else:
+            kind = route[k]
+            if on_step is not None and kind != KIND_ZERO and nf <= zthresh:
+                plan.drift = True
+        if kind == KIND_ZERO:
             kinds.append(KIND_ZERO)
             if on_step is not None:
                 on_step(k, KIND_ZERO, G, None, None)
@@ -214,7 +266,7 @@ def _pass_array(
         f = V[k]
         prefix = G[:k]
         coeffs = prefix.conj() @ f if is_complex else prefix.dot(f)   # coeffs[j] = <f, g_j>
-        if free:
+        if kind != KIND_DEPENDENT:
             if is_complex:
                 g = f - coeffs @ prefix
                 gr, gi = g.real, g.imag
@@ -222,9 +274,15 @@ def _pass_array(
             else:
                 g = f - coeffs.dot(prefix)
                 rn = math.sqrt(g.dot(g))
-            if not math.isfinite(rn):
-                raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
-            if rn > DEP_TOL * max(1.0, nf):
+            if kind is None:
+                if not math.isfinite(rn):
+                    raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
+                kind = KIND_INDEPENDENT if rn > DEP_TOL * max(1.0, nf) else KIND_DEPENDENT
+            elif not 0.0 < rn < math.inf:
+                return None, None   # nothing divided: the caller routes this pass
+            elif on_step is not None and rn <= DEP_TOL * max(1.0, nf):
+                plan.drift = True
+            if kind == KIND_INDEPENDENT:
                 free -= 1
                 np.divide(g, rn, out=G[k])
                 kinds.append(KIND_INDEPENDENT)
@@ -246,14 +304,16 @@ def _pass_array(
         kinds.append(KIND_DEPENDENT)
         if on_step is not None:
             on_step(k, KIND_DEPENDENT, G, w, before)
-    tail = [k for k in range(k0, n) if nfs[k] > zthresh]
-    if on_step is None:
-        kinds.extend(KIND_DEPENDENT if nf > zthresh else KIND_ZERO for nf in nfs[k0:])
-    if tail:
-        rows = (slice(k0) if KIND_ZERO not in kinds[:k0]
-                else [i for i, kind in enumerate(kinds[:k0]) if kind != KIND_ZERO])
+    if route is None:
+        if on_step is None:
+            kinds.extend(KIND_DEPENDENT if nf > zthresh else KIND_ZERO for nf in nfs[k0:])
+        kinds = tuple(kinds)
+        tail, rows = _tail_of(kinds, k0)
+    else:
+        kinds, tail, rows = route, plan.tail, plan.rows
+    if tail.size:
         _tail_product(G, V, G[:k0] if head is None else head, rows, tail, nfs)
-    return G, tuple(kinds)
+    return G, kinds
 
 
 def steps_of(kinds: tuple[str, ...], kind: str = KIND_DEPENDENT) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .frames import DEP_TOL, FrameSeq, _coordinates, _span_steps
-from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, steps_of
+from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, _Plan, steps_of
 from .linalg import _l2_norm, _row_norms, as_field_array
 
 # largest entry of |Gram - I| over the surviving vectors at which
@@ -46,8 +46,12 @@ class RecurrenceReport:
 
     Floors and the ceiling report signed violations (positive means the
     bound failed by that much); the update identity reports an absolute
-    error.  A pass whose zero or dependent steps differ from those of the
-    first pass is not measured and clears ``pattern_consistent``.
+    error.  Every pass is measured at the dependent steps it took.
+    ``pattern_consistent`` is the margin of the replay (see
+    :func:`iterate`): it is false when a later pass met a vector that
+    routing would have sent another way than pass 1 did (a planned nonzero
+    vector under the zero rule, or an independent one whose residual is at
+    most ``DEP_TOL * max(1, ||f||)``), or fell back to routing.
     Fields are 0.0 when the corresponding check had nothing to measure.
     """
 
@@ -81,8 +85,9 @@ class IterationTrace:
     export only: no verdict reads the routing.  ``step_traces`` and
     ``recurrences`` are present only when step tracing was requested:
     ``step_traces`` maps iteration number m >= 1 to the branch kind of
-    each step of the pass that produced G_m, the kinds
-    ``ggs_pass(G_{m-1})`` returns, and ``recurrences`` reports the norm
+    each step of the pass that produced G_m: pass 1's kinds, which a
+    replayed pass takes, or the kinds of a pass that fell back to routing,
+    and ``recurrences`` reports the norm
     laws checked during the passes.
     """
 
@@ -128,9 +133,8 @@ class _RecurrenceCheck:
     kernel hands it: the row norms before the update, the inner products
     ``w`` and the updated rows.  :meth:`end` receives the kinds of the
     pass's steps and evaluates the floors and the ceiling from the norms
-    before and after the pass.  The first pass fixes the pattern of zero
-    and dependent steps; a later pass keeps its worst values only if it
-    routes the same way.  Nothing of a pass outlives its :meth:`end`.
+    before and after the pass.  Nothing of a pass outlives its
+    :meth:`end`, and the pattern flag of the report is the caller's.
 
     The laws are evaluated on Python floats: ``x ** 2`` there (and on a
     numpy scalar) is libm's pow, which can differ in the last bit from
@@ -138,8 +142,6 @@ class _RecurrenceCheck:
     """
 
     def __init__(self):
-        self.pattern = None   # (dependent steps, zero steps) of the first pass
-        self.pattern_consistent = True
         # update identity, single-step floor, accumulated floor, shrink ceiling, tail floor
         self.worst: list[float | None] = [None] * 5
 
@@ -165,14 +167,7 @@ class _RecurrenceCheck:
     def end(self, cur_norms: np.ndarray, kinds: tuple[str, ...]):
         """Close the pass whose steps took branches ``kinds`` and whose
         output has row norms ``cur_norms``."""
-        pattern = (steps_of(kinds), steps_of(kinds, KIND_ZERO))
-        if self.pattern is None:
-            self.pattern = pattern
-        elif pattern != self.pattern:
-            self.pattern_consistent = False
-            return
-
-        deps, prev, cur, after = pattern[0], self.prev, cur_norms.tolist(), self.after
+        deps, prev, cur, after = steps_of(kinds), self.prev, cur_norms.tolist(), self.after
         s = len(deps)
         single: list[float] = []
         accum: list[float] = []
@@ -196,7 +191,7 @@ class _RecurrenceCheck:
                 top = max(vals)
                 self.worst[i] = top if self.worst[i] is None else max(self.worst[i], top)
 
-    def report(self) -> RecurrenceReport:
+    def report(self, pattern_consistent: bool) -> RecurrenceReport:
         upd, single, accum, ceil, tail = (0.0 if v is None else v for v in self.worst)
         return RecurrenceReport(
             update_identity=upd,
@@ -204,7 +199,7 @@ class _RecurrenceCheck:
             accumulated_floor=accum,
             shrink_ceiling=ceil,
             tail_floor=tail,
-            pattern_consistent=self.pattern_consistent,
+            pattern_consistent=pattern_consistent,
         )
 
 
@@ -223,6 +218,15 @@ def iterate(
     ``trace_steps`` additionally records the branch kinds of every pass
     and checks the norm laws of :class:`RecurrenceReport` as the passes
     run, with no per-step record kept.
+
+    Pass 1 fixes the routing: which vectors are zero, independent and
+    dependent.  Every later pass replays its kinds (``ggs._Plan``) rather
+    than routing again, so it makes no zero-rule or threshold test and
+    forms no residual for a dependent step.  A pass whose replay meets an
+    independent residual that is 0 or not finite is routed instead, and
+    so is every pass after it.  Only a traced run measures the replay's
+    margin to routing, as ``pattern_consistent``; the rows are the same
+    with or without tracing.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -238,6 +242,7 @@ def iterate(
     step_traces: dict[int, tuple[str, ...]] | None = {} if trace_steps else None
 
     prev = frame.vectors
+    plan = None   # pass 1's routing, which later passes replay until one falls back
     m = 0
     stationary = False
     # the pass and the distance raise on what overflows; see ggs._pass_array
@@ -245,11 +250,16 @@ def iterate(
         for m in range(1, max_iter + 1):
             on_step = check.start(norms[-1]) if check is not None else None
             try:
-                cur, kinds = _pass_array(prev, on_step, norms[-1])
+                cur, kinds = _pass_array(prev, on_step, norms[-1], plan)
+                if cur is None:   # the replay met a residual it cannot divide by
+                    plan = None
+                    on_step = check.start(norms[-1]) if check is not None else None
+                    cur, kinds = _pass_array(prev, on_step, norms[-1])
             except NonFiniteError as exc:
                 raise NonFiniteError(f"iteration {m}: {exc}") from exc
             if m == 1:
                 deps, zeros = steps_of(kinds), steps_of(kinds, KIND_ZERO)
+                plan = _Plan(kinds, frame.dim)
             delta = _l2_norm(cur - prev)
             if not math.isfinite(delta):
                 raise NonFiniteError(f"iteration {m}: non-finite state")
@@ -273,7 +283,8 @@ def iterate(
         deltas=np.asarray(deltas),
         snapshots=snapshots,
         step_traces=step_traces,
-        recurrences=check.report() if check is not None else None,
+        recurrences=(check.report(plan is not None and not plan.drift)
+                     if check is not None else None),
         dependent_indices=deps,
         input_zero_indices=zeros,
         iterations_run=m,

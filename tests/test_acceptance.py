@@ -131,9 +131,9 @@ def test_criterion_09_gram_schmidt_degeneration():
     _verdict(9, check_gram_schmidt_degeneration(frames), 1e-12)
 
 
-def test_criterion_10_zero_pattern_prediction_at_scale():
+def criterion_10_corpus():
+    """100 overcomplete frames, d 2..8 and n up to 20, with 1 to 4 forced dependents."""
     rng = np.random.default_rng(CORPUS_SEED + 5)
-    t0 = time.perf_counter()
     frames = []
     for t in range(100):
         d = int(rng.integers(2, 9))
@@ -141,5 +141,10 @@ def test_criterion_10_zero_pattern_prediction_at_scale():
         n_dep = int(rng.integers(1, min(4, n - d) + 1))
         field = "complex" if t % 2 else "real"
         frames.append(random_frame(rng, d, n, field=field, n_dependent=n_dep))
-    result = check_zero_pattern_prediction(frames, max_iter=2000)
+    return frames
+
+
+def test_criterion_10_zero_pattern_prediction_at_scale():
+    t0 = time.perf_counter()
+    result = check_zero_pattern_prediction(criterion_10_corpus(), max_iter=2000)
     _verdict(10, result, 0.0, time.perf_counter() - t0, gate=60.0)

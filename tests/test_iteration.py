@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from framegs.errors import NonFiniteError
-from framegs.frames import FrameSeq, is_parseval, l2_distance, zero_indices
-from framegs.ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, ggs_pass
+from framegs.frames import DEP_TOL, FrameSeq, is_parseval, l2_distance, zero_indices
+from framegs.ggs import KIND_DEPENDENT, KIND_INDEPENDENT, KIND_ZERO, _pass_array, _Plan, ggs_pass
 from framegs.generate import (
     example_frame,
     random_frame,
@@ -22,12 +22,15 @@ from framegs.iteration import (
 )
 from framegs.verify import check_last_vector_stabilization
 
+import numpy_oracle
+
 RT2 = math.sqrt(2.0)
 FIG1 = example_frame("fig1")
 FIG2 = example_frame("fig2")
 FIG3 = example_frame("fig3")
 # the dependent third vector shrinks the parallel first output row to
-# about 5e-13, so pass 2 counts it as zero: the routing drifts from pass 1's
+# about 5e-13, under the zero rule of pass 2: a pass that re-routed would
+# count it as zero, and the replay of pass 1's routing reports the drift
 HUGE = FrameSeq(np.array([[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]))
 
 
@@ -219,45 +222,63 @@ class TestValidateRecurrences:
         for F in frames:
             tr = iterate(F, max_iter=40, eps_delta=0.0, snapshot_stride=1, trace_steps=True)
             assert tr.recurrences == _per_row_validate_recurrences(tr)
+            # HUGE's passes are measured too: its drift clears the flag only
             assert tr.recurrences.pattern_consistent == (case != "drift")
 
 
-def _steps_of_pass(V):
-    """The kind of each step of one pass over ``V`` and, for each
-    dependent step (1-based), copies of what the kernel hands its hook:
-    the row norms before the update, the inner products ``w`` and the
-    updated rows G[:k]."""
+def _steps_of_pass(V, plan):
+    """The kind of each step of one pass over ``V``, replaying ``plan``
+    when given, and, for each dependent step (1-based), copies of what
+    the kernel hands its hook: the row norms before the update, the inner
+    products ``w`` and the updated rows G[:k].  The third value tells
+    whether a step the pass did not route by its residual lies where
+    routing would have sent it elsewhere: a nonzero step under the zero
+    rule, or an independent one whose residual, recomputed here, is at
+    most ``DEP_TOL * max(1, ||f||)``."""
     kinds, dependent = [], {}
+    norms = np.linalg.norm(V, axis=1)
+    zeros = numpy_oracle.zero_rows(V)
+    drift = False
 
     def hook(k, kind, G, w, before):
+        nonlocal drift
         kinds.append(kind)
         if kind == KIND_DEPENDENT:
             dependent[k + 1] = (before.copy(), w.copy(), G[:k].copy())
+        if plan is None or kind == KIND_ZERO:
+            return
+        drift = drift or k + 1 in zeros
+        if kind == KIND_INDEPENDENT:
+            prefix = G[:k]
+            residual = np.linalg.norm(V[k] - (prefix.conj() @ V[k]) @ prefix)
+            drift = drift or residual <= DEP_TOL * max(1.0, norms[k])
 
-    _pass_array(V, hook)
-    return kinds, dependent
+    _pass_array(V, hook, None, plan)
+    return kinds, dependent, drift
 
 
 def _per_row_validate_recurrences(trace):
     """Frozen reference: the recurrence validator as written when each
     dependent step kept one record per updated row, reading the values
     one row at a time.  Each pass is run again from the stored snapshot
-    of its input (``snapshot_stride=1``)."""
-    deps = trace.dependent_indices
+    of its input (``snapshot_stride=1``), passes after the first
+    replaying its kinds as :func:`iterate` does."""
     zeros = set(trace.input_zero_indices)
-    s = len(deps)
     upd_err, single, accum, ceil, tail = [], [], [], [], []
     pattern_consistent = True
+    plan = None
     for m in range(1, trace.iterations_run + 1):
         prev = trace.norms[m - 1]
         cur = trace.norms[m]
-        kinds, dependent = _steps_of_pass(trace.snapshots[m - 1].vectors)
+        kinds, dependent, drift = _steps_of_pass(trace.snapshots[m - 1].vectors, plan)
         assert tuple(kinds) == trace.step_traces[m]
-        actual_dep = {k for k, kd in enumerate(kinds, 1) if kd == KIND_DEPENDENT}
-        actual_zero = {k for k, kd in enumerate(kinds, 1) if kd == KIND_ZERO}
-        if actual_dep != set(deps) or actual_zero != zeros:
-            pattern_consistent = False
-            continue
+        if m == 1:
+            plan = _Plan(tuple(kinds), trace.initial.dim)
+        deps = tuple(sorted(dependent))
+        pattern_consistent = pattern_consistent and not drift
+        assert deps == trace.dependent_indices
+        assert {k for k, kd in enumerate(kinds, 1) if kd == KIND_ZERO} == zeros
+        s = len(deps)
         norm_after = {}
         for step, (before, w, updated) in dependent.items():
             nf2 = prev[step - 1] ** 2
@@ -308,13 +329,21 @@ class TestStepTraces:
             assert tr.step_traces[m] == ref
 
     def test_dependent_indices_are_those_of_pass_one(self):
-        # pass 1 routes vector 3 dependent; pass 2 counts vector 1 as zero
-        tr = iterate(HUGE, max_iter=10, eps_delta=0.0, trace_steps=True)
+        # pass 1 routes vector 3 dependent and shrinks row 1 to about 5e-13;
+        # the later passes keep vector 1 independent, as pass 1 routed it,
+        # and reach the predicted limit, while the traced run reports that
+        # row 1 fell under the zero rule in pass 2
+        tr = iterate(HUGE, max_iter=30, eps_delta=0.0, trace_steps=True)
         assert tr.dependent_indices == (3,)
         assert tr.dependent_indices == tuple(
             k for k, kind in enumerate(tr.step_traces[1], 1) if kind == KIND_DEPENDENT)
-        assert tr.step_traces[2][0] == KIND_ZERO
+        assert all(tr.step_traces[m] == tr.step_traces[1] for m in range(2, 31))
+        assert tr.norms[1][0] <= 1e-12
+        np.testing.assert_allclose(tr.norms[30], [0.983, 1.0, 0.183], atol=1e-3)
+        assert classify_limit(tr).prediction_match
         assert not tr.recurrences.pattern_consistent
+        untraced = iterate(HUGE, max_iter=30, eps_delta=0.0)
+        assert untraced.norms.tobytes() == tr.norms.tobytes()
 
     def test_iterate_takes_no_dep_tol(self):
         # routing has one tolerance, DEP_TOL; iterate takes none

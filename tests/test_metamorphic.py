@@ -20,9 +20,9 @@ from framegs.ggs import KIND_ZERO, ggs_pass
 from framegs.iteration import classify_limit, iterate
 
 EPS = np.finfo(np.float64).eps
-# pass 1 shrinks the parallel first output row to about 5e-13, so pass 2
-# counts it as zero: the iteration fails its zero-set prediction and its
-# routing drifts, in every rotation
+# pass 1 shrinks the parallel first output row to about 5e-13, under the
+# zero rule of pass 2: the replayed passes meet the zero-set prediction,
+# and a traced run reports the drift, in every rotation
 HUGE = FrameSeq(np.array([[10.0, 0.0], [0.0, 10.0], [2e12, 0.0]]))
 # inputs the pass routes wrongly, so that run exits 1 in every rotation:
 # a row 1e-9 off the span of its predecessors, two vectors below the
