@@ -42,19 +42,38 @@ _TRACE_FLOOR = 2.0 ** -970  # tiny / eps, about 1e-292: see _span_basis
 @dataclass(frozen=True, eq=False)
 class FrameSeq:
     """Ordered sequence of n vectors of dimension d, stored as the rows of
-    an immutable (n, d) array."""
+    an immutable (n, d) array.
+
+    The constructor copies the array it is given, so a caller's later
+    writes never reach the frame.  The frames the package makes from an
+    array no other code holds (the output of ``ggs_pass``, the snapshots
+    of ``iterate`` after the input, the canonical frame) adopt it instead,
+    through :meth:`_adopt`."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = as_field_array(self.vectors, "vectors")
+        self._seal(self.vectors, copy=True)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "FrameSeq":
+        """A frame over ``arr`` itself: the constructor's checks, then
+        ``arr`` made read-only, with no copy.  Only for an array to which
+        no other code keeps a writable reference."""
+        frame = object.__new__(cls)
+        frame._seal(arr, copy=False)
+        return frame
+
+    def _seal(self, arr, copy: bool):
+        arr = as_field_array(arr, "vectors")
         if arr.ndim != 2:
             raise DimensionMismatchError(
                 f"vectors: expected a 2-d array of shape (n, dim), got shape {arr.shape}"
             )
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatchError(f"vectors: empty axis in shape {arr.shape}")
-        arr = arr.copy()
+        if copy:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
@@ -199,10 +218,18 @@ def _unit_rows(frame: FrameSeq) -> tuple[np.ndarray, np.ndarray]:
     return keep, U
 
 
+def _r_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values and right singular vectors ``(s, Wh)`` of ``A``
+    from an SVD of its R factor, an R-SVD (Golub & Van Loan, 8.6): no
+    left singular vectors of A are formed."""
+    _, s, Wh = np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)
+    return s, Wh
+
+
 def _svd_span(U: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the unit rows ``U``, cut at ``s > DEP_TOL * s[0]``
-    and not by the pass's routing: an R-SVD (Golub & Van Loan, 8.6)."""
-    _, s, Wh = np.linalg.svd(np.linalg.qr(U, mode="r"), full_matrices=False)
+    and not by the pass's routing."""
+    s, Wh = _r_svd(U)
     return Wh[s > DEP_TOL * s[:1]]    # s[:1] is empty when every row is zero
 
 
@@ -299,18 +326,26 @@ def canonical_parseval(frame: FrameSeq) -> FrameSeq:
     frame, the SVD span of its unit rows at ``DEP_TOL``, so non-spanning
     inputs work.
 
-    With ``coords = U diag(s) Wh`` the SVD of the span coordinates, the
-    result is their polar factor ``coords Wh* diag(1/s) Wh = U Wh``.
-    ``coords`` has full column rank by construction, so every ``s`` is
-    kept; the first form maps a zero row to an exact zero.
+    With ``coords = U diag(s) Wh`` the SVD of the span coordinates
+    ``V Q*``, Q the span basis, the result is their polar factor
+    ``coords Wh* diag(1/s) Wh = U Wh``, mapped back by Q.  ``s`` and
+    ``Wh`` come from the R factor of ``coords`` (an R-SVD), so U is never
+    formed.  ``coords`` has full column rank by construction, so every
+    ``s`` is kept; the first form maps a zero row to an exact zero.  When
+    the span is the whole space, Q is square and unitary, and
+    ``polar(V Q*) Q = polar(V)``: the polar factor of V is taken
+    directly, with no product with Q.  The result adopts its fresh array
+    (``FrameSeq._adopt``).
     """
     V = frame.vectors
     Q = _span_basis(frame)
-    if Q.shape[0] == 0:
+    rank, d = Q.shape
+    if rank == 0:
         return FrameSeq(V)  # all-zero sequence maps to itself
-    coords = V @ Q.conj().T                  # (n, rank)
-    _, s, Wh = np.linalg.svd(coords, full_matrices=False)
-    return FrameSeq((coords @ ((Wh.conj().T / s) @ Wh)) @ Q)
+    coords = V if rank == d else V @ Q.conj().T   # (n, rank)
+    s, Wh = _r_svd(coords)
+    P = coords @ ((Wh.conj().T / s) @ Wh)
+    return FrameSeq._adopt(P if rank == d else P @ Q)
 
 
 def l2_distance(a: FrameSeq, b: FrameSeq) -> float:

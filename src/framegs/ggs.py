@@ -186,7 +186,10 @@ def _pass_array(
     agree to roundoff: no entry differs by more than n·eps/3 on the 728
     frames of the kernel's equivalence tests.  Before full rank, and on a
     frame without a nonzero tail step, the output is the step-by-step
-    arithmetic in every bit, and zero rows stay +0.0 throughout.
+    arithmetic in every bit, and zero rows stay +0.0 throughout.  A
+    dependent step's ``before``, the row norms of the prefix before its
+    update, is computed in the update's scratch, so a hooked step
+    allocates no k x d temporary for it.
 
     The residual-norm finiteness check therefore runs only while
     independent routes remain.  After full rank it could not fire:
@@ -298,7 +301,7 @@ def _pass_array(
             raise NonFiniteError(f"step {k + 1}: squared norm overflows")
         if buf is None:
             buf = np.empty_like(G)
-        before = _row_norms(prefix) if on_step is not None else None
+        before = _row_norms(prefix, buf[:k]) if on_step is not None else None
         w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
         _apply_dependent_update(G, k, f, nf, w, buf)
         kinds.append(KIND_DEPENDENT)
@@ -335,8 +338,10 @@ def ggs_pass(frame: FrameSeq) -> tuple[FrameSeq, tuple[str, ...]]:
     (FrameSeq, tuple[str, ...])
         The output frame (same shape and field as the input) and the
         branch each input vector took: one of ``KIND_ZERO``,
-        ``KIND_INDEPENDENT``, ``KIND_DEPENDENT`` per step.
+        ``KIND_INDEPENDENT``, ``KIND_DEPENDENT`` per step.  The frame
+        adopts the kernel's fresh output array (``FrameSeq._adopt``)
+        rather than copying it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # see _pass_array
         G, kinds = _pass_array(frame.vectors)
-    return FrameSeq(G), kinds
+    return FrameSeq._adopt(G), kinds

@@ -215,6 +215,9 @@ def iterate(
 
     Norms are recorded every iteration; full snapshots every
     ``snapshot_stride`` iterations (plus iteration 0 and the final one).
+    Snapshot 0 is ``frame`` itself; every later one adopts the pass's
+    fresh output array (``FrameSeq._adopt``) rather than copying it, and
+    the kernel only reads that array when it is the next pass's input.
     ``trace_steps`` additionally records the branch kinds of every pass
     and checks the norm laws of :class:`RecurrenceReport` as the passes
     run, with no per-step record kept.
@@ -269,13 +272,13 @@ def iterate(
                 step_traces[m] = kinds
             deltas.append(delta)
             if m % snapshot_stride == 0:
-                snapshots[m] = FrameSeq(cur)
+                snapshots[m] = FrameSeq._adopt(cur)
             prev = cur
             if delta <= eps_delta:
                 stationary = True
                 break
     if m not in snapshots:
-        snapshots[m] = FrameSeq(prev)
+        snapshots[m] = FrameSeq._adopt(prev)
 
     return IterationTrace(
         initial=frame,

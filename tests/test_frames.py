@@ -28,7 +28,9 @@ from framegs.frames import (
     zero_indices,
 )
 from framegs.generate import example_frame, random_frame, random_frame_corpus
+from framegs import ggs, iteration
 from framegs.ggs import KIND_INDEPENDENT, KIND_ZERO, ggs_pass
+from framegs.iteration import iterate
 
 import numpy_oracle
 
@@ -52,6 +54,53 @@ class TestFrameSeq:
         F = FrameSeq(arr)
         arr[0, 0] = 99.0
         assert F.vectors[0, 0] == 1.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_constructor_copies_a_caller_array(self, field):
+        arr = random_frame(7, 3, 5, field).vectors.copy()
+        F = FrameSeq(arr)
+        assert arr.flags.writeable and not np.shares_memory(F.vectors, arr)
+        kept = F.vectors.copy()
+        arr[...] = 0.0
+        np.testing.assert_array_equal(F.vectors, kept)
+
+    def test_adopting_a_non_finite_or_misshapen_array_raises(self):
+        with pytest.raises(NonFiniteError):
+            FrameSeq._adopt(np.array([[1.0, np.nan]]))
+        with pytest.raises(NonFiniteError):
+            FrameSeq._adopt(np.array([[1.0, 0.0], [0.0, np.inf * 1j]]))
+        with pytest.raises(DimensionMismatchError):
+            FrameSeq._adopt(np.ones(3))
+        with pytest.raises(DimensionMismatchError):
+            FrameSeq._adopt(np.ones((0, 2)))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_package_frames_adopt_their_arrays(self, field, monkeypatch):
+        # ggs_pass, iterate and canonical_parseval hand their fresh arrays to
+        # the frame with no copy, read-only, sharing nothing with the caller's
+        arr = random_frame(3, 6, 12, field, 4).vectors.copy()
+        F = FrameSeq(arr)
+        made, pass_array = [], ggs._pass_array
+
+        def kernel(*args):
+            out = pass_array(*args)
+            made.append(out[0])
+            return out
+
+        monkeypatch.setattr(ggs, "_pass_array", kernel)
+        monkeypatch.setattr(iteration, "_pass_array", kernel)
+        G = ggs_pass(F)[0]
+        trace = iterate(F, max_iter=5, eps_delta=0.0, snapshot_stride=2)
+        assert G.vectors is made[0]
+        assert all(trace.snapshots[m].vectors is made[m] for m in (2, 4, 5))
+        frames = [G, canonical_parseval(F), *(trace.snapshots[m] for m in (2, 4, 5))]
+        for i, C in enumerate(frames):
+            assert not C.vectors.flags.writeable, i
+            with pytest.raises(ValueError):
+                C.vectors[0, 0] = 1.0
+            for other in [arr, F.vectors] + [D.vectors for D in frames[i + 1:]]:
+                assert not np.shares_memory(C.vectors, other), i
+        assert trace.snapshots[0] is F
 
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionMismatchError):
@@ -268,18 +317,25 @@ class TestCanonicalParseval:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
-        "d, n, n_dependent",
-        [(64, 200, 50), (64, 60, 20), (2, 6, 2), (2, 2, 1), (8, 30, 8), (8, 6, 2),
-         (16, 50, 12), (16, 15, 5)],
+        "d, n, n_dependent, n_zero",
+        [(64, 200, 50, 0), (64, 60, 20, 0), (2, 6, 2, 0), (2, 2, 1, 0), (8, 30, 8, 0),
+         (8, 6, 2, 0), (16, 50, 12, 0), (16, 15, 5, 0), (16, 1000, 250, 0), (32, 32, 0, 0),
+         (64, 40, 0, 0), (16, 30, 20, 3)],
         ids=["spanning", "rank40", "d2-spanning", "d2-rank1", "d8-spanning", "d8-rank4",
-             "d16-spanning", "d16-rank10"],
+             "d16-spanning", "d16-rank10", "tall-1000x16", "square-32", "n40-below-d64",
+             "rank10-zero-rows"],
     )
-    def test_matches_polar_factor_at_d64(self, field, d, n, n_dependent):
-        F = random_frame(11, d, n, field, n_dependent)
+    def test_matches_polar_factor_at_d64(self, field, d, n, n_dependent, n_zero):
+        V = random_frame(11, d, n, field, n_dependent).vectors
+        V = np.insert(V, np.linspace(0, n, n_zero).astype(int), 0.0, axis=0)   # first, middle, last
+        F = FrameSeq(V)
         Q = _span_basis(F)
         assert Q.shape[0] == min(d, n - n_dependent)   # below d: the span-coordinates path
         G = canonical_parseval(F)
-        assert np.linalg.norm(G.vectors - numpy_oracle.polar_factor(F.vectors)) <= 1e-10
+        assert np.linalg.norm(G.vectors - numpy_oracle.polar_factor(V)) <= 1e-12
+        zero = ~V.any(axis=1)
+        assert zero.sum() == n_zero
+        assert G.vectors[zero].tobytes() == bytes(G.vectors[zero].nbytes)   # exact +0.0
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-7, 1e-9])

@@ -24,11 +24,14 @@ from framegs.ggs import (
     KIND_ZERO,
     _apply_dependent_update,
     _pass_array,
+    _Plan,
     ggs_pass,
 )
 from framegs.iteration import iterate
+from framegs.linalg import _row_norms
 
 import numpy_oracle
+from test_acceptance import criterion_10_corpus
 
 RT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -591,3 +594,51 @@ def test_long_tail_agrees_with_the_per_step_rows(field):
     assert kinds.count(KIND_INDEPENDENT) == 48 and _after_full_rank(kinds, F.vectors)
     assert 0.0 < np.abs(G - per_step[0]).max() <= F.n_vectors * EPS
     assert numpy_oracle.parseval_gap(G, F.vectors) <= 1e-12
+
+
+def _befores_match_row_norms(V, plan=None):
+    """For each dependent step of a hooked pass over V, whether its
+    ``before`` holds the bytes of ``_row_norms`` of the prefix as it stood
+    before the step."""
+    prev = np.zeros_like(V)   # the rows as they stood before the current step
+    seen = []
+
+    def on_step(k, kind, G, w, before):
+        if kind == KIND_DEPENDENT:
+            seen.append(before.tobytes() == _row_norms(prev[:k]).tobytes())
+            prev[:k] = G[:k]
+        prev[k] = G[k]
+
+    _pass_array(V, on_step, None, plan)
+    return seen
+
+
+def test_hooked_before_norms_are_the_row_norms_of_the_prefix():
+    # the kernel computes a dependent step's ``before`` in its update
+    # scratch; routed and replayed, it must give _row_norms(prefix) bit for bit
+    frames = criterion_10_corpus() + [random_frame(seed, 64, 200, field, 50)
+                                      for seed in (0, 1, 2) for field in ("real", "complex")]
+    steps = 0
+    for i, F in enumerate(frames):
+        G, kinds = _pass_array(F.vectors)
+        for V, plan in ((F.vectors, None), (G, _Plan(kinds, F.dim))):   # pass 1, replayed pass 2
+            seen = _befores_match_row_norms(V, plan)
+            assert all(seen), i
+            steps += len(seen)
+    assert steps == 2 * (838 + 6 * 136)
+
+
+def test_kernel_never_writes_its_input():
+    # perfbench's tracer replays the kernel on the input arrays of its
+    # timed calls, and iterate feeds each output to the next pass
+    frames = [FIG1.vectors, example_frame("fig3").vectors,
+              np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [-0.0, 2.0]]),
+              random_frame(4, 16, 50, "complex", 12).vectors, random_frame(5, 8, 30, "real", 8).vectors]
+    for V1 in frames:
+        G, kinds = _pass_array(V1)
+        for V0, plan in ((V1, None), (G, _Plan(kinds, V1.shape[1]))):
+            for hook in (None, lambda *step: None):
+                V = V0.copy()
+                V.setflags(write=False)   # a write raises ValueError
+                _pass_array(V, hook, None, plan)
+                assert V.tobytes() == V0.tobytes()
