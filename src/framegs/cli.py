@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--snapshot-stride", type=int, default=1)
     it.add_argument("--eps-delta", type=float, default=1e-12)
     it.add_argument("--trace", choices=("none", "steps"), default="none",
-                    help="steps: per-step tracing plus recurrence validation")
+                    help="steps: per-step tracing plus recurrence report")
     _add_output_args(it)
 
     ver = sub.add_parser("verify", help="run the seeded verification battery")
@@ -204,9 +204,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     rep = classify_limit(tr)
     summary = dataclasses.asdict(rep)
     summary["stationary"] = tr.stationary
-    checks_ok = rep.prediction_match
     if args.trace == "steps":
-        checks_ok = checks_ok and tr.recurrences.pattern_consistent
         summary["recurrences"] = dataclasses.asdict(tr.recurrences)
     if args.fmt == "json":
         doc = _trace_document(tr)
@@ -222,7 +220,7 @@ def cmd_iterate(args: argparse.Namespace) -> int:
         f"surviving set near-ONB: {rep.near_onb} (residual {rep.onb_residual:.3e})",
         file=sys.stderr,
     )
-    return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if rep.prediction_match else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

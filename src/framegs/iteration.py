@@ -51,8 +51,9 @@ class RecurrenceReport:
     :func:`iterate`): it is false when a later pass met a vector that
     routing would have sent another way than pass 1 did (a planned nonzero
     vector under the zero rule, or an independent one whose residual is at
-    most ``DEP_TOL * max(1, ||f||)``), or fell back to routing.
-    Fields are 0.0 when the corresponding check had nothing to measure.
+    most ``DEP_TOL * max(1, ||f||)``), or fell back to routing.  Fields
+    are 0.0 when the corresponding check had nothing to measure.  The exit
+    code of ``framegs iterate`` reads none of this; ``verify`` judges it.
     """
 
     update_identity: float
@@ -228,8 +229,8 @@ def iterate(
     forms no residual for a dependent step.  A pass whose replay meets an
     independent residual that is 0 or not finite is routed instead, and
     so is every pass after it.  Only a traced run measures the replay's
-    margin to routing, as ``pattern_consistent``; the rows are the same
-    with or without tracing.
+    margin to routing, as ``pattern_consistent``, which the exit code of
+    ``framegs iterate`` does not read; the rows are the same either way.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

@@ -8,6 +8,8 @@ of ``iterate`` a limit whose survivors are the steps at which the rank of
 the input's prefix grows, both judged by ``numpy_oracle``.  Exact
 transforms of an input (a zero row, the complex embedding, a signed
 coordinate permutation) leave the exit code of either command unchanged.
+``--trace steps`` moves no exit code either, and adds only
+``limit_report.recurrences`` to the JSON export of ``iterate``.
 """
 
 import json
@@ -90,13 +92,16 @@ def _rows(doc) -> np.ndarray:
 
 
 def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
-    inp, out = tmp_path / "frame.json", str(tmp_path / "out")
+    inp = tmp_path / "frame.json"
+    outs = [str(tmp_path / f"out{j}") for j in range(len(COMMANDS))]
     off = []   # exit 0 of run with an output off the oracle's span
     wrong = []   # exit 0 of iterate with survivors other than the oracle's
+    traced = []   # exit codes or iterate exports that --trace steps moved
     for i, V in enumerate(_sweep()):
         doc = _document(V)
         inp.write_text(json.dumps(doc))
-        for command in COMMANDS:
+        codes = []
+        for command, out in zip(COMMANDS, outs):
             argv = [*command, "--input", str(inp), "--output", out]
             case = f"input {i} ({doc['field']} {len(doc['vectors'])}x{doc['dim']}), {argv}"
             with warnings.catch_warnings(record=True) as caught:
@@ -108,6 +113,7 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert not caught, f"{case}: {caught[0].category.__name__}: {caught[0].message}"
             assert rc in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), case
+            codes.append(rc)
             if rc == EXIT_INPUT_ERROR:
                 assert len(err) == 1 and err[0].startswith("error: "), f"{case}: {err}"
             if rc != EXIT_OK:
@@ -122,6 +128,19 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
                 survivors = result["limit_report"]["surviving_indices"]
                 if tuple(survivors) != numpy_oracle.span_steps(V):
                     wrong.append(f"input {i} {command}: survivors {survivors}")
+        # tracing adds a report and moves no exit code; iterate's traced
+        # export is the untraced one plus limit_report.recurrences
+        if codes[0] != codes[1] or codes[2] != codes[3]:
+            traced.append(f"input {i}: exits {codes}")
+        elif codes[2] != EXIT_INPUT_ERROR:
+            exports = []
+            for out in outs[2:]:
+                with open(out, encoding="utf-8") as fh:
+                    exports.append(json.load(fh))
+            exports[1]["limit_report"].pop("recurrences")
+            if exports[0] != exports[1]:
+                traced.append(f"input {i}: iterate exports differ beyond the recurrence report")
+    assert not traced, f"{len(traced)} inputs where --trace steps moved a result: {traced[:5]}"
     assert not off, f"{len(off)} exit-0 outputs off the input's span: {off[:5]}"
     assert not wrong, f"{len(wrong)} exit-0 limits off the oracle's survivors: {wrong[:5]}"
 

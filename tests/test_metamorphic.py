@@ -123,8 +123,10 @@ def test_traced_iterate_unitary_covariance(corpus):
 
 
 def test_cli_iterate_exit_code_unitary_covariance(corpus, tmp_path, capsys):
+    # HUGE drifts and exits 0; the two vectors of 1e-11 both route dependent
+    # and vanish, so the prediction fails (exit 1)
     codes = set()
-    for i, (F, FU) in enumerate(_rotated_pairs([*corpus[:5], HUGE], 15)):
+    for i, (F, FU) in enumerate(_rotated_pairs([*corpus[:5], HUGE, MISROUTED[1]], 15)):
         rc = []
         for G in (F, FU):
             path = tmp_path / "frame.json"
