@@ -82,8 +82,6 @@ import tempfile
 
 import numpy as np
 
-from framegs.generate import random_frame
-
 EXAMPLES = ("fig1", "fig2", "fig3")
 INPUTS = ("complex64x16.json", "real40x6.json")
 HEAVY = "heavy.json"
@@ -129,6 +127,9 @@ CALLS = [
 
 def _input_frames():
     """The seven input documents, keyed by file name."""
+    # imported here: --compare reads only text files and needs no framegs
+    from framegs.generate import random_frame
+
     rng = np.random.default_rng(20160226)
     C = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
     for k in (5, 11, 30, 47):   # in the span of the rows before them

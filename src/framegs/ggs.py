@@ -8,8 +8,12 @@ produced vector g_i receives the rank-one correction
     g_i  +=  (1/||f||^2) * (1/sqrt(1 + ||f||^2) - 1) * <g_i, f> * f
 
 and f itself enters the output as f / sqrt(1 + ||f||^2).  Zero vectors
-pass through as zero.  The output is always a Parseval frame for the span
-of the input.
+pass through as zero.  In exact arithmetic the output is always a
+Parseval frame for the span of the input.  In floating point it can fail
+to be: the routing is by a tolerance, and each residual is projected once
+against a prefix that may be far from orthonormal, as it is in a pass over
+a pass's own output.  ``frames.is_parseval(output, span=input)`` is the
+check.
 
 Inner products are linear in the first argument and conjugate-linear in
 the second.

@@ -3,7 +3,10 @@ digest files: a base output, a head output, the base's manifest and the
 manifest, each a list of ``digest exit-code argv`` lines."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,3 +74,12 @@ def test_missing_call_fails(tmp_path):
                                    _write(tmp_path / "old.txt", "xyz"),
                                    _write(tmp_path / "new.txt", "xyz"))
     assert wrong == ["2 calls, the manifest has 3"]
+
+
+def test_compare_runs_without_framegs_on_the_path(tmp_path):
+    # --compare reads only text files, so it must not need PYTHONPATH=src
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(_SCRIPT), "--compare", *[str(export_digests.MANIFEST)] * 3],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "every moved export is declared in the manifest\n"

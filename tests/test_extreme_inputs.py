@@ -10,9 +10,16 @@ transforms of an input (a zero row, the complex embedding, a signed
 coordinate permutation) leave the exit code of either command unchanged.
 ``--trace steps`` moves no exit code either, and adds only
 ``limit_report.recurrences`` to the JSON export of ``iterate``.
+
+Every exit code of the sweep must equal the manifest's,
+``scripts/sweep_exits.txt``, one ``_exit_line`` per input.  A change that
+moves one regenerates it with ``scripts/sweep_exits.py``, so the
+manifest's diff declares the move.
 """
 
+import itertools
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -23,6 +30,7 @@ from framegs.frames import PARSEVAL_TOL
 import numpy_oracle
 
 N_INPUTS = 300
+MANIFEST = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "sweep_exits.txt"
 COMMANDS = (
     ["run"],
     ["run", "--trace", "steps"],
@@ -91,12 +99,24 @@ def _rows(doc) -> np.ndarray:
     return V[..., 0] + 1j * V[..., 1] if doc["field"] == "complex" else V[..., 0]
 
 
+def _exit_line(i, doc, codes) -> str:
+    """The manifest line of input ``i``: its index, field and shape, then
+    the exit codes ``codes`` of ``COMMANDS``, in their order, e.g.
+    ``1 complex 15x2 2 2 0 0``."""
+    return f"{i} {doc['field']} {len(doc['vectors'])}x{doc['dim']} {' '.join(map(str, codes))}"
+
+
+def _manifest() -> list[str]:
+    return MANIFEST.read_text(encoding="utf-8").splitlines()
+
+
 def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
     inp = tmp_path / "frame.json"
     outs = [str(tmp_path / f"out{j}") for j in range(len(COMMANDS))]
     off = []   # exit 0 of run with an output off the oracle's span
     wrong = []   # exit 0 of iterate with survivors other than the oracle's
     traced = []   # exit codes or iterate exports that --trace steps moved
+    lines = []   # the manifest's lines for these sources
     for i, V in enumerate(_sweep()):
         doc = _document(V)
         inp.write_text(json.dumps(doc))
@@ -128,6 +148,7 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
                 survivors = result["limit_report"]["surviving_indices"]
                 if tuple(survivors) != numpy_oracle.span_steps(V):
                     wrong.append(f"input {i} {command}: survivors {survivors}")
+        lines.append(_exit_line(i, doc, codes))
         # tracing adds a report and moves no exit code; iterate's traced
         # export is the untraced one plus limit_report.recurrences
         if codes[0] != codes[1] or codes[2] != codes[3]:
@@ -143,6 +164,8 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
     assert not traced, f"{len(traced)} inputs where --trace steps moved a result: {traced[:5]}"
     assert not off, f"{len(off)} exit-0 outputs off the input's span: {off[:5]}"
     assert not wrong, f"{len(wrong)} exit-0 limits off the oracle's survivors: {wrong[:5]}"
+    moved = [f"{m!r} -> {r!r}" for m, r in itertools.zip_longest(_manifest(), lines, fillvalue="") if m != r]
+    assert not moved, f"{len(moved)} inputs off {MANIFEST.name} (manifest -> run): {moved[:5]}"
 
 
 def _transforms(V, rng):
@@ -157,21 +180,24 @@ def _transforms(V, rng):
 
 def test_exit_codes_survive_exact_transforms(tmp_path, capsys):
     # exit codes only: under a zero row, iterate's final iterate can move in
-    # its last bits, because the prefix products gain a term
+    # its last bits, because the prefix products gain a term.  The codes of
+    # the untransformed inputs are the manifest's, which the sweep test holds
     rng = np.random.default_rng(20162)
     inp, out = tmp_path / "frame.json", str(tmp_path / "out")
+    untraced = (0, 2)   # run and iterate --max-iter 30, in COMMANDS
 
     def exit_codes(V):
         inp.write_text(json.dumps(_document(V)))
-        return [main([*command, "--input", str(inp), "--output", out])
-                for command in (["run"], ["iterate", "--max-iter", "30"])]
+        return [main([*COMMANDS[j], "--input", str(inp), "--output", out]) for j in untraced]
 
     moved = []
-    for i, V in enumerate(_sweep()):
-        want = exit_codes(V)
+    for i, (V, line) in enumerate(zip(_sweep(), _manifest(), strict=True)):
+        codes = line.split()[3:]
+        want = [int(codes[j]) for j in untraced]
         for name, W in _transforms(V, rng):
             got = exit_codes(W)
             if got != want:
                 moved.append(f"input {i}, {name}: exits {want} -> {got}")
         capsys.readouterr()
-    assert not moved, f"{len(moved)} exit codes moved under an exact transform: {moved[:5]}"
+    assert not moved, (f"{len(moved)} exit codes moved under an exact transform, "
+                       f"from the untransformed codes of {MANIFEST.name}: {moved[:5]}")
