@@ -66,7 +66,9 @@ same bytes:
 The calls run with that directory as their working directory and name
 the files relatively, so no temporary path reaches the digests.  Calls
 25 and 26 pass an option out of its range, so they pin
-the one error line and the exit code 2 of a refused value.  New calls
+the one error line and the exit code 2 of a refused value.  Calls 29
+and 30 pin the CSV of the complex 64x16 frame, the second with the blank
+coordinate cells of the iterations off its snapshot stride.  New calls
 go at the end of the list, so the digests of the earlier calls keep
 their line numbers.
 """
@@ -122,6 +124,9 @@ CALLS = [
     ["run", "--input", UNDER, "--trace", "steps"],
     # no vector survives, while the span of the input is the plane (exit 1)
     ["iterate", "--input", UNDER, "--trace", "steps"],
+    # complex CSV, and the blank coordinate cells of iterations off the stride
+    ["run", "--input", INPUTS[0], "--format", "csv"],
+    ["iterate", "--input", INPUTS[0], "--max-iter", "50", "--snapshot-stride", "7", "--format", "csv"],
 ]
 
 

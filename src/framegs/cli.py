@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 141 stdout closed.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import FrameError
-from .frames import DEP_TOL, FrameSeq, frame_bounds, is_parseval
+from .frames import DEP_TOL, FrameSeq, _coordinates, frame_bounds, is_parseval
 from .generate import EXAMPLE_NAMES, example_frame
 from .ggs import KIND_ZERO, ggs_pass, steps_of
 from .iteration import (
@@ -112,40 +113,56 @@ def load_input_frame(args: argparse.Namespace) -> FrameSeq:
         raise InputError(f"invalid frame in {args.input}: {exc}") from exc
 
 
-def _emit(text: str, path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The handle an export goes to: stdout, or the file at ``path``, where
+    an open or a write that fails, even midway, raises :class:`InputError`."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:   # a directory, or a missing parent
-            raise InputError(f"cannot write {path}: {exc}") from exc
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:   # a directory, a missing parent or a full disk
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _json_dumps(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` with each
-    numpy array replaced by its ``.tolist()``, written at nesting depth
-    ``level``.  Dicts (with string keys) are walked here; a finite
+def _export(args: argparse.Namespace, doc: dict, table) -> None:
+    """Write ``doc`` as JSON, or the header and the rows that ``table()``
+    returns as CSV, by ``--format``, to ``--output`` or stdout, piece by
+    piece.  A JSON export on stdout ends in a newline."""
+    with _output(args.output) as out:
+        if args.fmt == "csv":
+            header, rows = table()
+            w = csv.writer(out, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        else:
+            _write_json(out, doc)
+            if args.output is None:
+                out.write("\n")
+
+
+def _write_json(out, obj, level: int = 0) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj``, with
+    each numpy array replaced by its ``.tolist()``, to ``out`` at nesting
+    depth ``level``.  Dicts (with string keys) are walked here; a finite
     float64 array fills the ``%r`` template of its shape, whose text is
     what ``json`` writes for a float; every other value, and an array
-    holding NaN or Infinity, is written by ``json`` itself."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    holding NaN or Infinity, is written by ``json`` itself.  At most one
+    array's text is held at a time."""
+    if isinstance(obj, dict) and obj:
         nl = "\n" + "  " * (level + 1)
-        items = (
-            json.encoder.encode_basestring_ascii(key) + ": " + _json_dumps(obj[key], level + 1)
-            for key in sorted(obj)
-        )
-        return "{" + nl + ("," + nl).join(items) + "\n" + "  " * level + "}"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and np.isfinite(obj).all():
-            return _array_template(obj.shape, level) % tuple(obj.ravel().tolist())
-        obj = obj.tolist()
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+        for i, key in enumerate(sorted(obj)):
+            out.write(("," if i else "{") + nl + json.encoder.encode_basestring_ascii(key) + ": ")
+            _write_json(out, obj[key], level + 1)
+        out.write("\n" + "  " * level + "}")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and np.isfinite(obj).all():
+        out.write(_array_template(obj.shape, level) % tuple(obj.ravel().tolist()))
+    else:
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        out.write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level))
 
 
 @functools.lru_cache(maxsize=256)
@@ -159,16 +176,6 @@ def _array_template(shape: tuple, level: int) -> str:
     nl = "\n" + "  " * (level + 1)
     inner = _array_template(shape[1:], level + 1)
     return "[" + nl + ("," + nl).join([inner] * shape[0]) + "\n" + "  " * level + "]"
-
-
-def _csv_text(header, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -185,11 +192,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.trace == "steps":
         report["step_kinds"] = list(kinds)
-    if args.fmt == "json":
-        _emit(_json_dumps({"frame": G.to_dict(), "report": report}), args.output)
-    else:
-        cols, rows = coordinate_rows(G.vectors, G.norms())
-        _emit(_csv_text(["vector_index", "norm", *cols], rows), args.output)
+    doc = {"frame": {"dim": G.dim, "field": G.field, "vectors": _coordinates(G.vectors)},
+           "report": report}
+    _export(args, doc, lambda: coordinate_rows(G.vectors, G.norms()))
     print(f"parseval_residual={chk.residual:.3e} ok={chk.ok}", file=sys.stderr)
     return EXIT_OK if chk.ok else EXIT_CHECK_FAILED
 
@@ -206,13 +211,9 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     summary["stationary"] = tr.stationary
     if args.trace == "steps":
         summary["recurrences"] = dataclasses.asdict(tr.recurrences)
-    if args.fmt == "json":
-        doc = _trace_document(tr)
-        doc["limit_report"] = summary
-        _emit(_json_dumps(doc), args.output)
-    else:
-        header, rows = trace_csv_rows(tr)
-        _emit(_csv_text(header, rows), args.output)
+    doc = _trace_document(tr)
+    doc["limit_report"] = summary
+    _export(args, doc, lambda: trace_csv_rows(tr))
     status = "empirically stationary" if tr.stationary else "stopped at max-iter"
     print(
         f"{status} after {rep.iterations_run} iterations; "
@@ -247,9 +248,10 @@ def main(argv=None) -> int:
     try:
         try:
             code = {"run": cmd_run, "iterate": cmd_iterate, "verify": cmd_verify}[args.command](args)
-        except FrameError as exc:  # the pass cannot process the input, e.g. its norms overflow
+        except (FrameError, MemoryError) as exc:  # e.g. norms that overflow, or a run too large
             source = vars(args).get("input") or vars(args).get("example", "the verify battery")
-            raise InputError(f"cannot process {source}: {exc}") from exc
+            reason = "out of memory" if isinstance(exc, MemoryError) else exc
+            raise InputError(f"cannot process {source}: {reason}") from exc
         sys.stdout.flush()   # a closed stdout raises here, not at interpreter exit
         return code
     except InputError as exc:

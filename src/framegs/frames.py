@@ -140,10 +140,11 @@ class FrameSeq:
 
 
 def _coordinates(vectors: np.ndarray) -> np.ndarray:
-    """The rows as a float64 array: ``vectors`` itself when real, with a
-    last axis of [re, im] pairs when complex."""
+    """The rows as a float64 array: ``vectors`` itself when real, and when
+    complex a view of its bits with a last axis of [re, im] pairs (of a
+    C-ordered copy if ``vectors`` is not C-contiguous), signed zeros kept."""
     if np.iscomplexobj(vectors):
-        return np.stack([vectors.real, vectors.imag], axis=-1)
+        return np.ascontiguousarray(vectors).view(np.float64).reshape(*vectors.shape, 2)
     return vectors
 
 

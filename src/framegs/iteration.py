@@ -11,7 +11,9 @@ falls below a threshold.  That is reported as stationarity, not as
 convergence of the full sequence, which this machinery does not claim.
 """
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +153,17 @@ class _RecurrenceCheck:
         ``prev_norms``."""
         self.prev = prev = prev_norms.tolist()
         self.upd = upd = []
-        self.after = after = {}   # dependent step -> row norms after its update
+        self.after = after = {}   # dependent step -> the previous dependent row's norm after it
+        last = None   # the row of the pass's latest dependent step
 
         def on_step(k, kind, G, w, before):
+            nonlocal last
             if kind == KIND_DEPENDENT:
                 nf2 = prev[k] ** 2
-                after[k + 1] = na = _row_norms(G[:k]).tolist()
+                na = _row_norms(G[:k]).tolist()
+                if last is not None:
+                    after[k + 1] = na[last]
+                last = k
                 # hypot is the scalar abs() of each entry, which np.abs of a
                 # complex array can miss in the last bit
                 ia = np.hypot(w.real, w.imag).tolist()
@@ -183,7 +190,7 @@ class _RecurrenceCheck:
                 bound /= 1.0 + x[r]
             accum.append(bound - measured_end)
             if l + 1 < s:
-                after_next = after[deps[l + 1]][deps[l] - 1] ** 2
+                after_next = after[deps[l + 1]] ** 2
                 single.append(floor_l / (1.0 + x[l + 1]) - after_next)
         tail = accum[s - 2:s - 1]   # the accumulated floor of the second-to-last index
 
@@ -391,33 +398,33 @@ def trace_to_dict(trace: IterationTrace) -> dict:
     return doc
 
 
-def coordinate_rows(vectors: np.ndarray, norms, *lead) -> tuple[list[str], list[list]]:
-    """CSV coordinate columns for ``vectors`` and one row per vector:
-    ``[*lead, vector_index, norm, coordinates...]``.  Real vectors get
-    coord_1..coord_d; complex ones get coord_j_re/coord_j_im pairs."""
+def coordinate_rows(vectors: np.ndarray, norms, *lead) -> tuple[list[str], Iterator[list]]:
+    """The CSV header ``vector_index, norm, coordinates...`` of ``vectors``
+    and an iterator over one row per vector, ``[*lead, vector_index, norm,
+    coordinates...]``.  Real vectors get coord_1..coord_d; complex ones get
+    coord_j_re/coord_j_im pairs."""
     n, d = vectors.shape
     if np.iscomplexobj(vectors):
         cols = [f"coord_{j}_{part}" for j in range(1, d + 1) for part in ("re", "im")]
     else:
         cols = [f"coord_{j}" for j in range(1, d + 1)]
-    coords = _coordinates(vectors).reshape(n, len(cols)).tolist()
-    norms = np.asarray(norms).tolist()
-    return cols, [[*lead, i + 1, norms[i], *v] for i, v in enumerate(coords)]
+    coords = _coordinates(vectors).reshape(n, len(cols))
+    rows = ([*lead, i + 1, x, *v.tolist()]
+            for i, (x, v) in enumerate(zip(np.asarray(norms).tolist(), coords)))
+    return ["vector_index", "norm", *cols], rows
 
 
-def trace_csv_rows(trace: IterationTrace) -> tuple[list[str], list[list]]:
-    """Tabular view of a run: one row per (iteration, vector).
+def trace_csv_rows(trace: IterationTrace) -> tuple[list[str], Iterator[list]]:
+    """Tabular view of a run: the header and an iterator over one row per
+    (iteration, vector), each row built as it is read.
 
     Columns: iteration, vector_index, norm, then the coordinates of
     :func:`coordinate_rows`.  Coordinate cells are empty for iterations
     without a recorded snapshot.
     """
-    coord_cols, rows = coordinate_rows(trace.snapshots[0].vectors, trace.norms[0], 0)
-    blank = [""] * len(coord_cols)
-    for m in range(1, trace.iterations_run + 1):
-        snap = trace.snapshots.get(m)
-        if snap is None:
-            rows.extend([m, i + 1, x, *blank] for i, x in enumerate(trace.norms[m].tolist()))
-        else:
-            rows.extend(coordinate_rows(snap.vectors, trace.norms[m], m)[1])
-    return ["iteration", "vector_index", "norm", *coord_cols], rows
+    header, _ = coordinate_rows(trace.snapshots[0].vectors, trace.norms[0])
+    blank = [""] * (len(header) - 2)
+    rows = (coordinate_rows(trace.snapshots[m].vectors, norms, m)[1] if m in trace.snapshots
+            else ([m, i + 1, x, *blank] for i, x in enumerate(norms.tolist()))
+            for m, norms in enumerate(trace.norms))
+    return ["iteration", *header], itertools.chain.from_iterable(rows)

@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from framegs.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
-    _json_dumps,
+    _array_template,
+    _write_json,
     main,
 )
 from framegs.errors import NonFiniteError
@@ -527,6 +530,12 @@ def _reference_dumps(doc):
     return json.dumps(_lists(doc), indent=2, sort_keys=True)
 
 
+def _written(obj):
+    buf = io.StringIO()
+    _write_json(buf, obj)
+    return buf.getvalue()
+
+
 class TestJsonWriter:
     """The array-native writer against ``json.dumps`` of the list form."""
 
@@ -534,14 +543,17 @@ class TestJsonWriter:
     @pytest.mark.parametrize("trace", [False, True])
     def test_trace_documents(self, field, trace):
         F = random_frame(3, 3, 7, field, 2)
-        tr = iterate(F, max_iter=12, eps_delta=0.0, snapshot_stride=5, trace_steps=trace)
-        doc = _trace_document(tr)
-        doc["limit_report"] = {"zero_indices": [3, 5], "near_onb": True, "delta_zero": 0.5}
-        assert isinstance(doc["snapshots"]["0"], np.ndarray)
-        assert _json_dumps(doc) == _reference_dumps(doc)
-        plain = trace_to_dict(tr)
-        plain["limit_report"] = doc["limit_report"]
-        assert _json_dumps(doc) == json.dumps(plain, indent=2, sort_keys=True)
+        # every snapshot, a strided run and a single pass
+        for max_iter, stride in ((12, 1), (12, 5), (1, 1)):
+            tr = iterate(F, max_iter=max_iter, eps_delta=0.0, snapshot_stride=stride,
+                         trace_steps=trace)
+            doc = _trace_document(tr)
+            doc["limit_report"] = {"zero_indices": [3, 5], "near_onb": True, "delta_zero": 0.5}
+            assert isinstance(doc["snapshots"]["0"], np.ndarray)
+            assert _written(doc) == _reference_dumps(doc)
+            plain = trace_to_dict(tr)
+            plain["limit_report"] = doc["limit_report"]
+            assert _written(doc) == json.dumps(plain, indent=2, sort_keys=True)
 
     def test_edge_values(self):
         doc = {
@@ -567,9 +579,72 @@ class TestJsonWriter:
             "float": 1e-7,
             "nan": float("nan"),
         }
-        assert _json_dumps(doc) == _reference_dumps(doc)
+        assert _written(doc) == _reference_dumps(doc)
         for value in doc.values():
-            assert _json_dumps(value) == _reference_dumps(value)
+            assert _written(value) == _reference_dumps(value)
+
+
+class TestStreamedExport:
+    """The CLI writes each export to its handle as it walks the document."""
+
+    @pytest.mark.parametrize("command", ["run", "iterate"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, command, fmt, field):
+        # stdout gets a JSON export's trailing newline, and a file does not
+        inp = write_frame(tmp_path / "f.json", 3, field,
+                          random_frame(5, 3, 8, field, 3).to_dict()["vectors"])
+        extra = ["--max-iter", "9", "--snapshot-stride", "4", "--eps-delta", "0"] if command == "iterate" else []
+        argv = [command, "--input", inp, *extra, "--format", fmt]
+        assert main(argv) == EXIT_OK
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == EXIT_OK
+        assert capsysbinary.readouterr().out == b""
+        assert stdout.endswith(b"\n")
+        assert out.read_bytes() == (stdout[:-1] if fmt == "json" else stdout)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_grows_by_the_stored_snapshots(self, tmp_path, capsys, fmt):
+        # the writer holds at most one array's text, so 75 more passes raise
+        # the traced peak by about their 75 stored snapshots of 16 KB each,
+        # not by their text
+        F = random_frame(7, 16, 64, "complex", 16)
+        inp = write_frame(tmp_path / "f.json", 16, "complex", F.to_dict()["vectors"])
+        out = str(tmp_path / f"out.{fmt}")
+        peaks = {}
+        for max_iter in (25, 100):
+            _array_template.cache_clear()   # each run builds its own templates
+            tracemalloc.start()
+            try:
+                main(["iterate", "--input", inp, "--max-iter", str(max_iter), "--eps-delta", "0",
+                      "--format", fmt, "--output", out])
+                peaks[max_iter] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        per_pass = (peaks[100] - peaks[25]) / 75
+        assert per_pass <= 1.5 * F.vectors.nbytes, (per_pass, F.vectors.nbytes)
+
+    def test_failed_write_midway_is_one_line(self, capsys):
+        # /dev/full takes the open and refuses the bytes
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        assert main(["iterate", "--example", "fig1", "--max-iter", "200", "--eps-delta", "0",
+                     "--output", "/dev/full"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: "), err
+
+    @pytest.mark.parametrize("command, target", [("run", "_write_json"), ("iterate", "iterate")])
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, command, target):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(framegs.cli, target, fail)
+        assert main([command, "--example", "fig1"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: cannot process fig1: out of memory"]
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

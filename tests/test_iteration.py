@@ -486,6 +486,7 @@ class TestExports:
     def test_csv_layout_real(self):
         tr = iterate(FIG1, max_iter=4, eps_delta=0.0, snapshot_stride=2)
         header, rows = trace_csv_rows(tr)
+        rows = list(rows)
         assert header == ["iteration", "vector_index", "norm", "coord_1", "coord_2"]
         assert len(rows) == 5 * 3
         by_iter = {m: [r for r in rows if r[0] == m] for m in range(5)}
