@@ -152,11 +152,11 @@ def _pass_array(
     list is read (:func:`steps_of`).  A nonzero vector whose residual
     against the span of the previous outputs is at most ``DEP_TOL *
     max(1, ||f_k||)`` takes the dependent branch; at exactly the
-    threshold the branch is dependent.  ``on_step(k0, kind, G, w, before)``
-    is called after each step when given; ``w``/``before`` are set only
-    on dependent steps.  ``norms``, when given, must be the row norms of
-    ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a caller that
-    has them already saves the kernel recomputing them.
+    threshold the branch is dependent.  ``on_step(k, kind, G, w, before)``
+    is called after each step k (0-based) when given; ``w``/``before`` are
+    set only on dependent steps.  ``norms``, when given, must be the row
+    norms of ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a
+    caller that has them already saves the kernel recomputing them.
 
     Full rank.  After min(n, d) independent routes the outputs span the
     whole space, so every later nonzero vector is dependent without a

@@ -136,71 +136,62 @@ class _RecurrenceCheck:
     kernel hands it: the row norms before the update, the inner products
     ``w`` and the updated rows.  :meth:`end` receives the kinds of the
     pass's steps and evaluates the floors and the ceiling from the norms
-    before and after the pass.  Nothing of a pass outlives its
-    :meth:`end`, and the pattern flag of the report is the caller's.
+    before and after the pass.  Only each law's running maximum outlives
+    a pass, and the pattern flag of the report is the caller's.
 
-    The laws are evaluated on Python floats: ``x ** 2`` there (and on a
-    numpy scalar) is libm's pow, which can differ in the last bit from
-    the x * x of an array's ``** 2``, and the report is kept exact.
+    Squares are ``x * x``, as ``ggs._shrink_factors`` squares ||f||.  The
+    accumulated floor divides by 1 + x_r in the order of r, so its array
+    evaluation has the bits of one row's at a time.  The hook keeps its
+    pass's maximum of the update identity, and :meth:`end` folds it in: a
+    replay that falls back to routing is started again and adds nothing.
     """
 
     def __init__(self):
         # update identity, single-step floor, accumulated floor, shrink ceiling, tail floor
-        self.worst: list[float | None] = [None] * 5
+        self.worst = np.full(5, -np.inf)   # -inf: nothing measured
 
     def start(self, prev_norms: np.ndarray):
         """The ``on_step`` hook of the pass whose input has row norms
         ``prev_norms``."""
-        self.prev = prev = prev_norms.tolist()
-        self.upd = upd = []
-        self.after = after = {}   # dependent step -> the previous dependent row's norm after it
+        self.x = x = prev_norms * prev_norms
+        self.after = after = []   # row k_l's norm after step k_{l+1}
+        self.upd = -np.inf
         last = None   # the row of the pass's latest dependent step
 
         def on_step(k, kind, G, w, before):
             nonlocal last
             if kind == KIND_DEPENDENT:
-                nf2 = prev[k] ** 2
-                na = _row_norms(G[:k]).tolist()
+                na = _row_norms(G[:k])
                 if last is not None:
-                    after[k + 1] = na[last]
+                    after.append(na[last])
                 last = k
-                # hypot is the scalar abs() of each entry, which np.abs of a
-                # complex array can miss in the last bit
-                ia = np.hypot(w.real, w.imag).tolist()
-                upd.extend(abs(a**2 - (b**2 - i**2 / (1.0 + nf2)))
-                           for b, a, i in zip(before.tolist(), na, ia))
+                # hypot is the scalar abs() of each complex entry, which np.abs
+                # can miss in the last bit; a real w squares as |w| does
+                ia = np.hypot(w.real, w.imag) if w.dtype.kind == "c" else w
+                err = np.abs(na * na - (before * before - ia * ia / (1.0 + x[k])))
+                self.upd = err.max(initial=self.upd)
 
         return on_step
 
     def end(self, cur_norms: np.ndarray, kinds: tuple[str, ...]):
         """Close the pass whose steps took branches ``kinds`` and whose
         output has row norms ``cur_norms``."""
-        deps, prev, cur, after = steps_of(kinds), self.prev, cur_norms.tolist(), self.after
-        s = len(deps)
-        single: list[float] = []
-        accum: list[float] = []
-        ceil: list[float] = []
-        x = [prev[k - 1] ** 2 for k in deps]
-        for l in range(s):
-            floor_l = x[l] / (1.0 + x[l])
-            measured_end = cur[deps[l] - 1] ** 2
-            ceil.append(measured_end - floor_l)
-            bound = floor_l
-            for r in range(l + 1, s):
-                bound /= 1.0 + x[r]
-            accum.append(bound - measured_end)
-            if l + 1 < s:
-                after_next = after[deps[l + 1]] ** 2
-                single.append(floor_l / (1.0 + x[l + 1]) - after_next)
-        tail = accum[s - 2:s - 1]   # the accumulated floor of the second-to-last index
-
-        for i, vals in enumerate((self.upd, single, accum, ceil, tail)):
-            if vals:
-                top = max(vals)
-                self.worst[i] = top if self.worst[i] is None else max(self.worst[i], top)
+        deps = np.array(steps_of(kinds), dtype=np.intp) - 1
+        s = deps.size
+        x, fin, after = self.x[deps], cur_norms[deps], np.array(self.after)
+        fin *= fin
+        floor = x / (1.0 + x)
+        bound = floor.copy()
+        for r in range(1, s):
+            bound[:r] /= 1.0 + x[r]
+        accum = bound - fin
+        # single-step floor, accumulated floor, shrink ceiling, tail floor (l = s-1)
+        laws = (floor[:-1] / (1.0 + x[1:]) - after * after, accum, fin - floor, accum[s - 2:s - 1])
+        self.worst = np.maximum(self.worst,
+                                [self.upd, *(law.max(initial=-np.inf) for law in laws)])
 
     def report(self, pattern_consistent: bool) -> RecurrenceReport:
-        upd, single, accum, ceil, tail = (0.0 if v is None else v for v in self.worst)
+        upd, single, accum, ceil, tail = (0.0 if v == -np.inf else float(v) for v in self.worst)
         return RecurrenceReport(
             update_identity=upd,
             single_step_floor=single,

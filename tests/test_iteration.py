@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,10 +214,14 @@ class TestValidateRecurrences:
             assert rep.pattern_consistent
             assert rep.max_violation <= 1e-12
 
-    @pytest.mark.parametrize("case", ["fig1", "fig3", "corpus", "drift"])
+    @pytest.mark.parametrize("case", ["fig1", "fig3", "corpus", "drift", "long", "tiny"])
     def test_matches_per_row_reference(self, case):
         if case == "corpus":
             frames = random_frame_corpus(52, 10, dependent_fraction=0.8)
+        elif case == "long":   # 48 dependent steps a pass
+            frames = [random_frame(8, 16, 64, "complex", 16)]
+        elif case == "tiny":   # both steps dependent: the first meets empty arrays
+            frames = [FrameSeq(np.array([[1e-11, 0.0], [0.0, 1e-11]]))]
         else:
             frames = [{"fig1": FIG1, "fig3": FIG3, "drift": HUGE}[case]]
         for F in frames:
@@ -224,6 +229,23 @@ class TestValidateRecurrences:
             assert tr.recurrences == _per_row_validate_recurrences(tr)
             # HUGE's passes are measured too: its drift clears the flag only
             assert tr.recurrences.pattern_consistent == (case != "drift")
+
+    @pytest.mark.parametrize("field, dim, n, deps", [("real", 32, 160, 40),
+                                                     ("complex", 64, 200, 50)])
+    def test_check_keeps_no_record_per_row(self, field, dim, n, deps):
+        # the check keeps each law's running maximum, no value per row: a
+        # traced run's Python heap peaks at most 1.5 snapshots above an
+        # untraced one's
+        F = random_frame(7, dim, n, field, deps)
+        peaks = []
+        for trace_steps in (False, True):
+            tracemalloc.start()
+            try:
+                iterate(F, max_iter=3, eps_delta=0.0, trace_steps=trace_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.5 * F.vectors.nbytes
 
 
 def _steps_of_pass(V, plan):
@@ -281,27 +303,27 @@ def _per_row_validate_recurrences(trace):
         s = len(deps)
         norm_after = {}
         for step, (before, w, updated) in dependent.items():
-            nf2 = prev[step - 1] ** 2
+            nf2 = prev[step - 1] * prev[step - 1]
             norm_after[step] = np.linalg.norm(updated, axis=1)
             w = w.tolist()
             for j in range(step - 1):
                 nb = float(before[j])
                 na = float(norm_after[step][j])
                 inner_abs = abs(w[j])
-                predicted = nb**2 - inner_abs**2 / (1.0 + nf2)
-                upd_err.append(abs(na**2 - predicted))
-        x = [prev[k - 1] ** 2 for k in deps]
+                predicted = nb * nb - inner_abs * inner_abs / (1.0 + nf2)
+                upd_err.append(abs(na * na - predicted))
+        x = [prev[k - 1] * prev[k - 1] for k in deps]
         for l in range(s):
             floor_l = x[l] / (1.0 + x[l])
-            measured_end = cur[deps[l] - 1] ** 2
+            measured_end = cur[deps[l] - 1] * cur[deps[l] - 1]
             ceil.append(measured_end - floor_l)
             bound = floor_l
             for r in range(l + 1, s):
                 bound /= 1.0 + x[r]
             accum.append(bound - measured_end)
             if l + 1 < s:
-                after_next = float(norm_after[deps[l + 1]][deps[l] - 1]) ** 2
-                single.append(floor_l / (1.0 + x[l + 1]) - after_next)
+                kept = float(norm_after[deps[l + 1]][deps[l] - 1])   # row k_l after step k_{l+1}
+                single.append(floor_l / (1.0 + x[l + 1]) - kept * kept)
             if l == s - 2:
                 tail.append(floor_l / (1.0 + x[s - 1]) - measured_end)
 

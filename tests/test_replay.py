@@ -16,8 +16,8 @@ import pytest
 
 import framegs.iteration as iteration
 from framegs.frames import FrameSeq
-from framegs.generate import example_frame
-from framegs.ggs import KIND_INDEPENDENT, _pass_array, _Plan
+from framegs.generate import example_frame, random_frame
+from framegs.ggs import KIND_DEPENDENT, KIND_INDEPENDENT, _pass_array, _Plan
 from framegs.iteration import iterate
 
 from test_acceptance import criterion_10_corpus
@@ -137,3 +137,24 @@ def test_a_pass_that_falls_back_is_routed_with_every_later_one(monkeypatch):
                                                                pattern_consistent=False)
             replayed, routed = (dataclasses.replace(tr, recurrences=None) for tr in (replayed, routed))
         assert _run_bytes(replayed) == _run_bytes(routed)
+
+
+def test_a_pass_that_falls_back_adds_nothing_to_the_report(monkeypatch):
+    # pass 3's replay hands its hook a dependent step that breaks the
+    # update identity by about 49 d, then falls back to routing
+    for F in (FIGURES[1], random_frame(3, 4, 12, "complex", 4)):
+        replays = itertools.count(1)
+
+        def breaking(V, on_step=None, norms=None, plan=None):
+            if plan is not None and next(replays) == 2:
+                on_step(2, KIND_DEPENDENT, np.full(V.shape, 7.0, V.dtype), np.ones(2, V.dtype),
+                        np.zeros(2))
+                return None, None
+            return _pass_array(V, on_step, norms, plan)
+
+        runs = []
+        for kernel in (breaking, _routed):
+            with monkeypatch.context() as patch:
+                patch.setattr(iteration, "_pass_array", kernel)
+                runs.append(iterate(F, max_iter=10, eps_delta=0.0, trace_steps=True).recurrences)
+        assert runs[0] == dataclasses.replace(runs[1], pattern_consistent=False)
