@@ -34,7 +34,7 @@ trees and diffing the two shows what a differing digest changed:
     diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
             <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
 
-Besides the builtin examples, the calls read seven input files that the
+Besides the builtin examples, the calls read eight input files that the
 script writes into a temporary directory, so both source trees read the
 same bytes:
 
@@ -61,7 +61,12 @@ same bytes:
 * the real frame ``[[1e-200, 0], [0, 1e-200], [1e-200, 1e-200]]``, whose
   squared norms all underflow, so that the pass counts every vector as
   zero: ``run`` and ``iterate`` (call 28), whose span re-measures such
-  rows, fail their checks.
+  rows, fail their checks;
+* the real frame ``[[10, 0], [0, 10], [2e10, 0]]``, whose third vector
+  shrinks the first output row to about 5e-11, above the zero rule of
+  pass 2 but with a residual under the routing threshold: the traced
+  ``iterate`` (call 31) reports a drift through the replay's residual
+  margin alone, and exits 0 with the predicted limit.
 
 The calls run with that directory as their working directory and name
 the files relatively, so no temporary path reaches the digests.  Calls
@@ -91,6 +96,7 @@ HUGE = "huge.json"
 TINY = "tiny.json"
 NEAR = "near.json"
 UNDER = "under.json"
+MARGIN = "margin.json"
 
 CALLS = [
     *(["run", "--example", name, "--format", fmt] for name in EXAMPLES for fmt in ("json", "csv")),
@@ -127,11 +133,13 @@ CALLS = [
     # complex CSV, and the blank coordinate cells of iterations off the stride
     ["run", "--input", INPUTS[0], "--format", "csv"],
     ["iterate", "--input", INPUTS[0], "--max-iter", "50", "--snapshot-stride", "7", "--format", "csv"],
+    # a replay that drifts through its residual margin only (exit 0)
+    ["iterate", "--input", MARGIN, "--trace", "steps"],
 ]
 
 
 def _input_frames():
-    """The seven input documents, keyed by file name."""
+    """The eight input documents, keyed by file name."""
     # imported here: --compare reads only text files and needs no framegs
     from framegs.generate import random_frame
 
@@ -153,6 +161,7 @@ def _input_frames():
         TINY: {"dim": 2, "field": "real", "vectors": [[1e-11, 0.0], [0.0, 1e-11]]},
         NEAR: {"dim": 4, "field": "real", "vectors": N.tolist()},
         UNDER: {"dim": 2, "field": "real", "vectors": [[1e-200, 0.0], [0.0, 1e-200], [1e-200, 1e-200]]},
+        MARGIN: {"dim": 2, "field": "real", "vectors": [[10.0, 0.0], [0.0, 10.0], [2e10, 0.0]]},
     }
 
 

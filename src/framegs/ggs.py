@@ -129,9 +129,9 @@ class _Plan:
     """The routing of one pass, for :func:`_pass_array` to replay on
     later passes: the ``kinds`` of its steps, and the ``tail`` and
     ``rows`` of :func:`_tail_of` at its first step after full rank.
-    ``drift`` is set by a hooked replay whose margin fails."""
+    Nothing writes a plan after it is built."""
 
-    __slots__ = ("kinds", "tail", "rows", "drift")
+    __slots__ = ("kinds", "tail", "rows")
 
     def __init__(self, kinds: tuple[str, ...], d: int):
         indep = [k for k, kind in enumerate(kinds) if kind == KIND_INDEPENDENT]
@@ -139,7 +139,6 @@ class _Plan:
         k0 = indep[full - 1] + 1 if len(indep) == full else len(kinds)
         self.kinds = kinds
         self.tail, self.rows = _tail_of(kinds, k0)
-        self.drift = False
 
 
 def _pass_array(
@@ -152,11 +151,9 @@ def _pass_array(
     list is read (:func:`steps_of`).  A nonzero vector whose residual
     against the span of the previous outputs is at most ``DEP_TOL *
     max(1, ||f_k||)`` takes the dependent branch; at exactly the
-    threshold the branch is dependent.  ``on_step(k, kind, G, w, before)``
-    is called after each step k (0-based) when given; ``w``/``before`` are
-    set only on dependent steps.  ``norms``, when given, must be the row
-    norms of ``V`` as ``np.linalg.norm(V, axis=1)`` computes them; a
-    caller that has them already saves the kernel recomputing them.
+    threshold the branch is dependent.  ``norms``, when given, must be
+    the row norms of ``V`` as ``np.linalg.norm(V, axis=1)`` computes them;
+    a caller that has them already saves the kernel recomputing them.
 
     Full rank.  After min(n, d) independent routes the outputs span the
     whole space, so every later nonzero vector is dependent without a
@@ -177,23 +174,22 @@ def _pass_array(
     returned kinds and every hook call are the routed pass's in every bit.
     A replayed independent residual that is 0 or not finite is never
     divided by: the kernel returns ``(None, None)``, and the caller routes
-    the pass instead.  Only a hooked replay measures its margin to
-    routing: a planned nonzero step under the zero rule, or an independent
-    one whose residual is at most the routing threshold, sets
-    ``plan.drift``.
+    the pass instead.  A replay makes no test of its margin to routing.
 
-    Hooks only observe.  With ``on_step`` given, the tail also runs step
-    by step, with the residual skipped the same way, so that each call
-    sees the rows, ``w`` and ``before`` of the single-step update; the
-    returned rows are still the backward product, from a copy of the rows
-    taken at full rank, so a hook moves no byte of the output.  The two
-    agree to roundoff: no entry differs by more than n·eps/3 on the 728
-    frames of the kernel's equivalence tests.  Before full rank, and on a
-    frame without a nonzero tail step, the output is the step-by-step
-    arithmetic in every bit, and zero rows stay +0.0 throughout.  A
-    dependent step's ``before``, the row norms of the prefix before its
-    update, is computed in the update's scratch, so a hooked step
-    allocates no k x d temporary for it.
+    Hooks only observe, and see only what a step computed:
+    ``on_step(k, kind, G, w, rn)``, when given, is called after each step
+    k (0-based) with the rows G as it left them, ``w[i] = <g_i, f>`` on a
+    dependent step and ``rn``, the residual norm it divided by, on an
+    independent one (None otherwise).  With a hook, the tail also runs
+    step by step, with the residual skipped the same way, so that each
+    call sees the rows and ``w`` of the single-step update; the returned
+    rows are still the
+    backward product, from a copy of the rows taken at full rank, so a
+    hook moves no byte of the output.  The two agree to roundoff: no entry
+    differs by more than n·eps/3 on the 728 frames of the kernel's
+    equivalence tests.  Before full rank, and on a frame without a nonzero
+    tail step, the output is the step-by-step arithmetic in every bit, and
+    zero rows stay +0.0 throughout.
 
     The residual-norm finiteness check therefore runs only while
     independent routes remain.  After full rank it could not fire:
@@ -252,7 +248,7 @@ def _pass_array(
             norms = _row_norms(V)
     nfs = norms.tolist()
     route = None if plan is None else plan.kinds
-    if route is None or on_step is not None:   # a replay reads the zero rule as a margin only
+    if route is None:
         zthresh = _zero_threshold(norms)
     free = min(n, d)   # independent routes left
     k0 = n             # the first step after full rank
@@ -263,8 +259,6 @@ def _pass_array(
             kind = KIND_ZERO if nf <= zthresh else None if free else KIND_DEPENDENT
         else:
             kind = route[k]
-            if on_step is not None and kind != KIND_ZERO and nf <= zthresh:
-                plan.drift = True
         if kind == KIND_ZERO:
             kinds.append(KIND_ZERO)
             if on_step is not None:
@@ -287,8 +281,6 @@ def _pass_array(
                 kind = KIND_INDEPENDENT if rn > DEP_TOL * max(1.0, nf) else KIND_DEPENDENT
             elif not 0.0 < rn < math.inf:
                 return None, None   # nothing divided: the caller routes this pass
-            elif on_step is not None and rn <= DEP_TOL * max(1.0, nf):
-                plan.drift = True
             if kind == KIND_INDEPENDENT:
                 free -= 1
                 np.divide(g, rn, out=G[k])
@@ -299,18 +291,17 @@ def _pass_array(
                         break
                     head = G[:k0].copy()
                 if on_step is not None:
-                    on_step(k, KIND_INDEPENDENT, G, None, None)
+                    on_step(k, KIND_INDEPENDENT, G, None, rn)
                 continue
         if not math.isfinite(nf * nf):
             raise NonFiniteError(f"step {k + 1}: squared norm overflows")
         if buf is None:
             buf = np.empty_like(G)
-        before = _row_norms(prefix, buf[:k]) if on_step is not None else None
         w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
         _apply_dependent_update(G, k, f, nf, w, buf)
         kinds.append(KIND_DEPENDENT)
         if on_step is not None:
-            on_step(k, KIND_DEPENDENT, G, w, before)
+            on_step(k, KIND_DEPENDENT, G, w, None)
     if route is None:
         if on_step is None:
             kinds.extend(KIND_DEPENDENT if nf > zthresh else KIND_ZERO for nf in nfs[k0:])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .frames import DEP_TOL, FrameSeq, _coordinates, _span_steps
+from .frames import DEP_TOL, FrameSeq, _coordinates, _span_steps, _zero_threshold
 from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, _Plan, steps_of
 from .linalg import _l2_norm, _row_norms, as_field_array
 
@@ -131,13 +131,18 @@ class LimitReport:
 
 class _RecurrenceCheck:
     """The laws of :class:`RecurrenceReport`, checked while :func:`iterate`
-    runs.  :meth:`start` gives the ``on_step`` hook of one pass, which
-    evaluates the update identity at each dependent step from what the
-    kernel hands it: the row norms before the update, the inner products
-    ``w`` and the updated rows.  :meth:`end` receives the kinds of the
-    pass's steps and evaluates the floors and the ceiling from the norms
-    before and after the pass.  Only each law's running maximum outlives
-    a pass, and the pattern flag of the report is the caller's.
+    runs: the one observer of a traced run.  :meth:`start` gives the
+    ``on_step`` hook of one pass.  The hook keeps the row norms of G as
+    the steps leave them, measuring a row once each time a step changes
+    it, and evaluates the update identity at each dependent step from
+    those norms and the kernel's ``w``.  It also owns the replay's margin
+    to routing: a planned nonzero step under the zero rule, or an
+    independent one whose residual norm ``rn`` is at most ``DEP_TOL *
+    max(1, ||f||)``, drifts; no routed pass can, so every pass is tested.
+    :meth:`end` receives the kinds of the pass's steps and evaluates the
+    floors and the ceiling from the norms before and after the pass.
+    Only each law's running maximum and the drift outlive a pass; whether
+    the replay fell back to routing is the caller's.
 
     Squares are ``x * x``, as ``ggs._shrink_factors`` squares ||f||.  The
     accumulated floor divides by 1 + x_r in the order of r, so its array
@@ -149,27 +154,40 @@ class _RecurrenceCheck:
     def __init__(self):
         # update identity, single-step floor, accumulated floor, shrink ceiling, tail floor
         self.worst = np.full(5, -np.inf)   # -inf: nothing measured
+        self.drift = False
 
     def start(self, prev_norms: np.ndarray):
         """The ``on_step`` hook of the pass whose input has row norms
-        ``prev_norms``."""
+        ``prev_norms``; a norm that is not finite raises, as in the zero rule."""
+        zthresh = _zero_threshold(prev_norms)
+        nfs = prev_norms.tolist()
         self.x = x = prev_norms * prev_norms
         self.after = after = []   # row k_l's norm after step k_{l+1}
         self.upd = -np.inf
+        rows = np.zeros_like(prev_norms)   # the row norms of G as the steps left them
         last = None   # the row of the pass's latest dependent step
 
-        def on_step(k, kind, G, w, before):
+        def on_step(k, kind, G, w, rn):
             nonlocal last
-            if kind == KIND_DEPENDENT:
-                na = _row_norms(G[:k])
-                if last is not None:
-                    after.append(na[last])
-                last = k
-                # hypot is the scalar abs() of each complex entry, which np.abs
-                # can miss in the last bit; a real w squares as |w| does
-                ia = np.hypot(w.real, w.imag) if w.dtype.kind == "c" else w
-                err = np.abs(na * na - (before * before - ia * ia / (1.0 + x[k])))
-                self.upd = err.max(initial=self.upd)
+            if kind == KIND_ZERO:
+                return
+            nf = nfs[k]
+            if nf <= zthresh or rn is not None and rn <= DEP_TOL * max(1.0, nf):
+                self.drift = True
+            if kind != KIND_DEPENDENT:
+                rows[k:k + 1] = _row_norms(G[k:k + 1])
+                return
+            new = _row_norms(G[:k + 1])   # the updated prefix and the new row
+            if last is not None:
+                after.append(new[last])
+            last = k
+            # hypot is the scalar abs() of each complex entry, which np.abs
+            # can miss in the last bit; a real w squares as |w| does
+            ia = np.hypot(w.real, w.imag) if w.dtype.kind == "c" else w
+            nb, na = rows[:k], new[:k]
+            err = np.abs(na * na - (nb * nb - ia * ia / (1.0 + x[k])))
+            self.upd = err.max(initial=self.upd)
+            rows[:k + 1] = new
 
         return on_step
 
@@ -190,7 +208,7 @@ class _RecurrenceCheck:
         self.worst = np.maximum(self.worst,
                                 [self.upd, *(law.max(initial=-np.inf) for law in laws)])
 
-    def report(self, pattern_consistent: bool) -> RecurrenceReport:
+    def report(self, fell_back: bool) -> RecurrenceReport:
         upd, single, accum, ceil, tail = (0.0 if v == -np.inf else float(v) for v in self.worst)
         return RecurrenceReport(
             update_identity=upd,
@@ -198,7 +216,7 @@ class _RecurrenceCheck:
             accumulated_floor=accum,
             shrink_ceiling=ceil,
             tail_floor=tail,
-            pattern_consistent=pattern_consistent,
+            pattern_consistent=not (fell_back or self.drift),
         )
 
 
@@ -250,8 +268,8 @@ def iterate(
     # the pass and the distance raise on what overflows; see ggs._pass_array
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, max_iter + 1):
-            on_step = check.start(norms[-1]) if check is not None else None
             try:
+                on_step = check.start(norms[-1]) if check is not None else None
                 cur, kinds = _pass_array(prev, on_step, norms[-1], plan)
                 if cur is None:   # the replay met a residual it cannot divide by
                     plan = None
@@ -285,8 +303,7 @@ def iterate(
         deltas=np.asarray(deltas),
         snapshots=snapshots,
         step_traces=step_traces,
-        recurrences=(check.report(plan is not None and not plan.drift)
-                     if check is not None else None),
+        recurrences=check.report(plan is None) if check is not None else None,
         dependent_indices=deps,
         input_zero_indices=zeros,
         iterations_run=m,

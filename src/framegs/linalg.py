@@ -39,16 +39,10 @@ def as_field_array(x, name="array"):
     return arr
 
 
-def _row_norms(x, out=None):
+def _row_norms(x):
     """``np.linalg.norm(x, axis=1)`` of a 2-d float64 or complex128 array:
-    numpy's own expression, without the wrapper's argument handling.
-    ``out``, an array of x's shape and type, takes the products
-    ``conj(x) * x`` in place of a temporary, with the same bits."""
-    if out is None:
-        sq = x.conj() * x
-    else:
-        sq = np.multiply(np.conjugate(x, out=out), x, out=out)
-    return np.sqrt(np.add.reduce(sq.real, axis=1))
+    numpy's own expression, without the wrapper's argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
 
 
 def _l2_norm(x) -> float:

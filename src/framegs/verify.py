@@ -122,7 +122,7 @@ def check_prefix_parseval(frames) -> CheckResult:
     for F in frames:
         V = F.vectors
 
-        def on_step(k, kind, G, w, before):
+        def on_step(k, kind, G, w, rn):
             nonlocal worst
             chk = is_parseval(FrameSeq(G[: k + 1]), span=FrameSeq(V[: k + 1]))
             worst = max(worst, chk.residual)
@@ -141,7 +141,7 @@ def check_dependent_oracle(frames) -> CheckResult:
         V = F.vectors
         prev = np.zeros_like(V)
 
-        def on_step(k, kind, G, w, before):
+        def on_step(k, kind, G, w, rn):
             nonlocal worst, steps
             if kind == KIND_DEPENDENT:
                 oracle = canonical_parseval(FrameSeq(np.vstack([prev[:k], V[k][None, :]])))
@@ -319,7 +319,7 @@ def run_battery(seed: int = 0, n_frames: int = 50) -> list[CheckResult]:
     return [
         check_single_pass_parseval(corpus(0)),
         check_prefix_parseval(corpus(1)),
-        check_dependent_oracle(corpus(2, dependent_fraction=0.8)),
+        check_dependent_oracle(corpus(2, dependent_fraction=1.0)),
         check_onb_fixed_points(_onb_frames(seed + 3, n_frames)),
         check_non_onb_movement(corpus(4)),
         check_last_vector_stabilization(_stabilization_frames(seed + 5, n_frames)),

@@ -9,7 +9,8 @@ the input's prefix grows, both judged by ``numpy_oracle``.  Exact
 transforms of an input (a zero row, the complex embedding, a signed
 coordinate permutation) leave the exit code of either command unchanged.
 ``--trace steps`` moves no exit code either, and adds only
-``limit_report.recurrences`` to the JSON export of ``iterate``.
+``limit_report.recurrences`` to the JSON export of ``iterate``, whose
+``pattern_consistent`` is false on exactly the inputs of ``DRIFTED``.
 
 Every exit code of the sweep must equal the manifest's,
 ``scripts/sweep_exits.txt``, one ``_exit_line`` per input.  A change that
@@ -37,6 +38,14 @@ COMMANDS = (
     ["iterate", "--max-iter", "30"],
     ["iterate", "--max-iter", "30", "--trace", "steps"],
 )
+# the inputs whose traced iterate reports that the replay of pass 1's
+# routing drifted: 40 through the residual margin alone, 16 through the
+# zero rule and the margin, and input 103, whose replay falls back to
+# routing.  The nearest margin, input 221's, is 0.855 of the threshold
+DRIFTED = (1, 3, 5, 6, 18, 26, 28, 45, 47, 49, 56, 59, 65, 68, 71, 88, 90, 91, 98, 102, 103,
+           116, 118, 122, 124, 126, 132, 138, 145, 148, 158, 161, 168, 172, 183, 186, 190,
+           192, 202, 212, 217, 218, 221, 228, 231, 235, 238, 239, 240, 256, 257, 261, 267,
+           269, 275, 287, 296)
 
 
 def _gaussian(rng, shape, field):
@@ -116,6 +125,7 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
     off = []   # exit 0 of run with an output off the oracle's span
     wrong = []   # exit 0 of iterate with survivors other than the oracle's
     traced = []   # exit codes or iterate exports that --trace steps moved
+    drifted = []   # inputs whose traced iterate reports a drifted replay
     lines = []   # the manifest's lines for these sources
     for i, V in enumerate(_sweep()):
         doc = _document(V)
@@ -158,12 +168,14 @@ def test_extreme_inputs_end_in_an_exit_code(tmp_path, capsys):
             for out in outs[2:]:
                 with open(out, encoding="utf-8") as fh:
                     exports.append(json.load(fh))
-            exports[1]["limit_report"].pop("recurrences")
+            if not exports[1]["limit_report"].pop("recurrences")["pattern_consistent"]:
+                drifted.append(i)
             if exports[0] != exports[1]:
                 traced.append(f"input {i}: iterate exports differ beyond the recurrence report")
     assert not traced, f"{len(traced)} inputs where --trace steps moved a result: {traced[:5]}"
     assert not off, f"{len(off)} exit-0 outputs off the input's span: {off[:5]}"
     assert not wrong, f"{len(wrong)} exit-0 limits off the oracle's survivors: {wrong[:5]}"
+    assert tuple(drifted) == DRIFTED, f"drifted {sorted(set(drifted) ^ set(DRIFTED))} moved"
     moved = [f"{m!r} -> {r!r}" for m, r in itertools.zip_longest(_manifest(), lines, fillvalue="") if m != r]
     assert not moved, f"{len(moved)} inputs off {MANIFEST.name} (manifest -> run): {moved[:5]}"
 

@@ -28,10 +28,8 @@ from framegs.ggs import (
     ggs_pass,
 )
 from framegs.iteration import iterate
-from framegs.linalg import _row_norms
 
 import numpy_oracle
-from test_acceptance import criterion_10_corpus
 
 RT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -71,19 +69,23 @@ def _outputs_per_step(F):
     """Copies of the output prefix G[:k] after each step k of the pass,
     read through the kernel's ``on_step`` hook."""
     outs = []
-    _pass_array(F.vectors, lambda k, kind, G, w, before: outs.append(G[: k + 1].copy()))
+    _pass_array(F.vectors, lambda k, kind, G, w, rn: outs.append(G[: k + 1].copy()))
     return outs
 
 
 def _dependent_updates(F):
     """For each dependent step (1-based), the norms of the rows it
     updates before and after the update and ``|<g_i, f>|``, read through
-    the kernel's ``on_step`` hook."""
+    the kernel's ``on_step`` hook: the norms before are those of the rows
+    as the previous step left them."""
     updates = {}
+    prev = np.zeros_like(F.vectors)   # the rows as they stood before the current step
 
-    def hook(k, kind, G, w, before):
+    def hook(k, kind, G, w, rn):
         if kind == KIND_DEPENDENT:
-            updates[k + 1] = (before, np.linalg.norm(G[:k], axis=1), np.hypot(w.real, w.imag))
+            updates[k + 1] = (np.linalg.norm(prev[:k], axis=1), np.linalg.norm(G[:k], axis=1),
+                              np.hypot(w.real, w.imag))
+        prev[:k + 1] = G[:k + 1]
 
     _pass_array(F.vectors, hook)
     return updates
@@ -135,18 +137,17 @@ class TestNormRecurrence:
 
     def test_records_hold_the_per_row_values(self):
         # what the hook hands a dependent step is exactly the per-row
-        # values: the row norm of the prefix before the step, and abs()
-        # of the prefix row's inner product with f
+        # values: the rows after the update, and abs() of the prefix
+        # row's inner product with f
         n_checked = 0
         for F in random_frame_corpus(34, 12, dependent_fraction=1.0):
             outs = _outputs_per_step(F)
-            for step, (before, after, inner_abs) in _dependent_updates(F).items():
+            for step, (_, after, inner_abs) in _dependent_updates(F).items():
                 if step == 1:
                     continue
                 prefix = outs[step - 2]
                 f = F.vectors[step - 1]
                 w = (prefix.conj() @ f).conj()
-                assert np.array_equal(before, np.linalg.norm(prefix, axis=1))
                 assert np.array_equal(after, np.linalg.norm(outs[step - 1][:-1], axis=1))
                 assert inner_abs.tolist() == [abs(z) for z in w.tolist()]
                 n_checked += 1
@@ -330,8 +331,9 @@ def _reference_pass(V, on_step=None):
     """The pass kernel's step arithmetic as first written: the product with
     the conjugated prefix, ``np.linalg.norm`` of the residual on every
     step, and a dependent update that computes <g_i, f> a second time.
-    ``on_step`` is called as the kernel calls it, with ``w`` and ``before``
-    computed here.  Returns the output and the kind of each step."""
+    ``on_step`` is called as the kernel calls it, with ``w`` and the
+    residual norm ``rn`` computed here.  Returns the output and the kind of
+    each step."""
     G = np.zeros_like(V)
     kinds = []
     in_norms = np.linalg.norm(V, axis=1)
@@ -340,27 +342,26 @@ def _reference_pass(V, on_step=None):
     for k in range(V.shape[0]):
         f = V[k]
         nf = in_norms[k]
-        kind, w, before = KIND_ZERO, None, None
+        kind, w, rn = KIND_ZERO, None, None
         if nf > zthresh:
             prefix = G[:k]
             coeffs = prefix.conj() @ f
             g = f - coeffs @ prefix
-            rn = np.linalg.norm(g)
+            rn = float(np.linalg.norm(g))
             if rn > DEP_TOL * max(1.0, nf):
                 kind = KIND_INDEPENDENT
                 G[k] = g / rn
             else:
-                kind = KIND_DEPENDENT
+                kind, rn = KIND_DEPENDENT, None
                 nf2 = nf * nf
                 shrink = 1.0 / math.sqrt(1.0 + nf2)
                 cfac = (shrink - 1.0) / nf2
                 w = (G[:k].conj() @ f).conj()
-                before = np.linalg.norm(G[:k], axis=1)
                 G[:k] += (cfac * w)[:, None] * f[None, :]
                 G[k] = shrink * f
         kinds.append(kind)
         if on_step is not None:
-            on_step(k, kind, G, w, before)
+            on_step(k, kind, G, w, rn)
     return G, tuple(kinds)
 
 
@@ -427,12 +428,14 @@ def test_kernel_matches_reference_arithmetic():
 
         prev = np.zeros_like(V)
 
-        def on_step(k, kind, G, w, before):
+        def on_step(k, kind, G, w, rn):
             nonlocal prev, n_dependent
             if kind == KIND_DEPENDENT:
                 n_dependent += 1
-                assert np.array_equal(w, (prev[:k].conj() @ V[k]).conj())
-                assert np.array_equal(before, np.linalg.norm(prev[:k], axis=1))
+                assert np.array_equal(w, (prev[:k].conj() @ V[k]).conj()) and rn is None
+            elif kind == KIND_INDEPENDENT:
+                g = V[k] - (prev[:k].conj() @ V[k]) @ prev[:k]
+                assert w is None and rn == np.linalg.norm(g) and np.array_equal(G[k], g / rn)
             prev = G.copy()
 
         _assert_output(V, G, _pass_array(V, on_step)[0], expected, kinds)
@@ -510,13 +513,13 @@ def _overcomplete_corpus():
 
 
 def _steps_seen(run, V):
-    """Output and kinds of ``run(V, on_step)`` and, per step, the bytes of
-    what its hook saw: kind, ``w``, ``before`` and all of G."""
+    """Output and kinds of ``run(V, on_step)`` and, per step, the bits of
+    what its hook saw: kind, ``w``, ``rn`` and all of G."""
     steps = []
 
-    def on_step(k, kind, G, w, before):
+    def on_step(k, kind, G, w, rn):
         steps.append((k, kind, None if w is None else w.tobytes(),
-                      None if before is None else before.tobytes(), G.tobytes()))
+                      None if rn is None else rn.hex(), G.tobytes()))
 
     G, kinds = run(V, on_step)
     return (G, kinds), steps
@@ -586,7 +589,7 @@ def test_long_tail_agrees_with_the_per_step_rows(field):
     F = random_frame(46, 48, 400, field, 100)
     per_step = []
 
-    def on_step(k, kind, G, w, before):
+    def on_step(k, kind, G, w, rn):
         if k == F.n_vectors - 1:
             per_step.append(G.copy())
 
@@ -594,38 +597,6 @@ def test_long_tail_agrees_with_the_per_step_rows(field):
     assert kinds.count(KIND_INDEPENDENT) == 48 and _after_full_rank(kinds, F.vectors)
     assert 0.0 < np.abs(G - per_step[0]).max() <= F.n_vectors * EPS
     assert numpy_oracle.parseval_gap(G, F.vectors) <= 1e-12
-
-
-def _befores_match_row_norms(V, plan=None):
-    """For each dependent step of a hooked pass over V, whether its
-    ``before`` holds the bytes of ``_row_norms`` of the prefix as it stood
-    before the step."""
-    prev = np.zeros_like(V)   # the rows as they stood before the current step
-    seen = []
-
-    def on_step(k, kind, G, w, before):
-        if kind == KIND_DEPENDENT:
-            seen.append(before.tobytes() == _row_norms(prev[:k]).tobytes())
-            prev[:k] = G[:k]
-        prev[k] = G[k]
-
-    _pass_array(V, on_step, None, plan)
-    return seen
-
-
-def test_hooked_before_norms_are_the_row_norms_of_the_prefix():
-    # the kernel computes a dependent step's ``before`` in its update
-    # scratch; routed and replayed, it must give _row_norms(prefix) bit for bit
-    frames = criterion_10_corpus() + [random_frame(seed, 64, 200, field, 50)
-                                      for seed in (0, 1, 2) for field in ("real", "complex")]
-    steps = 0
-    for i, F in enumerate(frames):
-        G, kinds = _pass_array(F.vectors)
-        for V, plan in ((F.vectors, None), (G, _Plan(kinds, F.dim))):   # pass 1, replayed pass 2
-            seen = _befores_match_row_norms(V, plan)
-            assert all(seen), i
-            steps += len(seen)
-    assert steps == 2 * (838 + 6 * 136)
 
 
 def test_kernel_never_writes_its_input():

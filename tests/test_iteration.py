@@ -214,18 +214,23 @@ class TestValidateRecurrences:
             assert rep.pattern_consistent
             assert rep.max_violation <= 1e-12
 
-    @pytest.mark.parametrize("case", ["fig1", "fig3", "corpus", "drift", "long", "tiny"])
+    @pytest.mark.parametrize("case", ["fig1", "fig3", "corpus", "drift", "long", "tiny",
+                                      "wide-real", "wide-complex"])
     def test_matches_per_row_reference(self, case):
+        max_iter = 40
         if case == "corpus":
             frames = random_frame_corpus(52, 10, dependent_fraction=0.8)
         elif case == "long":   # 48 dependent steps a pass
             frames = [random_frame(8, 16, 64, "complex", 16)]
         elif case == "tiny":   # both steps dependent: the first meets empty arrays
             frames = [FrameSeq(np.array([[1e-11, 0.0], [0.0, 1e-11]]))]
+        elif case.startswith("wide"):   # the check's prefix norms over 200 rows
+            frames = [random_frame(seed, 64, 200, case[5:], 50) for seed in (0, 1)]
+            max_iter = 3
         else:
             frames = [{"fig1": FIG1, "fig3": FIG3, "drift": HUGE}[case]]
         for F in frames:
-            tr = iterate(F, max_iter=40, eps_delta=0.0, snapshot_stride=1, trace_steps=True)
+            tr = iterate(F, max_iter=max_iter, eps_delta=0.0, snapshot_stride=1, trace_steps=True)
             assert tr.recurrences == _per_row_validate_recurrences(tr)
             # HUGE's passes are measured too: its drift clears the flag only
             assert tr.recurrences.pattern_consistent == (case != "drift")
@@ -250,23 +255,25 @@ class TestValidateRecurrences:
 
 def _steps_of_pass(V, plan):
     """The kind of each step of one pass over ``V``, replaying ``plan``
-    when given, and, for each dependent step (1-based), copies of what
-    the kernel hands its hook: the row norms before the update, the inner
-    products ``w`` and the updated rows G[:k].  The third value tells
-    whether a step the pass did not route by its residual lies where
-    routing would have sent it elsewhere: a nonzero step under the zero
-    rule, or an independent one whose residual, recomputed here, is at
-    most ``DEP_TOL * max(1, ||f||)``."""
+    when given, and, for each dependent step (1-based), the norms of the
+    rows as the previous step left them and copies of what the kernel
+    hands its hook: the inner products ``w`` and the updated rows G[:k].
+    The third value tells whether a step the pass did not route by its
+    residual lies where routing would have sent it elsewhere: a nonzero
+    step under the zero rule, or an independent one whose residual,
+    recomputed here, is at most ``DEP_TOL * max(1, ||f||)``."""
     kinds, dependent = [], {}
     norms = np.linalg.norm(V, axis=1)
     zeros = numpy_oracle.zero_rows(V)
     drift = False
+    prev = np.zeros_like(V)   # the rows as they stood before the current step
 
-    def hook(k, kind, G, w, before):
+    def hook(k, kind, G, w, rn):
         nonlocal drift
         kinds.append(kind)
         if kind == KIND_DEPENDENT:
-            dependent[k + 1] = (before.copy(), w.copy(), G[:k].copy())
+            dependent[k + 1] = (np.linalg.norm(prev[:k], axis=1), w.copy(), G[:k].copy())
+        prev[:k + 1] = G[:k + 1]
         if plan is None or kind == KIND_ZERO:
             return
         drift = drift or k + 1 in zeros
