@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -116,15 +117,34 @@ def load_input_frame(args: argparse.Namespace) -> FrameSeq:
 @contextlib.contextmanager
 def _output(path: str | None):
     """The handle an export goes to: stdout, or the file at ``path``, where
-    an open or a write that fails, even midway, raises :class:`InputError`."""
+    an open or a write that fails, even midway, raises :class:`InputError`.
+    A new path or a regular file is written to a part file beside it, which
+    takes the old file's mode and replaces it only once the export is
+    whole, so a failed export leaves the old file as it was; a symlink,
+    directory, device or FIFO is opened in place."""
     if path is None:
         yield sys.stdout
         return
+    staged = not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path))
+    part = f"{path}.{os.getpid()}.part" if staged else path
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        fh = open(part, "x" if staged else "w", encoding="utf-8")
+        try:   # only a part file this call made is removed
+            with fh:
+                yield fh
+            if staged:
+                if os.path.exists(path):
+                    shutil.copymode(path, part)
+                os.replace(part, path)
+        except BaseException:
+            if staged:
+                with contextlib.suppress(OSError):
+                    os.remove(part)
+            raise
     except OSError as exc:   # a directory, a missing parent or a full disk
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        # the message names PATH, never the part file
+        reason = OSError(exc.errno, exc.strerror, path) if exc.filename == part else exc
+        raise InputError(f"cannot write {path}: {reason}") from exc
 
 
 def _export(args: argparse.Namespace, doc: dict, table) -> None:

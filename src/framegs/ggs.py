@@ -32,14 +32,27 @@ KIND_INDEPENDENT = "independent"
 KIND_DEPENDENT = "dependent"
 
 
-def _shrink_factors(nf: float) -> tuple[float, float]:
-    """``(s, c)`` of a dependent step for a vector of norm ``nf``: the
-    step appends ``s * f`` and maps every earlier row g to
+def _dependent_residual(rn: float, nf: float) -> bool:
+    """The routing rule of a nonzero vector of norm ``nf`` whose residual
+    against the span of the previous outputs has norm ``rn``: dependent
+    when ``rn <= DEP_TOL * max(1, nf)``, so at exactly the threshold.
+    The kernel routes by it, and a traced replay's drift test asks it
+    (``iteration._RecurrenceCheck``)."""
+    return rn <= DEP_TOL * max(1.0, nf)
+
+
+def _shrink_factors(nf: float, k: int) -> tuple[float, float]:
+    """``(s, c)`` of dependent step ``k`` (0-based) for a vector of norm
+    ``nf``: the step appends ``s * f`` and maps every earlier row g to
     ``g + c * <g, f> * f``, with ``s = 1/sqrt(1 + nf^2)`` and
     ``c = (s - 1)/nf^2``, or its limit -1/2 where ``nf^2`` is 0: a replayed
     dependent step can meet a row that roundoff made zero, and the step
-    is then the identity."""
+    is then the identity.  The pass's one overflow rule of a dependent
+    step: ``nf^2`` that is not finite raises ``step {k+1}: squared norm
+    overflows``."""
     nf2 = nf * nf
+    if not math.isfinite(nf2):
+        raise NonFiniteError(f"step {k + 1}: squared norm overflows")
     shrink = 1.0 / math.sqrt(1.0 + nf2)
     return shrink, (shrink - 1.0) / nf2 if nf2 else -0.5
 
@@ -51,7 +64,7 @@ def _apply_dependent_update(G: np.ndarray, k: int, f: np.ndarray, nf: float, w: 
     rows before the update; the caller has them from routing f.  ``buf``
     is scratch of at least k rows of G's width and type that takes the
     update's product, so that a pass allocates it once."""
-    shrink, cfac = _shrink_factors(nf)
+    shrink, cfac = _shrink_factors(nf, k)
     # not np.multiply.outer, which rounds differently on complex (1, 1) operands
     G[:k] += np.multiply((cfac * w)[:, None], f, out=buf[:k])
     np.multiply(f, shrink, out=G[k])
@@ -85,20 +98,16 @@ def _tail_product(G: np.ndarray, V: np.ndarray, head: np.ndarray, rows, tail: np
     ``tail`` is the index array of the tail's steps.  ``head`` holds the
     rows before the tail, and ``rows`` indexes its nonzero ones: zero rows
     are left as they are in G, so they keep their exact +0.0.  ``nfs[k]``
-    is the norm of ``V[k]``.  The first tail step whose squared norm
-    overflows raises, before any arithmetic."""
-    ks = tail.tolist()
-    for k in ks:
-        if not math.isfinite(nfs[k] * nfs[k]):
-            raise NonFiniteError(f"step {k + 1}: squared norm overflows")
-    is_complex = V.dtype.kind == "c"
-    sc = np.array([_shrink_factors(nfs[k]) for k in ks])
+    is the norm of ``V[k]``.  The shrink factors are built before any
+    arithmetic, so the first tail step whose squared norm overflows
+    raises from :func:`_shrink_factors` with nothing written."""
+    sc = np.array([_shrink_factors(nfs[k], k) for k in tail.tolist()])
     M = None   # the identity, until the block of the last steps is done
     for stop in range(len(tail), 0, -_TAIL_BLOCK):
         start = max(0, stop - _TAIL_BLOCK)
         steps = tail[start:stop]
         F = V[steps]
-        Fh = F.conj().T if is_complex else F.T
+        Fh = F.conj().T
         c = sc[start:stop, 1]
         R = F.copy() if M is None else F.dot(M)
         if len(steps) > 1:
@@ -151,9 +160,10 @@ def _pass_array(
     list is read (:func:`steps_of`).  A nonzero vector whose residual
     against the span of the previous outputs is at most ``DEP_TOL *
     max(1, ||f_k||)`` takes the dependent branch; at exactly the
-    threshold the branch is dependent.  ``norms``, when given, must be
-    the row norms of ``V`` as ``np.linalg.norm(V, axis=1)`` computes them;
-    a caller that has them already saves the kernel recomputing them.
+    threshold the branch is dependent (:func:`_dependent_residual`).
+    ``norms``, when given, must be the row norms of ``V`` as
+    ``np.linalg.norm(V, axis=1)`` computes them; a caller that has them
+    already saves the kernel recomputing them.
 
     Full rank.  After min(n, d) independent routes the outputs span the
     whole space, so every later nonzero vector is dependent without a
@@ -163,7 +173,7 @@ def _pass_array(
     (:func:`_tail_product`), O(d^2) a step where updating every earlier
     row costs O(k d).  A tail step whose squared norm overflows raises
     before any of the tail's arithmetic, at the step where the update
-    step by step would.
+    step by step would, with the message of :func:`_shrink_factors`.
 
     Replay.  With ``plan``, a :class:`_Plan` of an earlier pass, the pass
     takes that pass's kinds instead of routing: zero steps write nothing,
@@ -208,7 +218,8 @@ def _pass_array(
       vector norm is not finite``, while s = 1e153 passes with that
       vector routed dependent after full rank.
 
-    The ``nf * nf`` overflow check stays on every dependent step.
+    The ``nf * nf`` overflow check stays on every dependent step, step
+    by step or in the tail: it is :func:`_shrink_factors`'s.
 
     Those checks raise :class:`NonFiniteError` on every overflow the
     pass can meet, but numpy warns first when a product or sum inside
@@ -220,7 +231,10 @@ def _pass_array(
 
     Each step makes as few numpy calls as its field allows, and keeps the
     bits, signed zeros included, of the plain expressions
-    ``prefix.conj() @ f``, ``coeffs @ prefix`` and ``np.linalg.norm(g)``:
+    ``prefix.conj() @ f``, ``coeffs @ prefix`` and ``np.linalg.norm(g)``.
+    The pass binds its field's product once, as ``mul``, and writes the
+    conjugates for both fields: ``conj()`` of a real array is the array
+    itself, with no copy.
 
     * Real frames route with ``ndarray.dot``.  On float64 it gives the
       bits of ``@`` at about half the call cost on small arrays (0.86 µs
@@ -243,6 +257,7 @@ def _pass_array(
     n, d = V.shape
     G = np.zeros(V.shape, V.dtype)
     is_complex = V.dtype.kind == "c"
+    mul = np.matmul if is_complex else np.ndarray.dot
     if norms is None:
         with np.errstate(over="ignore"):  # _zero_threshold raises on overflow
             norms = _row_norms(V)
@@ -266,19 +281,18 @@ def _pass_array(
             continue
         f = V[k]
         prefix = G[:k]
-        coeffs = prefix.conj() @ f if is_complex else prefix.dot(f)   # coeffs[j] = <f, g_j>
+        coeffs = mul(prefix.conj(), f)   # coeffs[j] = <f, g_j>
         if kind != KIND_DEPENDENT:
+            g = f - mul(coeffs, prefix)
             if is_complex:
-                g = f - coeffs @ prefix
                 gr, gi = g.real, g.imag
                 rn = math.sqrt(gr.dot(gr) + gi.dot(gi))
             else:
-                g = f - coeffs.dot(prefix)
                 rn = math.sqrt(g.dot(g))
             if kind is None:
                 if not math.isfinite(rn):
                     raise NonFiniteError(f"step {k + 1}: residual norm is not finite")
-                kind = KIND_INDEPENDENT if rn > DEP_TOL * max(1.0, nf) else KIND_DEPENDENT
+                kind = KIND_DEPENDENT if _dependent_residual(rn, nf) else KIND_INDEPENDENT
             elif not 0.0 < rn < math.inf:
                 return None, None   # nothing divided: the caller routes this pass
             if kind == KIND_INDEPENDENT:
@@ -293,11 +307,9 @@ def _pass_array(
                 if on_step is not None:
                     on_step(k, KIND_INDEPENDENT, G, None, rn)
                 continue
-        if not math.isfinite(nf * nf):
-            raise NonFiniteError(f"step {k + 1}: squared norm overflows")
         if buf is None:
             buf = np.empty_like(G)
-        w = coeffs.conj() if is_complex else coeffs   # w[i] = <g_i, f>
+        w = coeffs.conj()   # w[i] = <g_i, f>
         _apply_dependent_update(G, k, f, nf, w, buf)
         kinds.append(KIND_DEPENDENT)
         if on_step is not None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .frames import DEP_TOL, FrameSeq, _coordinates, _span_steps, _zero_threshold
-from .ggs import KIND_DEPENDENT, KIND_ZERO, _pass_array, _Plan, steps_of
+from .ggs import KIND_DEPENDENT, KIND_ZERO, _dependent_residual, _pass_array, _Plan, steps_of
 from .linalg import _l2_norm, _row_norms, as_field_array
 
 # largest entry of |Gram - I| over the surviving vectors at which
@@ -136,9 +136,9 @@ class _RecurrenceCheck:
     the steps leave them, measuring a row once each time a step changes
     it, and evaluates the update identity at each dependent step from
     those norms and the kernel's ``w``.  It also owns the replay's margin
-    to routing: a planned nonzero step under the zero rule, or an
-    independent one whose residual norm ``rn`` is at most ``DEP_TOL *
-    max(1, ||f||)``, drifts; no routed pass can, so every pass is tested.
+    to routing: a planned nonzero step under the zero rule, or an independent
+    one whose residual norm ``rn`` the kernel's ``_dependent_residual`` calls
+    dependent, drifts; no routed pass can, so every pass is tested.
     :meth:`end` receives the kinds of the pass's steps and evaluates the
     floors and the ceiling from the norms before and after the pass.
     Only each law's running maximum and the drift outlive a pass; whether
@@ -172,7 +172,7 @@ class _RecurrenceCheck:
             if kind == KIND_ZERO:
                 return
             nf = nfs[k]
-            if nf <= zthresh or rn is not None and rn <= DEP_TOL * max(1.0, nf):
+            if nf <= zthresh or rn is not None and _dependent_residual(rn, nf):
                 self.drift = True
             if kind != KIND_DEPENDENT:
                 rows[k:k + 1] = _row_norms(G[k:k + 1])

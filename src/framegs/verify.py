@@ -11,6 +11,10 @@ the same checks on their own corpora.  The battery exercises the pass,
 the iteration driver, and the validators against each other and against
 independent constructions (classical Gram-Schmidt, the canonical
 Parseval map, closed-form decay), and reads every rank from the span rule.
+Every check judges rows that ``ggs_pass`` or ``iterate`` returns; none
+observes the pass kernel as it runs.  Criteria 2 and 3 take the pass's
+state after step k as the pass over the prefix F[:k]
+(:func:`_prefix_passes`).
 """
 
 import math
@@ -27,7 +31,7 @@ from .generate import (
     random_frame_corpus,
     random_onb_frame,
 )
-from .ggs import KIND_DEPENDENT, _pass_array, ggs_pass, steps_of
+from .ggs import KIND_DEPENDENT, ggs_pass, steps_of
 from .iteration import DELTA_ONB, classify_limit, closed_form_last_dependent, iterate
 
 
@@ -116,42 +120,47 @@ def check_single_pass_parseval(frames) -> CheckResult:
     return _result("single_pass_parseval", worst, PARSEVAL_TOL, detail=f"{len(frames)} frames")
 
 
+def _prefix_passes(F: FrameSeq):
+    """For k = 1..n, the prefix ``P = F[:k]`` and the rows and kinds of
+    ``ggs_pass(P)``.  The pass is causal, so in exact arithmetic this is
+    the state of the pass over F after step k.  Before full rank, under
+    the same zero threshold, the two are the same bits; after full rank
+    the prefix pass returns the backward product, which is what
+    ``ggs_pass`` returns.  One difference: the zero rule of a prefix pass
+    is relative to the prefix's largest row, not the frame's, so a row
+    near zero can route otherwise.  The battery's corpora have no such
+    row: their dependent steps counted this way are the whole passes'."""
+    for k in range(1, len(F) + 1):
+        P = FrameSeq(F.vectors[:k])
+        yield (P, *ggs_pass(P))
+
+
 def check_prefix_parseval(frames) -> CheckResult:
-    # after step k the outputs must be Parseval for the span of the input prefix F[:k]
+    # after step k the outputs must be Parseval for the span of the input
+    # prefix F[:k]; the pass over F[:k] is that state (see _prefix_passes)
     worst = 0.0
     for F in frames:
-        V = F.vectors
-
-        def on_step(k, kind, G, w, rn):
-            nonlocal worst
-            chk = is_parseval(FrameSeq(G[: k + 1]), span=FrameSeq(V[: k + 1]))
-            worst = max(worst, chk.residual)
-
-        _pass_array(V, on_step)
+        for P, G, _ in _prefix_passes(F):
+            worst = max(worst, is_parseval(G, span=P).residual)
     return _result("prefix_parseval", worst, PARSEVAL_TOL, detail=f"{len(frames)} frames, all steps")
 
 
 def check_dependent_oracle(frames) -> CheckResult:
     # every dependent step must equal the canonical Parseval map applied
-    # to (previous outputs + the incoming vector); the step updates the
-    # outputs in place, so ``prev`` keeps them as they stood before it
+    # to (previous outputs + the incoming vector): the pass over F[:k],
+    # when its last step is dependent, against the rows of the pass over
+    # F[:k-1] plus f_k
     worst = 0.0
     steps = 0
     for F in frames:
-        V = F.vectors
-        prev = np.zeros_like(V)
-
-        def on_step(k, kind, G, w, rn):
-            nonlocal worst, steps
-            if kind == KIND_DEPENDENT:
-                oracle = canonical_parseval(FrameSeq(np.vstack([prev[:k], V[k][None, :]])))
-                diff = np.linalg.norm(G[: k + 1] - oracle.vectors, axis=1)
+        prev = F.vectors[:0]   # the rows of the pass over F[:k-1]
+        for P, G, kinds in _prefix_passes(F):
+            if kinds[-1] == KIND_DEPENDENT:
+                oracle = canonical_parseval(FrameSeq(np.vstack([prev, P.vectors[-1:]])))
+                diff = np.linalg.norm(G.vectors - oracle.vectors, axis=1)
                 worst = max(worst, float(diff.max()))
                 steps += 1
-                prev[:k] = G[:k]
-            prev[k] = G[k]
-
-        _pass_array(V, on_step)
+            prev = G.vectors
     return _result("dependent_oracle_match", worst, 1e-10, extra_ok=steps > 0,
                    detail=f"{steps} dependent steps")
 

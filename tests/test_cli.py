@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -627,13 +628,59 @@ class TestStreamedExport:
         assert per_pass <= 1.5 * F.vectors.nbytes, (per_pass, F.vectors.nbytes)
 
     def test_failed_write_midway_is_one_line(self, capsys):
-        # /dev/full takes the open and refuses the bytes
+        # /dev/full takes the open and refuses the bytes; a device is
+        # written in place, never replaced by a part file
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this platform")
         assert main(["iterate", "--example", "fig1", "--max-iter", "200", "--eps-delta", "0",
                      "--output", "/dev/full"]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: "), err
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    @pytest.mark.parametrize("command", ["run", "iterate"])
+    @pytest.mark.parametrize("error", [lambda: OSError(28, "No space left on device"), MemoryError],
+                             ids=["no-space", "out-of-memory"])
+    def test_failed_export_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, command, error):
+        # the export goes to a part file beside PATH, which replaces it only
+        # once the export is whole
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+
+        def fail_midway(fh, obj, level=0):
+            fh.write('{\n  "frame": ')
+            fh.flush()   # the partial chunk reaches the file
+            raise error()
+
+        monkeypatch.setattr(framegs.cli, "_write_json", fail_midway)
+        assert main([command, "--example", "fig1", "--output", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        if error is MemoryError:
+            assert err == ["error: cannot process fig1: out of memory"]
+        else:
+            assert err == [f"error: cannot write {out}: [Errno 28] No space left on device"]
+        assert out.read_bytes() == b"old" and stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_export_over_a_file_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+        assert main(["run", "--example", "fig1", "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["report"]["parseval_ok"] is True
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_symlinked_output_stays_a_symlink(self, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["run", "--example", "fig1", "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["report"]["parseval_ok"] is True
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
     @pytest.mark.parametrize("command, target", [("run", "_write_json"), ("iterate", "iterate")])
     def test_out_of_memory_is_one_line(self, capsys, monkeypatch, command, target):

@@ -291,6 +291,10 @@ class TestCanonicalParseval:
     def test_fig1_output_parseval(self):
         assert is_parseval(canonical_parseval(FIG1))
 
+    def test_all_zero_frame_maps_to_itself(self):
+        G = canonical_parseval(FrameSeq(np.zeros((3, 2))))
+        assert G.vectors.shape == (3, 2) and not G.vectors.any()
+
     def test_zero_vectors_stay_zero(self):
         F = FrameSeq(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
         G = canonical_parseval(F)
@@ -633,3 +637,15 @@ def test_numpy_oracle_is_independent_of_framegs():
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n", proc.stdout
     assert (numpy_oracle.ZERO_RTOL, numpy_oracle.RANK_RTOL) == (ZERO_REL_TOL, DEP_TOL)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: example_frame("fig4"), "^unknown example 'fig4'"),
+    (lambda: random_frame(0, 2, 3, field="quaternion"),
+     "^field must be 'real' or 'complex', got 'quaternion'$"),
+    (lambda: random_frame(0, 0, 3), "^dim and n_vectors must be positive$"),
+    (lambda: random_frame(0, 2, 3, n_dependent=3), r"^n_dependent must lie in \[0, 2\], got 3$"),
+], ids=["unknown-example", "unknown-field", "empty-shape", "too-many-dependents"])
+def test_generators_refuse_bad_arguments(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -573,13 +573,32 @@ def test_huge_vector_after_full_rank(field, s):
 
 def test_squared_norm_overflow_after_full_rank_raises_at_its_step():
     # row norms given exactly, as a caller that scales them might: the
-    # steps after full rank are scanned before any of their arithmetic, so
+    # tail's shrink factors are built before any of its arithmetic, so
     # with or without a hook the pass stops at the first overflowing step
     V = np.array([[1e150, 0.0], [0.0, 1e150], [1e150, 1e150], [1e155, 0.0], [0.0, 1e156]])
     norms = np.array([1e150, 1e150, math.sqrt(2.0) * 1e150, 1e155, 1e156])
     for hook in (None, lambda *step: None):
         with pytest.raises(NonFiniteError, match="^step 4: squared norm overflows$"):
             _pass_array(V, hook, norms)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("hook", [None, lambda *step: None], ids=["unhooked", "hooked"])
+@pytest.mark.parametrize("replay", [False, True], ids=["routed", "replayed"])
+def test_squared_norm_overflow_before_full_rank_raises_at_its_step(field, hook, replay):
+    # the second vector is dependent before full rank, routed or replayed
+    # from a plan; its norm is given exactly, since _row_norms would read
+    # inf and stop the pass at the input-norm check
+    V = np.array([[1e150, 0.0, 0.0], [1e155, 0.0, 0.0], [0.0, 1e150, 0.0]])
+    if field == "complex":
+        V = V.astype(complex)
+    plan = None
+    if replay:
+        plan = _Plan(_pass_array(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))[1], 3)
+        assert plan.kinds == (KIND_INDEPENDENT, KIND_DEPENDENT, KIND_INDEPENDENT)
+    with pytest.raises(NonFiniteError, match="^step 2: squared norm overflows$"):
+        _pass_array(V, hook, np.array([1e150, 1e155, 1e150]), plan)
+
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_long_tail_agrees_with_the_per_step_rows(field):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framegs.errors import NonFiniteError
-from framegs.linalg import hermitian_eigen
+from framegs.linalg import as_field_array, hermitian_eigen
 
 
 class TestHermitianEigen:
@@ -49,3 +49,7 @@ class TestHermitianEigen:
             with pytest.raises(NonFiniteError, match="Frobenius norm overflows"):
                 hermitian_eigen(M)
 
+
+def test_non_numeric_data_is_refused():
+    with pytest.raises(TypeError, match="^array: expected numeric data, got dtype <U1$"):
+        as_field_array(np.array(["a"]))

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import framegs.ggs as ggs
+import framegs.verify as verify
 from framegs.frames import FrameSeq
 from framegs.generate import example_frame, random_frame_corpus
-from framegs.iteration import iterate
+from framegs.iteration import classify_limit, iterate
 from framegs.verify import (
     check_dependent_oracle,
     check_l2_identity,
+    check_limit_classification,
+    check_near_dependence_routing,
     check_prefix_parseval,
     check_recurrences,
     run_battery,
@@ -15,7 +20,7 @@ from framegs.verify import (
 
 
 def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
-    # both checks read the outputs from the pass kernel as it runs; a wrong
+    # both checks judge the rows ggs_pass returns over each prefix; a wrong
     # dependent update must fail them, so neither compares the kernel with itself
     frames = random_frame_corpus(17, 8, dependent_fraction=0.8)
     assert check_prefix_parseval(frames).ok and check_dependent_oracle(frames).ok
@@ -30,6 +35,22 @@ def test_observer_checks_fail_on_a_perturbed_dependent_update(monkeypatch):
     assert not check_prefix_parseval(frames).ok
     oracle = check_dependent_oracle(frames)
     assert not oracle.ok and oracle.value > 1e-7, oracle
+
+
+def test_prefix_checks_see_the_backward_product(monkeypatch):
+    # after full rank ggs_pass returns the backward product of _tail_product,
+    # not the step-by-step rows; an error planted in that product must fail
+    # both checks, so they judge the rows a user gets
+    frames = random_frame_corpus(17, 8, dependent_fraction=0.8)
+    exact = ggs._tail_product
+
+    def perturbed(G, V, head, rows, tail, nfs):
+        exact(G, V, head, rows, tail, nfs)
+        G[tail[-1], 0] += 1e-6
+
+    monkeypatch.setattr(ggs, "_tail_product", perturbed)
+    for res in (check_prefix_parseval(frames), check_dependent_oracle(frames)):
+        assert not res.ok and res.value > 1e-7, res
 
 
 def test_recurrence_check_fails_on_perturbed_updated_rows(monkeypatch):
@@ -76,3 +97,20 @@ def test_one_frame_battery_passes():
     # dependent step, and the check would fail on nothing measured
     failed = [res for res in run_battery(182, 1) if not res.ok]
     assert not failed, failed
+
+
+def _mismatched_limit(monkeypatch):
+    # every limit reported as missing its predicted zero pattern
+    monkeypatch.setattr(verify, "classify_limit",
+                        lambda tr: dataclasses.replace(classify_limit(tr), prediction_match=False))
+    return check_limit_classification(("fig1",))
+
+
+@pytest.mark.parametrize("run, detail", [
+    (lambda monkeypatch: check_near_dependence_routing([(FrameSeq(np.eye(2)), (2,))]),
+     "gap vectors at 1e-3..1e-5; profile misrouted: (2,)->()"),
+    (_mismatched_limit, "; zero-pattern mismatch: fig1"),
+], ids=["misrouted-profile", "zero-pattern-mismatch"])
+def test_failed_check_names_what_failed(monkeypatch, run, detail):
+    res = run(monkeypatch)
+    assert not res.ok and res.detail.endswith(detail), res
