@@ -34,7 +34,7 @@ trees and diffing the two shows what a differing digest changed:
     diff -u <(PYTHONPATH=<other checkout>/src python3 scripts/export_digests.py --show 15) \
             <(PYTHONPATH=src python3 scripts/export_digests.py --show 15)
 
-Besides the builtin examples, the calls read eight input files that the
+Besides the builtin examples, the calls read ten input files that the
 script writes into a temporary directory, so both source trees read the
 same bytes:
 
@@ -66,7 +66,14 @@ same bytes:
   shrinks the first output row to about 5e-11, above the zero rule of
   pass 2 but with a residual under the routing threshold: the traced
   ``iterate`` (call 31) reports a drift through the replay's residual
-  margin alone, and exits 0 with the predicted limit.
+  margin alone, and exits 0 with the predicted limit;
+* a complex 100x32 frame with rows in the span of earlier ones, whose
+  frame bounds pin the bits of the Jacobi eigensolver at d = 32;
+* a real 3x5 frame, fewer vectors than dimensions, whose lower frame
+  bound is exactly 0.
+
+The last two come from a generator of their own, so that adding them
+left the bytes of the earlier inputs as they were.
 
 The calls run with that directory as their working directory and name
 the files relatively, so no temporary path reaches the digests.  Calls
@@ -97,6 +104,8 @@ TINY = "tiny.json"
 NEAR = "near.json"
 UNDER = "under.json"
 MARGIN = "margin.json"
+WIDE = "wide.json"
+SHORT = "short.json"
 
 CALLS = [
     *(["run", "--example", name, "--format", fmt] for name in EXAMPLES for fmt in ("json", "csv")),
@@ -135,11 +144,14 @@ CALLS = [
     ["iterate", "--input", INPUTS[0], "--max-iter", "50", "--snapshot-stride", "7", "--format", "csv"],
     # a replay that drifts through its residual margin only (exit 0)
     ["iterate", "--input", MARGIN, "--trace", "steps"],
+    # the eigensolver's bits at d = 32, and a lower bound of 0 below d vectors
+    ["run", "--input", WIDE, "--trace", "steps"],
+    ["run", "--input", SHORT],
 ]
 
 
 def _input_frames():
-    """The eight input documents, keyed by file name."""
+    """The ten input documents, keyed by file name."""
     # imported here: --compare reads only text files and needs no framegs
     from framegs.generate import random_frame
 
@@ -152,6 +164,11 @@ def _input_frames():
     R[9] = 0.0
     N = rng.normal(size=(4, 4))
     N[2] = N[0] - 0.5 * N[1] + 1e-9 * N[3]
+    wide = np.random.default_rng(20160227)
+    W = wide.normal(size=(100, 32)) + 1j * wide.normal(size=(100, 32))
+    for k in (7, 20, 45, 70):   # in the span of the rows before them
+        W[k] = (wide.normal(size=k) + 1j * wide.normal(size=k)) @ W[:k]
+    S = wide.normal(size=(3, 5))
     return {
         INPUTS[0]: {"dim": 16, "field": "complex",
                     "vectors": [[[z.real, z.imag] for z in row] for row in C.tolist()]},
@@ -162,6 +179,9 @@ def _input_frames():
         NEAR: {"dim": 4, "field": "real", "vectors": N.tolist()},
         UNDER: {"dim": 2, "field": "real", "vectors": [[1e-200, 0.0], [0.0, 1e-200], [1e-200, 1e-200]]},
         MARGIN: {"dim": 2, "field": "real", "vectors": [[10.0, 0.0], [0.0, 10.0], [2e10, 0.0]]},
+        WIDE: {"dim": 32, "field": "complex",
+               "vectors": [[[z.real, z.imag] for z in row] for row in W.tolist()]},
+        SHORT: {"dim": 5, "field": "real", "vectors": S.tolist()},
     }
 
 

@@ -179,10 +179,12 @@ def _quiet_operator(frame: FrameSeq) -> np.ndarray:
 
 def frame_bounds(frame: FrameSeq) -> FrameBounds:
     """Optimal bounds (A, B): smallest and largest eigenvalue of the frame
-    operator.  A == 0 signals a sequence that does not span the ambient
-    space."""
+    operator.  Fewer vectors than dimensions cannot span, and then A is
+    exactly 0.0; otherwise a sequence that does not span the ambient
+    space reads A at roundoff level, A/B of order 1e-16, not 0."""
     w = hermitian_eigen(_quiet_operator(frame))   # rejects inf and NaN
-    return FrameBounds(lower=max(float(w[0]), 0.0), upper=float(w[-1]))
+    lower = 0.0 if frame.n_vectors < frame.dim else max(float(w[0]), 0.0)
+    return FrameBounds(lower=lower, upper=float(w[-1]))
 
 
 def _zero_threshold(norms: np.ndarray) -> float:

@@ -11,7 +11,7 @@ One route takes a Hermitian matrix apart: :func:`hermitian_eigen`,
 eigenvalues by cyclic Jacobi, behind ``frames.frame_bounds``.  Written in
 Python, it is simple, accurate and backward stable, but every sweep
 applies its d(d-1)/2 rotations one at a time, so it is slow past a few
-dozen dimensions: a fraction of a second at d = 64, seconds at d = 128.
+dozen dimensions: tenths of a second at d = 64, about a second at d = 128.
 """
 
 import math
@@ -68,12 +68,18 @@ def hermitian_eigen(matrix):
     Hermitian to roundoff by construction; the rotations act on its exact
     Hermitian part ``0.5 * (a + a*)``.  A matrix whose Frobenius norm
     overflows raises :class:`NonFiniteError` without a numpy warning.
+
+    Each rotation writes rows p and q, then columns p and q, in place
+    through views, building both new rows (columns) from the old ones
+    before either is written.  Its scalars are Python floats and complex
+    numbers, each operation rounding as numpy's scalar arithmetic does
+    (see the comments in the loop).
     """
     a = as_field_array(matrix, "matrix")
     # overflow, and the NaN that 0.5 * (inf + 0j) makes of it, are caught below
     with np.errstate(over="ignore", invalid="ignore"):
         A = 0.5 * (a + a.conj().T)
-        fro = np.linalg.norm(A)
+        fro = _l2_norm(A)
     if not math.isfinite(fro):
         # every off-diagonal norm is at most fro, so no later norm overflows
         raise NonFiniteError("matrix Frobenius norm overflows")
@@ -81,50 +87,58 @@ def hermitian_eigen(matrix):
     if d == 1 or fro == 0.0:
         return np.sort(np.diag(A).real, kind="stable")
 
+    is_complex = A.dtype.kind == "c"
+    rows, cols = list(A), list(A.T)   # views, written in place
+    tiny = 1e-280 * fro
     threshold = JACOBI_SWEEP_TOL * fro
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = _offdiag_norm(A)
-        if off <= threshold:
-            break
+    sweeps = 0
+    while (off := _offdiag_norm(A)) > threshold:
+        if sweeps == JACOBI_MAX_SWEEPS:
+            raise JacobiConvergenceError(
+                f"off-diagonal mass {off:.3e} above {threshold:.3e} after {JACOBI_MAX_SWEEPS} sweeps"
+            )
+        sweeps += 1
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = A[p, q]
+                apq = A[p, q] if is_complex else A.item(p, q)
                 b = abs(apq)
-                if b <= 1e-280 * fro:
+                if b <= tiny:
                     # below any representable rotation angle; annihilate
                     A[p, q] = 0.0
                     A[q, p] = 0.0
                     continue
-                e = apq / b  # unit phase; +-1.0 in the real case
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * b)
-                # smaller root of t^2 + 2*tau*t - 1 = 0
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                # numpy's complex-by-real division rounds otherwise than
+                # CPython's complex / float, so a complex phase is numpy's; a
+                # real apq / |apq| is exactly +-1.0 in either
+                e = apq / b
+                if is_complex:
+                    e, b = e.item(), float(b)
+                tau = (A.item(q, q).real - A.item(p, p).real) / (2.0 * b)
+                # smaller root of t^2 + 2*tau*t - 1 = 0, in Python floats that
+                # round as numpy's scalars: tau != 0 there, so copysign is
+                # np.sign; abs of a complex is C's hypot, as np.hypot is,
+                # where math.hypot rounds otherwise; both square roots round
+                # correctly; and a float times a complex goes through
+                # c + 0j in CPython, as in numpy
+                t = math.copysign(1.0, tau) / (abs(tau) + abs(complex(1.0, tau))) if tau != 0.0 else 1.0
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 ce = c * e
                 se = s * e
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = ce.conjugate() * rowp - s * rowq
-                A[q, :] = se.conjugate() * rowp + c * rowq
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = ce * colp - s * colq
-                A[:, q] = se * colp + c * colq
+                rowp, rowq = rows[p], rows[q]
+                rowp[...], rowq[...] = ce.conjugate() * rowp - s * rowq, se.conjugate() * rowp + c * rowq
+                colp, colq = cols[p], cols[q]
+                colp[...], colq[...] = ce * colp - s * colq, se * colp + c * colq
                 A[p, q] = 0.0
                 A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-    if _offdiag_norm(A) > threshold:
-        raise JacobiConvergenceError(
-            f"off-diagonal mass {_offdiag_norm(A):.3e} above {threshold:.3e} "
-            f"after {JACOBI_MAX_SWEEPS} sweeps"
-        )
+                if is_complex:
+                    A[p, p] = A.item(p, p).real
+                    A[q, q] = A.item(q, q).real
     return np.sort(np.diag(A).real, kind="stable")
 
 
-def _offdiag_norm(A):
+def _offdiag_norm(A) -> float:
     # summed entrywise; the subtraction ||A||_F^2 - ||diag||^2 cancels badly
     off = A.copy()
     np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+    return _l2_norm(off)

@@ -169,6 +169,14 @@ class TestRunInputErrors:
         inp.write_text('{"dim": 1, "field": "real", "vectors": [[Infinity]]}')
         assert main(["run", "--input", str(inp)]) == EXIT_INPUT_ERROR
 
+    def test_eigensolver_sweep_limit_is_an_input_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(framegs.linalg, "JACOBI_MAX_SWEEPS", 0)
+        assert main(["run", "--example", "fig1"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot process fig1: off-diagonal mass 7.071e-01 "
+                                "above 2.236e-14 after 0 sweeps\n")
+
     def test_unknown_example_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--example", "fig9"])

@@ -195,6 +195,18 @@ class TestFrameBounds:
     def test_fig1(self):
         assert frame_bounds(FIG1) == pytest.approx((1.0, 2.0), abs=1e-12)
 
+    def test_fewer_vectors_than_dimensions_give_a_lower_bound_of_zero(self):
+        # rank at most n < d, so A is 0 exactly, not the eigensolver's roundoff
+        rng = np.random.default_rng(35)
+        for t in range(500):
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(1, d))
+            V = rng.normal(size=(n, d))
+            if t % 2:
+                V = V + 1j * rng.normal(size=(n, d))
+            A, B = frame_bounds(FrameSeq(V))
+            assert A == 0.0 and B == pytest.approx(numpy_oracle.bounds(V)[1], rel=1e-13), (t, A)
+
     def test_matches_singular_values(self):
         # the bounds from the squared extreme singular values of the rows,
         # A = 0 below d rows: the gate of an SVD route for frame_bounds
